@@ -10,10 +10,8 @@ with conserved-quantity diagnostics and reproducible experiment drivers.
 
 from .diagnostics import (
     QUANTITIES,
-    DiagnosticRecord,
     ZeroFieldError,
     cylindrical_projection,
-    diagnostic_records,
     error_series,
     magnetic_moment,
     quantity_series,

@@ -24,7 +24,6 @@ from .experiments import (
     builtin_scenario,
     compare_methods,
     convergence_study,
-    load_config,
     parse_step_size,
     run_scenario,
     _load_document,

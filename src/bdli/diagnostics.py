@@ -13,12 +13,9 @@ Q(z_n) - Q(z_0); relative errors are available via a flag.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .hamiltonian import ChargedParticleSystem, PhaseState, energy
+from .hamiltonian import ChargedParticleSystem, PhaseState, energies
 from .integrators import Trajectory
 
 QUANTITIES = ("H", "p_xi", "mu")
@@ -28,58 +25,71 @@ class ZeroFieldError(ValueError):
     """Raised when the magnetic moment is requested where |B| = 0."""
 
 
-@dataclass(frozen=True)
-class DiagnosticRecord:
-    """Per-step diagnostic row: invariants plus cylindrical position."""
+def toroidal_momenta(sys: ChargedParticleSystem, states) -> np.ndarray:
+    """m (x v_y - y v_x) + q R A_xi of every row of an (n, 6) array."""
+    a_at = sys.field.a_at
+    a = np.array([a_at(x, y, z) for x, y, z in states[:, :3].tolist()])
+    x, y = states[:, 0], states[:, 1]
+    vx, vy = states[:, 3], states[:, 4]
+    return sys.mass * (x * vy - y * vx) + sys.charge * (
+        x * a[:, 1] - y * a[:, 0]
+    )
 
-    time: float
-    H: float
-    p_xi: float
-    mu: float
-    R: float
-    z_coord: float
-    iterations: int
+
+def magnetic_moments(sys: ChargedParticleSystem, states) -> np.ndarray:
+    """|v_perp|^2 / (2 |B|), v_perp orthogonal to B, of every row."""
+    b_at = sys.field.b_at
+    b = np.array([b_at(x, y, z) for x, y, z in states[:, :3].tolist()])
+    bx, by, bz = b[:, 0], b[:, 1], b[:, 2]
+    b2 = bx * bx + by * by + bz * bz
+    zero = np.flatnonzero(b2 == 0.0)
+    if zero.size:
+        raise ZeroFieldError(
+            f"magnetic moment undefined where B = 0 (at {states[zero[0], :3]})"
+        )
+    bnorm = np.sqrt(b2)
+    v = states[:, 3:]
+    vpar = (v[:, 0] * bx + v[:, 1] * by + v[:, 2] * bz) / bnorm
+    vperp2 = np.vecdot(v, v) - vpar * vpar
+    return vperp2 / (2.0 * bnorm)
 
 
 def toroidal_momentum(sys: ChargedParticleSystem, z: PhaseState) -> float:
     """Toroidal canonical momentum m (x v_y - y v_x) + q R A_xi."""
-    x, v = z.x, z.v
-    ax, ay, _ = sys.field.a_at(x[0], x[1], x[2])
-    return sys.mass * (x[0] * v[1] - x[1] * v[0]) + sys.charge * (
-        x[0] * ay - x[1] * ax
-    )
+    return float(toroidal_momenta(sys, z.as_vector()[None])[0])
 
 
 def magnetic_moment(sys: ChargedParticleSystem, z: PhaseState) -> float:
     """Magnetic moment |v_perp|^2 / (2 |B|) with v_perp orthogonal to B."""
-    x, v = z.x, z.v
-    bx, by, bz = sys.field.b_at(x[0], x[1], x[2])
-    b2 = bx * bx + by * by + bz * bz
-    if b2 == 0.0:
-        raise ZeroFieldError(f"magnetic moment undefined where B = 0 (at {x})")
-    bnorm = math.sqrt(b2)
-    vpar = (v[0] * bx + v[1] * by + v[2] * bz) / bnorm
-    vperp2 = float(v @ v) - vpar * vpar
-    return vperp2 / (2.0 * bnorm)
+    return float(magnetic_moments(sys, z.as_vector()[None])[0])
 
 
-def _evaluate(sys: ChargedParticleSystem, quantity: str, z: PhaseState) -> float:
-    if quantity == "H":
-        return energy(sys, z)
-    if quantity == "p_xi":
-        return toroidal_momentum(sys, z)
-    if quantity == "mu":
-        return magnetic_moment(sys, z)
-    raise ValueError(f"unknown quantity {quantity!r} (expected one of {QUANTITIES})")
+_SERIES = {"H": energies, "p_xi": toroidal_momenta, "mu": magnetic_moments}
 
 
 def quantity_series(
     sys: ChargedParticleSystem, traj: Trajectory, quantity: str
 ) -> np.ndarray:
     """Value of a conserved quantity at every recorded state."""
-    return np.array(
-        [_evaluate(sys, quantity, traj.state(i)) for i in range(len(traj))]
-    )
+    try:
+        values = _SERIES[quantity]
+    except KeyError:
+        raise ValueError(
+            f"unknown quantity {quantity!r} (expected one of {QUANTITIES})"
+        ) from None
+    return values(sys, traj.states)
+
+
+def series_errors(values: np.ndarray, relative: bool = False) -> np.ndarray:
+    """Q(z_n) - Q(z_0) of a quantity series.
+
+    With ``relative=True`` errors are divided by |Q(z_0)| (left absolute
+    when the reference value is exactly zero).
+    """
+    err = values - values[0]
+    if relative and values[0] != 0.0:
+        err = err / abs(values[0])
+    return err
 
 
 def error_series(
@@ -90,41 +100,13 @@ def error_series(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Times and errors Q(z_n) - Q(z_0) along a trajectory.
 
-    With ``relative=True`` errors are divided by |Q(z_0)| (left absolute
-    when the reference value is exactly zero).
+    ``relative`` is passed to :func:`series_errors`.
     """
     values = quantity_series(sys, traj, quantity)
-    err = values - values[0]
-    if relative and values[0] != 0.0:
-        err = err / abs(values[0])
-    return traj.times, err
+    return traj.times, series_errors(values, relative)
 
 
 def cylindrical_projection(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     """(R, z) pairs of the trajectory positions, R = sqrt(x^2 + y^2)."""
     p = traj.positions
     return np.hypot(p[:, 0], p[:, 1]), p[:, 2].copy()
-
-
-def diagnostic_records(
-    sys: ChargedParticleSystem, traj: Trajectory
-) -> list[DiagnosticRecord]:
-    """Full per-state diagnostic rows for a trajectory."""
-    has_A = sys.field.provides_vector_potential
-    R, zc = cylindrical_projection(traj)
-    t = traj.times
-    out = []
-    for i in range(len(traj)):
-        z = traj.state(i)
-        out.append(
-            DiagnosticRecord(
-                time=float(t[i]),
-                H=energy(sys, z),
-                p_xi=toroidal_momentum(sys, z) if has_A else math.nan,
-                mu=magnetic_moment(sys, z),
-                R=float(R[i]),
-                z_coord=float(zc[i]),
-                iterations=int(traj.iterations[i - 1]) if i > 0 else 0,
-            )
-        )
-    return out

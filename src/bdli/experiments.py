@@ -21,13 +21,12 @@ from __future__ import annotations
 import json
 import math
 import re
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import error_series, quantity_series
+from .diagnostics import quantity_series, series_errors
 from .fields import FIELD_MODELS, make_field
 from .hamiltonian import ChargedParticleSystem, PhaseState
 from .integrators import (
@@ -191,7 +190,7 @@ _SCENARIO_KEYS = {
     "method", "rule", "solver", "output", "stride",
 }
 _RESERVED_KEYS = {"builtin", "study", "methods"}
-_SOLVER_KEYS = {"tolerance", "max_iterations", "predictor"}
+_SOLVER_KEYS = {"tolerance", "max_iterations"}
 
 
 def _scenario_from_dict(doc: dict, source: str) -> Scenario:
@@ -255,13 +254,15 @@ def _scenario_from_dict(doc: dict, source: str) -> Scenario:
             updates["method"] = f"dli:{updates['rule']}"
     if "solver" in doc:
         sspec = doc["solver"]
+        if not isinstance(sspec, dict):
+            raise ConfigError("solver: expected an object")
         extra = set(sspec) - _SOLVER_KEYS
         if extra:
             raise ConfigError(f"solver: unknown key(s) {sorted(extra)}")
         defaults = base.solver if base is not None else SolverOptions()
         try:
             updates["solver"] = replace(defaults, **sspec)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"solver: {exc}") from None
     if "output" in doc:
         updates["output"] = str(doc["output"]) if doc["output"] else None
@@ -319,7 +320,6 @@ def scenario_to_config(scn: Scenario) -> dict:
         "solver": {
             "tolerance": scn.solver.tolerance,
             "max_iterations": scn.solver.max_iterations,
-            "predictor": scn.solver.predictor,
         },
         "output": scn.output,
         "stride": scn.stride,
@@ -343,8 +343,6 @@ class RunSummary:
     final_abs_err_p_xi: float
     final_abs_err_mu: float
     mean_iters: float
-    wall_time_s: float
-    failures: int
     series_path: str | None = None
 
     def as_text(self) -> str:
@@ -358,8 +356,6 @@ class RunSummary:
             f"final_abs_err_p_xi = {self.final_abs_err_p_xi:.17g}",
             f"final_abs_err_mu = {self.final_abs_err_mu:.17g}",
             f"mean_iters = {self.mean_iters:.17g}",
-            f"failures = {self.failures}",
-            f"wall_time_s = {self.wall_time_s:.3f}",
         ]
         return "\n".join(lines) + "\n"
 
@@ -374,9 +370,8 @@ def run_scenario(
     ``out`` overrides the scenario's output path; by default the files are
     ``<name>_series.csv`` and ``<name>_series.summary.txt`` in the current
     directory.  The run is deterministic: identical scenarios produce
-    byte-identical series files.
+    byte-identical series and summary files.
     """
-    t0 = time.perf_counter()
     traj = scn.run_trajectory()
     sys = scn.system()
 
@@ -387,12 +382,7 @@ def run_scenario(
     else:
         p = np.full(len(traj), math.nan)
     mu = quantity_series(sys, traj, "mu")
-    errs = []
-    for series in (H, p, mu):
-        e = series - series[0]
-        if relative_errors and series[0] != 0.0:
-            e = e / abs(series[0])
-        errs.append(e)
+    errs = [series_errors(series, relative_errors) for series in (H, p, mu)]
 
     emitted = list(range(0, len(traj), scn.stride))
     lines = [SERIES_COLUMNS]
@@ -406,10 +396,9 @@ def run_scenario(
     series_path.write_text("\n".join(lines) + "\n")
 
     abs_errs = {
-        q: np.abs(series - series[0])[emitted]
+        q: np.abs(series_errors(series))[emitted]
         for q, series in (("H", H), ("p_xi", p), ("mu", mu))
     }
-    wall = time.perf_counter() - t0
     mean_iters = float(traj.iterations.mean()) if len(traj.iterations) else 0.0
     summary = RunSummary(
         scenario=scn.name,
@@ -421,8 +410,6 @@ def run_scenario(
         final_abs_err_p_xi=float(abs_errs["p_xi"][-1]),
         final_abs_err_mu=float(abs_errs["mu"][-1]),
         mean_iters=mean_iters,
-        wall_time_s=wall,
-        failures=0,
         series_path=str(series_path),
     )
     summary_path = series_path.with_suffix(".summary.txt")

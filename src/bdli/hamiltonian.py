@@ -65,10 +65,17 @@ class ChargedParticleSystem:
             raise ValueError("a field model is required")
 
 
+def energies(sys: ChargedParticleSystem, states) -> np.ndarray:
+    """Total energy H = m v.v / 2 + q phi(x) of every row of an (n, 6) array."""
+    phi_at = sys.field.phi_at
+    phi = np.array([phi_at(x, y, z) for x, y, z in states[:, :3].tolist()])
+    v = states[:, 3:]
+    return 0.5 * sys.mass * np.vecdot(v, v) + sys.charge * phi
+
+
 def energy(sys: ChargedParticleSystem, z: PhaseState) -> float:
-    """Total energy H = m v.v / 2 + q phi(x)."""
-    v = z.v
-    return 0.5 * sys.mass * float(v @ v) + sys.charge * sys.field.eval_phi(z.x)
+    """Total energy H = m v.v / 2 + q phi(x) of one state."""
+    return float(energies(sys, z.as_vector()[None])[0])
 
 
 def grad_energy(sys: ChargedParticleSystem, z: PhaseState) -> PhaseVec:

@@ -29,11 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FieldSingularityError
-from .hamiltonian import ChargedParticleSystem, PhaseState, vector_field
+from .hamiltonian import ChargedParticleSystem, PhaseState
 from .linalg import PhaseVec
 from .quadrature import QuadratureRule, builtin_rule, weighted_gradient
-
-PREDICTORS = ("explicit-euler", "frozen")
 
 
 @dataclass(frozen=True)
@@ -48,15 +46,12 @@ class SolverOptions:
 
     tolerance: float = 1e-14
     max_iterations: int = 200
-    predictor: str = "explicit-euler"
 
     def __post_init__(self):
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.predictor not in PREDICTORS:
-            raise ValueError(f"predictor must be one of {PREDICTORS}")
 
 
 @dataclass(frozen=True)
@@ -177,7 +172,7 @@ def dli_step(
 ) -> StepReport:
     """One implicit DLI step of size h from z0 (h may have either sign).
 
-    Fixed-point iteration from the chosen predictor; non-convergence is
+    Fixed-point iteration from an explicit-Euler predictor; non-convergence is
     reported through the ``converged`` flag, never papered over, because
     the conservation properties are meaningless on unconverged steps.
     """
@@ -205,14 +200,11 @@ def dli_step(
     else:
         e0x, e0y, e0z = e_at(x0x, x0y, x0z)
 
-    if opts.predictor == "explicit-euler":
-        bx, by, bz = b_at(x0x, x0y, x0z)
-        vx = v0x + h * qm * (e0x + v0y * bz - v0z * by)
-        vy = v0y + h * qm * (e0y + v0z * bx - v0x * bz)
-        vz = v0z + h * qm * (e0z + v0x * by - v0y * bx)
-        if not (math.isfinite(vx) and math.isfinite(vy) and math.isfinite(vz)):
-            vx, vy, vz = v0x, v0y, v0z
-    else:
+    bx, by, bz = b_at(x0x, x0y, x0z)
+    vx = v0x + h * qm * (e0x + v0y * bz - v0z * by)
+    vy = v0y + h * qm * (e0y + v0z * bx - v0x * bz)
+    vz = v0z + h * qm * (e0z + v0x * by - v0y * bx)
+    if not (math.isfinite(vx) and math.isfinite(vy) and math.isfinite(vz)):
         vx, vy, vz = v0x, v0y, v0z
 
     converged = False

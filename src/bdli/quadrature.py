@@ -15,7 +15,7 @@ against the same invariants at construction time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,14 +103,17 @@ def register_rule(
     The invariants (nodes ascending in [0,1], weights summing to 1, the
     declared exactness holding on monomials) are enforced at registration;
     note that the implicit step is time-symmetric only for rules whose
-    nodes are symmetric about 1/2 with palindromic weights.
+    nodes are symmetric about 1/2 with palindromic weights.  Registering
+    the same rule again is a no-op; a different rule under a taken name is
+    refused, since scenarios refer to rules by name.
     """
     if name in _BUILTIN_RULES:
         raise ValueError(f"cannot shadow built-in rule {name!r}")
     nodes, weights = zip(*((float(c), float(w)) for c, w in pairs))
     rule = QuadratureRule(name, nodes, weights, int(degree_of_exactness))
-    _custom_rules[name] = rule
-    return rule
+    if _custom_rules.setdefault(name, rule) != rule:
+        raise ValueError(f"rule {name!r} is already registered with other values")
+    return _custom_rules[name]
 
 
 def weighted_gradient(

@@ -70,9 +70,13 @@ def test_broken_json_exit_2(tmp_path, capsys):
     assert main(["run", str(p)]) == 2
 
 
-def test_invalid_scenario_exit_2(tmp_path):
-    cfg = write(tmp_path, {"builtin": "banana", "n_steps": 0})
-    assert main(["run", cfg]) == 2
+@pytest.mark.parametrize("doc", [
+    {"builtin": "banana", "n_steps": 0},
+    {"builtin": "banana", "solver": 3},
+    {"builtin": "banana", "solver": {"predictor": "frozen"}},
+], ids=["n_steps-0", "solver-3", "solver-predictor"])
+def test_invalid_scenario_exit_2(tmp_path, doc):
+    assert main(["run", write(tmp_path, doc)]) == 2
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -9,14 +9,16 @@ from bdli import (
     CylindricalDriftField,
     PhaseState,
     PotentialUnavailableError,
+    QuarticWellField,
     TokamakField,
     UniformField,
     ZeroFieldError,
     cylindrical_projection,
-    diagnostic_records,
+    energy,
     error_series,
     integrate,
     magnetic_moment,
+    quantity_series,
     toroidal_momentum,
 )
 
@@ -168,18 +170,51 @@ def test_bounded_invariant_errors_on_drift_runs(drift2d_bdli, drift2d_boris):
             assert second <= 2.0 * first
 
 
-def test_diagnostic_records(banana_bdli):
-    sys, traj = banana_bdli
-    recs = diagnostic_records(sys, bdli.Trajectory(
-        traj.h, traj.states[:51], traj.iterations[:50], traj.method
-    ))
-    assert len(recs) == 51
-    assert recs[0].iterations == 0
-    assert recs[1].iterations == traj.iterations[0]
-    assert recs[0].H == pytest.approx(bdli.energy(sys, traj.initial), rel=1e-15)
-    assert recs[0].R == pytest.approx(1.05, rel=1e-15)
-    assert all(r.R >= 0 for r in recs)
-    assert all(math.isfinite(r.p_xi) for r in recs)
+def _row_oracle(sys, states):
+    """H, p_xi and mu state by state, with the scalar field evaluators."""
+    f, m, q = sys.field, sys.mass, sys.charge
+    out = {"H": [], "p_xi": [], "mu": []}
+    for row in states:
+        x, y, z = (float(c) for c in row[:3])
+        v = row[3:]
+        vv = float(v @ v)
+        out["H"].append(0.5 * m * vv + q * f.phi_at(x, y, z))
+        ax, ay, _ = f.a_at(x, y, z)
+        out["p_xi"].append(m * (x * v[1] - y * v[0]) + q * (x * ay - y * ax))
+        bx, by, bz = f.b_at(x, y, z)
+        bnorm = math.sqrt(bx * bx + by * by + bz * bz)
+        vpar = (v[0] * bx + v[1] * by + v[2] * bz) / bnorm
+        out["mu"].append((vv - vpar * vpar) / (2.0 * bnorm))
+    return {k: np.array(vals) for k, vals in out.items()}
+
+
+def test_quantity_series_matches_row_oracle_bitwise():
+    rng = np.random.default_rng(53)
+    n = 300
+    ang = rng.uniform(0, 2 * math.pi, n)
+    R = rng.uniform(0.5, 1.5, n)
+    states = np.column_stack([
+        R * np.cos(ang), R * np.sin(ang), rng.uniform(-0.3, 0.3, n),
+        rng.normal(0, 0.3, (n, 3)),
+    ])
+    traj = bdli.Trajectory(0.1, states, np.zeros(n - 1, dtype=int))
+    fields = (
+        CylindricalDriftField(epsilon=1e-2),
+        TokamakField(),
+        UniformField(B=(0.3, -0.2, 1.0), E=(0.1, 0.2, -0.3)),
+        QuarticWellField(B=(0.1, 0.2, 1.0), strength=0.7),
+    )
+    for fld in fields:
+        sys = ChargedParticleSystem(1.7, -0.8, fld)
+        expect = _row_oracle(sys, states)
+        for q in ("H", "p_xi", "mu"):
+            assert np.array_equal(quantity_series(sys, traj, q), expect[q]), (
+                fld.name, q)
+        # the one-state functions are the one-row case
+        z = PhaseState(states[7, :3], states[7, 3:])
+        assert energy(sys, z) == expect["H"][7]
+        assert toroidal_momentum(sys, z) == expect["p_xi"][7]
+        assert magnetic_moment(sys, z) == expect["mu"][7]
 
 
 def test_banana_drift_orbit_closes():

@@ -5,6 +5,7 @@ import pytest
 
 from bdli import (
     ChargedParticleSystem,
+    ConfigError,
     PhaseState,
     QuadratureRule,
     UniformField,
@@ -13,6 +14,7 @@ from bdli import (
     register_rule,
     weighted_gradient,
 )
+from bdli.experiments import _scenario_from_dict, resolve_rule
 from bdli.fields import FieldModel
 from bdli.quadrature import _custom_rules
 
@@ -88,6 +90,26 @@ def test_register_custom_rule():
         register_rule("boole", [(0.0, 0.5), (1.0, 0.5)], 1)
     with pytest.raises(ValueError, match="misses monomial"):
         register_rule("too_bold", [(0.0, 0.5), (1.0, 0.5)], 2)
+
+
+def test_register_rule_refuses_different_redefinition():
+    name = "redefined"
+    _custom_rules.pop(name, None)
+    trapezoid = [(0.0, 0.5), (1.0, 0.5)]
+    simpson = [(0.0, 1 / 6), (0.5, 4 / 6), (1.0, 1 / 6)]
+    rule = register_rule(name, trapezoid, 1)
+    scn = _scenario_from_dict(
+        {"builtin": "banana", "rule": {"name": name, "pairs": trapezoid,
+                                        "degree": 1}}, "doc")
+    assert register_rule(name, trapezoid, 1) is rule  # identical: allowed
+    with pytest.raises(ValueError, match="already registered"):
+        register_rule(name, simpson, 3)
+    with pytest.raises(ConfigError, match="already registered"):
+        _scenario_from_dict(
+            {"builtin": "banana", "rule": {"name": name, "pairs": simpson,
+                                            "degree": 3}}, "doc")
+    # the scenario built with the first rule still resolves to it
+    assert resolve_rule(scn.method) is rule
 
 
 class QuadraticPotentialField(FieldModel):
