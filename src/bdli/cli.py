@@ -6,8 +6,8 @@
     bdli compare <config-or-builtin> [flags]
     bdli list-builtins
 
-Exit codes: 0 success, 2 configuration error, 3 solver non-convergence,
-4 field singularity.
+Exit codes: 0 success, 2 configuration error, 3 solver non-convergence or
+a non-finite state, 4 field singularity.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import quantity_series, series_errors
-from .fields import FIELD_MODELS, make_field
+from .fields import make_field
 from .hamiltonian import ChargedParticleSystem, PhaseState
 from .integrators import (
     SolverOptions,
@@ -67,6 +67,8 @@ def parse_step_size(value) -> tuple[float, str | None]:
             sign = -1.0 if m.group(1) else 1.0
             num = float(m.group(2)) if m.group(2) else 1.0
             den = float(m.group(3)) if m.group(3) else 1.0
+            if den == 0.0:
+                raise ConfigError(f"h: division by zero in {value!r}")
             return sign * num * math.pi / den, value
         try:
             return float(s), value
@@ -100,20 +102,24 @@ class Scenario:
     def __post_init__(self):
         if self.n_steps < 1:
             raise ConfigError(f"n_steps: must be >= 1, got {self.n_steps}")
-        if self.h == 0.0:
-            raise ConfigError("h: must be nonzero")
+        if self.h == 0.0 or not math.isfinite(self.h):
+            raise ConfigError(f"h: must be finite and nonzero, got {self.h}")
+        if not self.mass > 0:
+            raise ConfigError(f"mass: must be positive, got {self.mass}")
         if self.stride < 1:
             raise ConfigError(f"stride: must be >= 1, got {self.stride}")
-        if self.field_name not in FIELD_MODELS:
-            raise ConfigError(
-                f"field: unknown model {self.field_name!r} "
-                f"(known: {', '.join(sorted(FIELD_MODELS))})"
-            )
+        try:  # unknown model names and bad parameters alike
+            make_field(self.field_name, **self.field_params)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"field: {exc}") from None
         object.__setattr__(self, "x0", tuple(float(c) for c in self.x0))
         object.__setattr__(self, "v0", tuple(float(c) for c in self.v0))
         if len(self.x0) != 3 or len(self.v0) != 3:
             raise ConfigError("x0/v0: must have exactly three components")
-        implied = resolve_rule(self.method)  # validates the method name
+        try:
+            implied = resolve_rule(self.method)  # validates the method name
+        except ValueError as exc:
+            raise ConfigError(f"method: {exc}") from None
         if implied is not None:
             if self.rule is None:
                 object.__setattr__(self, "rule", implied.name)
@@ -193,6 +199,15 @@ _RESERVED_KEYS = {"builtin", "study", "methods"}
 _SOLVER_KEYS = {"tolerance", "max_iterations"}
 
 
+def _coerce(key: str, kind, value):
+    """``kind(value)`` for a config entry, as a ConfigError naming the key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key}: expected {what}, got {value!r}") from None
+
+
 def _scenario_from_dict(doc: dict, source: str) -> Scenario:
     unknown = set(doc) - _SCENARIO_KEYS - _RESERVED_KEYS
     if unknown:
@@ -211,25 +226,28 @@ def _scenario_from_dict(doc: dict, source: str) -> Scenario:
             extra = set(fspec) - {"name", "params"}
             if extra:
                 raise ConfigError(f"field: unknown key(s) {sorted(extra)}")
+            params = fspec.get("params", {})
+            if not isinstance(params, dict):
+                raise ConfigError("field: params must be an object")
             updates["field_name"] = fspec.get("name")
-            updates["field_params"] = dict(fspec.get("params", {}))
+            updates["field_params"] = dict(params)
         else:
             raise ConfigError("field: expected a name or {name, params}")
     if "name" in doc:
         updates["name"] = str(doc["name"])
     for key in ("mass", "charge"):
         if key in doc:
-            updates[key] = float(doc[key])
+            updates[key] = _coerce(key, float, doc[key])
     for key in ("x0", "v0"):
         if key in doc:
             seq = doc[key]
             if not isinstance(seq, (list, tuple)) or len(seq) != 3:
                 raise ConfigError(f"{key}: expected a list of three numbers")
-            updates[key] = tuple(float(c) for c in seq)
+            updates[key] = tuple(_coerce(key, float, c) for c in seq)
     if "h" in doc:
         updates["h"], updates["h_expr"] = parse_step_size(doc["h"])
     if "n_steps" in doc:
-        updates["n_steps"] = int(doc["n_steps"])
+        updates["n_steps"] = _coerce("n_steps", int, doc["n_steps"])
     if "method" in doc:
         updates["method"] = str(doc["method"])
     if "rule" in doc:
@@ -267,7 +285,7 @@ def _scenario_from_dict(doc: dict, source: str) -> Scenario:
     if "output" in doc:
         updates["output"] = str(doc["output"]) if doc["output"] else None
     if "stride" in doc:
-        updates["stride"] = int(doc["stride"])
+        updates["stride"] = _coerce("stride", int, doc["stride"])
 
     if base is not None:
         if updates.get("method") not in (None, base.method) and "rule" not in doc:
@@ -385,15 +403,16 @@ def run_scenario(
     errs = [series_errors(series, relative_errors) for series in (H, p, mu)]
 
     emitted = list(range(0, len(traj), scn.stride))
-    lines = [SERIES_COLUMNS]
-    for i in emitted:
-        it = traj.iterations[i - 1] if i > 0 else 0
-        vals = [t[i], *traj.states[i], H[i], p[i], mu[i],
-                errs[0][i], errs[1][i], errs[2][i]]
-        lines.append(",".join(f"{v:.17g}" for v in vals) + f",{it}")
+    table = np.column_stack([t, traj.states, H, p, mu, *errs])
+    iters = [0, *traj.iterations.tolist()]
+    row = ",".join(["%.17g"] * 13) + ",%d\n"
     series_path = Path(out) if out else Path(scn.output or f"{scn.name}_series.csv")
     series_path.parent.mkdir(parents=True, exist_ok=True)
-    series_path.write_text("\n".join(lines) + "\n")
+    # row by row, so no text copy of the whole series is held in memory
+    with series_path.open("w") as f:
+        f.write(SERIES_COLUMNS + "\n")
+        for i in emitted:
+            f.write(row % (*table[i].tolist(), iters[i]))
 
     abs_errs = {
         q: np.abs(series_errors(series))[emitted]

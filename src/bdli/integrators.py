@@ -19,6 +19,10 @@ x1 = x0 + h ((1 - s) v0 + s v1) with s the rule's first moment (s = 1/2
 for the palindromic built-in rules), and only the velocity block needs the
 quadrature sum.  This halves the work per iteration without changing the
 scheme.
+
+The step kernels ``dli_step``, ``boris_step`` and ``rk4_step`` map a row
+``(x, y, z, vx, vy, vz)`` to the next row as a 6-tuple of floats, which
+``integrate`` stores directly; ``PhaseState`` is only the boundary type.
 """
 
 from __future__ import annotations
@@ -56,9 +60,9 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class StepReport:
-    """Outcome of one implicit step."""
+    """Outcome of one implicit step; ``state`` is the next row (6-tuple)."""
 
-    state: PhaseState
+    state: tuple
     iterations: int
     residual_norm: float
     converged: bool
@@ -74,7 +78,7 @@ class IntegrationError(RuntimeError):
 
 
 class NonConvergenceError(IntegrationError):
-    """Fixed-point solver failed to converge at some step."""
+    """Fixed-point solver failed to converge, or a step left a non-finite state."""
 
 
 class SingularityError(IntegrationError):
@@ -166,15 +170,17 @@ def dli_residual(
 def dli_step(
     sys: ChargedParticleSystem,
     rule: QuadratureRule,
-    z0: PhaseState,
+    z0,
     h: float,
     opts: SolverOptions | None = None,
 ) -> StepReport:
-    """One implicit DLI step of size h from z0 (h may have either sign).
+    """One implicit DLI step of size h from the row z0 (h may have either sign).
 
-    Fixed-point iteration from an explicit-Euler predictor; non-convergence is
-    reported through the ``converged`` flag, never papered over, because
-    the conservation properties are meaningless on unconverged steps.
+    ``z0`` is ``(x, y, z, vx, vy, vz)`` and the report's ``state`` the next
+    row as a 6-tuple.  Fixed-point iteration from an explicit-Euler
+    predictor; non-convergence is reported through the ``converged`` flag,
+    never papered over, because the conservation properties are
+    meaningless on unconverged steps.
     """
     opts = opts or SolverOptions()
     m, q = sys.mass, sys.charge
@@ -186,8 +192,7 @@ def dli_step(
     s = rule.first_moment
     r = 1.0 - s
 
-    x0x, x0y, x0z = z0.x
-    v0x, v0y, v0z = z0.v
+    x0x, x0y, x0z, v0x, v0y, v0z = z0
 
     scale = opts.tolerance * (
         1.0 + max(abs(x0x), abs(x0y), abs(x0z), abs(v0x), abs(v0y), abs(v0z))
@@ -217,10 +222,8 @@ def dli_step(
         avz = r * v0z + s * vz
         dxx, dxy, dxz = h * avx, h * avy, h * avz
 
-        if no_e:
-            sex = sey = sez = 0.0
-        else:
-            sex = sey = sez = 0.0
+        sex = sey = sez = 0.0
+        if not no_e:
             for c, w in zip(nodes, weights):
                 if c == 0.0:
                     ex, ey, ez = e0x, e0y, e0z
@@ -249,9 +252,7 @@ def dli_step(
     avx = r * v0x + s * vx
     avy = r * v0y + s * vy
     avz = r * v0z + s * vz
-    state = PhaseState(
-        (x0x + h * avx, x0y + h * avy, x0z + h * avz), (vx, vy, vz)
-    )
+    state = (x0x + h * avx, x0y + h * avy, x0z + h * avz, vx, vy, vz)
     return StepReport(state, iterations, residual, converged)
 
 
@@ -259,7 +260,7 @@ def dli_step(
 # reference steppers
 # ---------------------------------------------------------------------------
 
-def boris_step(sys: ChargedParticleSystem, z0: PhaseState, h: float) -> PhaseState:
+def boris_step(sys: ChargedParticleSystem, z0, h: float) -> tuple:
     """One Boris push: half electric kick, exact rotation, half kick.
 
     Fields are evaluated at the half-drifted point x0 + (h/2) v0 and the
@@ -271,12 +272,12 @@ def boris_step(sys: ChargedParticleSystem, z0: PhaseState, h: float) -> PhaseSta
     fld = sys.field
     k = 0.5 * h * sys.charge / sys.mass
     hh = 0.5 * h
-    x0, v0 = z0.x, z0.v
-    mx, my, mz = x0[0] + hh * v0[0], x0[1] + hh * v0[1], x0[2] + hh * v0[2]
+    x0x, x0y, x0z, v0x, v0y, v0z = z0
+    mx, my, mz = x0x + hh * v0x, x0y + hh * v0y, x0z + hh * v0z
     ex, ey, ez = fld.e_at(mx, my, mz)
     bx, by, bz = fld.b_at(mx, my, mz)
     # half kick
-    ax, ay, az = v0[0] + k * ex, v0[1] + k * ey, v0[2] + k * ez
+    ax, ay, az = v0x + k * ex, v0y + k * ey, v0z + k * ez
     # rotation v+ = v- + (v- + v- x t) x s,  t = k B,  s = 2t/(1+t.t)
     tx, ty, tz = k * bx, k * by, k * bz
     s = 2.0 / (1.0 + tx * tx + ty * ty + tz * tz)
@@ -287,10 +288,10 @@ def boris_step(sys: ChargedParticleSystem, z0: PhaseState, h: float) -> PhaseSta
     v1x = ax + s * (py * tz - pz * ty) + k * ex
     v1y = ay + s * (pz * tx - px * tz) + k * ey
     v1z = az + s * (px * ty - py * tx) + k * ez
-    return PhaseState((mx + hh * v1x, my + hh * v1y, mz + hh * v1z), (v1x, v1y, v1z))
+    return (mx + hh * v1x, my + hh * v1y, mz + hh * v1z, v1x, v1y, v1z)
 
 
-def rk4_step(sys: ChargedParticleSystem, z0: PhaseState, h: float) -> PhaseState:
+def rk4_step(sys: ChargedParticleSystem, z0, h: float) -> tuple:
     """Classical 4-stage Runge-Kutta step on the Lorentz vector field."""
     fld = sys.field
     qm = sys.charge / sys.mass
@@ -304,9 +305,7 @@ def rk4_step(sys: ChargedParticleSystem, z0: PhaseState, h: float) -> PhaseState
             qm * (ez + vx * by - vy * bx),
         )
 
-    x, v = z0.x, z0.v
-    x1, y1, z1 = x
-    vx, vy, vz = v
+    x1, y1, z1, vx, vy, vz = z0
     a1 = accel(x1, y1, z1, vx, vy, vz)
     k2v = (vx + 0.5 * h * a1[0], vy + 0.5 * h * a1[1], vz + 0.5 * h * a1[2])
     a2 = accel(x1 + 0.5 * h * vx, y1 + 0.5 * h * vy, z1 + 0.5 * h * vz, *k2v)
@@ -317,17 +316,13 @@ def rk4_step(sys: ChargedParticleSystem, z0: PhaseState, h: float) -> PhaseState
     k4v = (vx + h * a3[0], vy + h * a3[1], vz + h * a3[2])
     a4 = accel(x1 + h * k3v[0], y1 + h * k3v[1], z1 + h * k3v[2], *k4v)
     six = h / 6.0
-    return PhaseState(
-        (
-            x1 + six * (vx + 2.0 * k2v[0] + 2.0 * k3v[0] + k4v[0]),
-            y1 + six * (vy + 2.0 * k2v[1] + 2.0 * k3v[1] + k4v[1]),
-            z1 + six * (vz + 2.0 * k2v[2] + 2.0 * k3v[2] + k4v[2]),
-        ),
-        (
-            vx + six * (a1[0] + 2.0 * a2[0] + 2.0 * a3[0] + a4[0]),
-            vy + six * (a1[1] + 2.0 * a2[1] + 2.0 * a3[1] + a4[1]),
-            vz + six * (a1[2] + 2.0 * a2[2] + 2.0 * a3[2] + a4[2]),
-        ),
+    return (
+        x1 + six * (vx + 2.0 * k2v[0] + 2.0 * k3v[0] + k4v[0]),
+        y1 + six * (vy + 2.0 * k2v[1] + 2.0 * k3v[1] + k4v[1]),
+        z1 + six * (vz + 2.0 * k2v[2] + 2.0 * k3v[2] + k4v[2]),
+        vx + six * (a1[0] + 2.0 * a2[0] + 2.0 * a3[0] + a4[0]),
+        vy + six * (a1[1] + 2.0 * a2[1] + 2.0 * a3[1] + a4[1]),
+        vz + six * (a1[2] + 2.0 * a2[2] + 2.0 * a3[2] + a4[2]),
     )
 
 
@@ -362,7 +357,8 @@ def integrate(
     ``method`` is one of "bdli", "dli:<rule>", "boris", "rk4".  Aborts with
     :class:`NonConvergenceError` or :class:`SingularityError` (both carry
     the failing step index and the partial trajectory) if the solver fails
-    to converge or a field singularity is reached.
+    to converge, a step yields a non-finite state, or a field singularity
+    is reached.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
@@ -372,7 +368,7 @@ def integrate(
     states = np.empty((n_steps + 1, 6))
     iters = np.zeros(n_steps, dtype=int)
     states[0] = z0.as_vector()
-    z = z0
+    z = tuple(states[0].tolist())
 
     def partial(k: int) -> Trajectory:
         return Trajectory(h, states[: k + 1].copy(), iters[:k].copy(), method)
@@ -385,10 +381,7 @@ def integrate(
                     raise NonConvergenceError(
                         f"{method}: fixed-point solver did not converge at step "
                         f"{k} (residual {rep.residual_norm:.3e} after "
-                        f"{rep.iterations} iterations)",
-                        k,
-                        partial(k),
-                    )
+                        f"{rep.iterations} iterations)", k, partial(k))
                 z = rep.state
                 iters[k] = rep.iterations
             elif method == "boris":
@@ -399,5 +392,9 @@ def integrate(
             raise SingularityError(
                 f"{method}: {exc} at step {k}", k, partial(k)
             ) from exc
-        states[k + 1] = z.as_vector()
+        if not all(map(math.isfinite, z)):
+            raise NonConvergenceError(
+                f"{method}: non-finite state at step {k}", k, partial(k)
+            )
+        states[k + 1] = z
     return Trajectory(h, states, iters, method)

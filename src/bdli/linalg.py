@@ -30,16 +30,6 @@ def as_vec3(a) -> Vec3:
     return v
 
 
-def as_phasevec(a) -> PhaseVec:
-    """Coerce to a finite float64 vector of shape (6,)."""
-    v = np.asarray(a, dtype=float)
-    if v.shape != (6,):
-        raise ValueError(f"expected a 6-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"non-finite components in 6-vector: {v}")
-    return v
-
-
 def cross(a, b) -> Vec3:
     """Right-handed cross product a x b of two 3-vectors."""
     a = np.asarray(a, dtype=float)

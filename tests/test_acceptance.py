@@ -258,10 +258,10 @@ def test_criterion_7_reversibility():
                 (R * math.cos(ang), R * math.sin(ang), rng.uniform(-0.3, 0.3)),
                 rng.normal(0.0, 0.1, 3),
             )
-            fwd = dli_step(sys, boole, z0, math.pi / 10, opts)
+            fwd = dli_step(sys, boole, z0.as_vector(), math.pi / 10, opts)
             back = dli_step(sys, boole, fwd.state, -math.pi / 10, opts)
             assert fwd.converged and back.converged
-            err = float(np.abs(back.state.as_vector() - z0.as_vector()).max())
+            err = float(np.abs(PhaseState.from_vector(back.state).as_vector() - z0.as_vector()).max())
             scale = opts.tolerance * (1.0 + np.abs(z0.as_vector()).max())
             worst = max(worst, err / scale)
 
@@ -341,13 +341,14 @@ def test_criterion_8_structural_identities():
     ]:
         z = start
         for _ in range(100):
-            rep = dli_step(sys, boole, z, math.pi / 10, opts)
+            rep = dli_step(sys, boole, z.as_vector(), math.pi / 10, opts)
             assert rep.converged
-            g = weighted_gradient(sys, boole, z, rep.state)
-            dz = rep.state.as_vector() - z.as_vector()
+            z1 = PhaseState.from_vector(rep.state)
+            g = weighted_gradient(sys, boole, z, z1)
+            dz = z1.as_vector() - z.as_vector()
             scale = float(np.abs(g).sum()) * (1.0 + np.abs(z.as_vector()).max())
             worst_c = max(worst_c, abs(float(g @ dz)) / scale)
-            z = rep.state
+            z = z1
     ok_c = worst_c <= 1e-13
 
     # (d) finite-difference field consistency at the fields-module tolerances

@@ -70,13 +70,31 @@ def test_broken_json_exit_2(tmp_path, capsys):
     assert main(["run", str(p)]) == 2
 
 
-@pytest.mark.parametrize("doc", [
-    {"builtin": "banana", "n_steps": 0},
-    {"builtin": "banana", "solver": 3},
-    {"builtin": "banana", "solver": {"predictor": "frozen"}},
-], ids=["n_steps-0", "solver-3", "solver-predictor"])
-def test_invalid_scenario_exit_2(tmp_path, doc):
+@pytest.mark.parametrize("doc,key", [
+    ({"builtin": "banana", "n_steps": 0}, "n_steps"),
+    ({"builtin": "banana", "solver": 3}, "solver"),
+    ({"builtin": "banana", "solver": {"predictor": "frozen"}}, "solver"),
+    ({"builtin": "banana", "n_steps": "abc"}, "n_steps"),
+    ({"builtin": "banana", "stride": "x"}, "stride"),
+    ({"builtin": "banana", "mass": "x"}, "mass"),
+    ({"builtin": "banana", "mass": -1}, "mass"),
+    ({"builtin": "banana", "h": "pi/0"}, "h"),
+    ({"builtin": "banana", "x0": [1, "a", 0]}, "x0"),
+    ({"builtin": "banana",
+      "field": {"name": "tokamak", "params": {"bogus": 1}}}, "field"),
+    ({"builtin": "banana",
+      "field": {"name": "tokamak", "params": {"safety_factor": 0}}}, "field"),
+], ids=["n_steps-0", "solver-3", "solver-predictor", "n_steps-abc",
+        "stride-x", "mass-x", "mass-negative", "h-pi/0", "x0-string",
+        "field-unknown-param", "field-safety-factor-0"])
+def test_invalid_scenario_exit_2(tmp_path, capsys, doc, key):
     assert main(["run", write(tmp_path, doc)]) == 2
+    assert f"config error: {key}:" in capsys.readouterr().err
+
+
+def test_h_flag_division_by_zero_exit_2(capsys):
+    assert main(["run", "banana", "--h", "pi/0", "--steps", "5"]) == 2
+    assert "config error: h:" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -94,6 +112,13 @@ def test_nonconvergence_exit_3(tmp_path, capsys):
     })
     assert main(["run", cfg]) == 3
     assert "solver failure" in capsys.readouterr().err
+
+
+def test_nonfinite_state_exit_3(tmp_path, capsys):
+    cfg = write(tmp_path, {"builtin": "banana", "method": "boris", "h": 1e308,
+                           "n_steps": 3, "output": str(tmp_path / "x.csv")})
+    assert main(["run", cfg]) == 3
+    assert "non-finite state at step 0" in capsys.readouterr().err
 
 
 def test_singularity_exit_4(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -50,7 +51,7 @@ def test_solver_options_validation():
 def test_step_report_residual_consistent_with_convergence():
     sys = uniform_b_system()
     z0 = PhaseState((0.3, 0.0, 0.0), (0.2, 0.1, 0.05))
-    rep = dli_step(sys, BOOLE, z0, 0.1, TOL)
+    rep = dli_step(sys, BOOLE, z0.as_vector(), 0.1, TOL)
     assert rep.converged
     scale = TOL.tolerance * (1.0 + np.abs(z0.as_vector()).max())
     assert rep.residual_norm <= scale
@@ -100,9 +101,10 @@ def test_step_satisfies_residual_postcondition():
         PhaseState((1.0, 0.0, 0.0), (0.2, 0.2, 0.1)),
     ]
     for sys, z0 in zip(scn_fields, starts):
-        rep = dli_step(sys, BOOLE, z0, math.pi / 10, TOL)
+        rep = dli_step(sys, BOOLE, z0.as_vector(), math.pi / 10, TOL)
         assert rep.converged
-        res = dli_residual(sys, BOOLE, z0, rep.state, math.pi / 10)
+        z1 = PhaseState.from_vector(rep.state)
+        res = dli_residual(sys, BOOLE, z0, z1, math.pi / 10)
         scale = TOL.tolerance * (1.0 + np.abs(z0.as_vector()).max())
         assert np.abs(res).max() <= 10.0 * scale
 
@@ -112,18 +114,19 @@ def test_step_satisfies_residual_postcondition():
 def test_step_zero_fields_free_streaming():
     sys = free_system()
     z0 = PhaseState((0.0, 1.0, 2.0), (0.3, -0.1, 0.2))
-    rep = dli_step(sys, BOOLE, z0, 0.25, TOL)
+    rep = dli_step(sys, BOOLE, z0.as_vector(), 0.25, TOL)
     assert rep.converged
-    assert rep.state.x == pytest.approx(z0.x + 0.25 * z0.v, rel=1e-15)
-    assert rep.state.v == pytest.approx(z0.v, rel=1e-15)
+    z1 = PhaseState.from_vector(rep.state)
+    assert z1.x == pytest.approx(z0.x + 0.25 * z0.v, rel=1e-15)
+    assert z1.v == pytest.approx(z0.v, rel=1e-15)
 
 
 def test_step_h_zero_is_identity():
     sys = uniform_b_system()
     z0 = PhaseState((0.3, 0.0, 0.0), (0.2, 0.1, 0.05))
-    rep = dli_step(sys, BOOLE, z0, 0.0, TOL)
+    rep = dli_step(sys, BOOLE, z0.as_vector(), 0.0, TOL)
     assert rep.converged and rep.iterations == 1
-    assert np.array_equal(rep.state.as_vector(), z0.as_vector())
+    assert np.array_equal(PhaseState.from_vector(rep.state).as_vector(), z0.as_vector())
 
 
 def test_step_uniform_field_conserves_speed_and_energy():
@@ -133,9 +136,9 @@ def test_step_uniform_field_conserves_speed_and_energy():
     v0 = np.linalg.norm(z.v)
     Hp = H0
     for _ in range(100):
-        rep = dli_step(sys, BOOLE, z, 0.1, TOL)
+        rep = dli_step(sys, BOOLE, z.as_vector(), 0.1, TOL)
         assert rep.converged
-        z = rep.state
+        z = PhaseState.from_vector(rep.state)
         H = energy(sys, z)
         assert abs(np.linalg.norm(z.v) - v0) <= 1e-13 * v0
         assert abs(H - Hp) <= 1e-14 * abs(H0)  # per-step change
@@ -156,9 +159,9 @@ def test_step_energy_change_equals_quadrature_defect():
     sys = ChargedParticleSystem(1.0, 1.0, CylindricalDriftField())
     z0 = PhaseState((0.0, 0.1, 0.0), (0.1, 0.01, 0.0))
     h = math.pi / 10
-    rep = dli_step(sys, BOOLE, z0, h, TOL)
+    rep = dli_step(sys, BOOLE, z0.as_vector(), h, TOL)
     assert rep.converged
-    z1 = rep.state
+    z1 = PhaseState.from_vector(rep.state)
 
     a0, a1 = z0.as_vector(), z1.as_vector()
     exact = np.empty(6)
@@ -193,22 +196,23 @@ def test_discrete_line_integral_orthogonality():
     ]
     for sys, z in systems:
         for _ in range(50):
-            rep = dli_step(sys, BOOLE, z, 0.1, TOL)
+            rep = dli_step(sys, BOOLE, z.as_vector(), 0.1, TOL)
             assert rep.converged
-            g = weighted_gradient(sys, BOOLE, z, rep.state)
-            dz = rep.state.as_vector() - z.as_vector()
+            z1 = PhaseState.from_vector(rep.state)
+            g = weighted_gradient(sys, BOOLE, z, z1)
+            dz = z1.as_vector() - z.as_vector()
             # dz differs from h K g only by the solver residual
             # (<= 10 tol (1+|z0|)), so |g.dz| <= |g|_1 |residual|_inf
             scale = np.abs(g).sum() * (1.0 + np.abs(z.as_vector()).max())
             assert abs(float(g @ dz)) <= 1e-13 * scale
-            z = rep.state
+            z = z1
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonconvergence_is_reported():
     sys = ChargedParticleSystem(1.0, 1.0, QuarticWellField(strength=50.0))
     z0 = PhaseState((2.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-    rep = dli_step(sys, BOOLE, z0, 1.0, SolverOptions(max_iterations=10))
+    rep = dli_step(sys, BOOLE, z0.as_vector(), 1.0, SolverOptions(max_iterations=10))
     assert not rep.converged
     assert rep.iterations == 10 or rep.residual_norm == math.inf
 
@@ -218,11 +222,12 @@ def test_fixed_point_independent_of_solver_tolerance():
     z0 = PhaseState((0.0, 1.0, 0.0), (0.1, 0.01, 0.0))
     reps = {}
     for tol in (1e-12, 1e-15):
-        rep = dli_step(sys, BOOLE, z0, 0.1, SolverOptions(tolerance=tol))
+        rep = dli_step(sys, BOOLE, z0.as_vector(), 0.1, SolverOptions(tolerance=tol))
         assert rep.converged
-        r = dli_residual(sys, BOOLE, z0, rep.state, 0.1)
+        z1 = PhaseState.from_vector(rep.state)
+        r = dli_residual(sys, BOOLE, z0, z1, 0.1)
         assert np.abs(r).max() <= tol * (1.0 + np.abs(z0.as_vector()).max())
-        reps[tol] = rep.state.as_vector()
+        reps[tol] = z1.as_vector()
     assert reps[1e-12] == pytest.approx(reps[1e-15], abs=5e-14)
 
 
@@ -238,7 +243,7 @@ def test_boris_preserves_speed_without_E():
             (R * math.cos(ang), R * math.sin(ang), rng.uniform(-0.2, 0.2)),
             rng.normal(0, 1e-3, 3),
         )
-        z1 = boris_step(sys, z, math.pi / 10)
+        z1 = PhaseState.from_vector(boris_step(sys, z.as_vector(), math.pi / 10))
         s0, s1 = np.linalg.norm(z.v), np.linalg.norm(z1.v)
         assert abs(s1 - s0) <= 1e-15 * s0
 
@@ -246,7 +251,7 @@ def test_boris_preserves_speed_without_E():
 def test_boris_zero_fields_free_streaming():
     sys = free_system()
     z0 = PhaseState((1.0, 2.0, 3.0), (0.5, -0.5, 0.25))
-    z1 = boris_step(sys, z0, 0.4)
+    z1 = PhaseState.from_vector(boris_step(sys, z0.as_vector(), 0.4))
     assert np.array_equal(z1.v, z0.v)
     assert z1.x == pytest.approx(z0.x + 0.4 * z0.v, rel=1e-16)
 
@@ -260,7 +265,7 @@ def test_boris_rotation_angle_uniform_B():
     total = 0.0
     prev = math.atan2(z.v[1], z.v[0])
     for _ in range(20):
-        z = boris_step(sys, z, h)
+        z = PhaseState.from_vector(boris_step(sys, z.as_vector(), h))
         ang = math.atan2(z.v[1], z.v[0])
         d = (prev - ang) % (2 * math.pi)  # clockwise for q > 0, B = +e_z
         total += d
@@ -273,7 +278,7 @@ def test_boris_rotation_angle_uniform_B():
 def test_rk4_zero_fields_exact():
     sys = free_system()
     z0 = PhaseState((0.0, 0.0, 0.0), (1.0, 2.0, -1.0))
-    z1 = rk4_step(sys, z0, 0.7)
+    z1 = PhaseState.from_vector(rk4_step(sys, z0.as_vector(), 0.7))
     assert z1.x == pytest.approx(0.7 * z0.v, rel=1e-16)
     assert np.array_equal(z1.v, z0.v)
 
@@ -294,7 +299,7 @@ def test_rk4_local_order_five():
 
     errs = []
     for h in (0.2, 0.1, 0.05):
-        got = rk4_step(sys, z0, h).as_vector()
+        got = PhaseState.from_vector(rk4_step(sys, z0.as_vector(), h)).as_vector()
         errs.append(np.linalg.norm(got - exact(h)))
     slopes = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     for s in slopes:
@@ -350,6 +355,45 @@ def test_integrate_nonconvergence_abort_with_partial():
     assert len(info.value.trajectory) == 1
 
 
+@pytest.mark.parametrize("method", ["boris", "rk4", "bdli"])
+def test_integrate_nonfinite_state_aborts_with_partial(method):
+    # a step this large overflows the first state; the loop must report it
+    # as a failed step, not let it into the states array
+    scn = bdli.builtin_scenario("banana")
+    z0 = scn.initial_state()
+    with pytest.raises(NonConvergenceError) as info:
+        integrate(scn.system(), method, z0, 1e308, 3, scn.solver)
+    err = info.value
+    assert err.step_index == 0
+    assert len(err.trajectory) == 1
+    assert np.array_equal(err.trajectory.states[0], z0.as_vector())
+
+
+# sha256 of integrate(...).states.tobytes() for 500 steps from the builtin
+# start.  Any change to a kernel's arithmetic or its order changes them; the
+# kernels use only + - * / and sqrt (correctly rounded in IEEE 754), so the
+# digests do not depend on the platform's libm.
+STATE_DIGESTS = {
+    ("banana", "bdli"):
+        "ef4e2cd95438a660cc6fabab6fabee409fab0269d283d1883b01f29f54ec4e92",
+    ("banana", "boris"):
+        "552502fb8e8944b04639b549718a20f70b9e9ed1381f7fa6a9e0d085774175ee",
+    ("banana", "rk4"):
+        "88c2bf5bed5feb6e77901c38e444c09b9637b84780058b96f65a9d248d3efdc2",
+    ("drift2d", "bdli"):
+        "94c49d9aedfe612dbab2f2a4f60161d131e5d2668eaf65bc7529e84dda1ebea4",
+}
+
+
+@pytest.mark.parametrize("name,method", sorted(STATE_DIGESTS))
+def test_step_kernels_bitwise_pinned(name, method):
+    scn = bdli.builtin_scenario(name)
+    traj = integrate(scn.system(), method, scn.initial_state(), scn.h, 500,
+                     scn.solver)
+    digest = hashlib.sha256(traj.states.tobytes()).hexdigest()
+    assert digest == STATE_DIGESTS[name, method]
+
+
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         Trajectory(0.1, np.zeros((3, 5)), np.zeros(2))
@@ -391,9 +435,9 @@ def test_single_step_symmetry_random_states():
                 (R * math.cos(ang), R * math.sin(ang), rng.uniform(-0.3, 0.3)),
                 rng.normal(0, 0.1, 3),
             )
-            fwd = dli_step(sys, BOOLE, z0, math.pi / 10, TOL)
+            fwd = dli_step(sys, BOOLE, z0.as_vector(), math.pi / 10, TOL)
             back = dli_step(sys, BOOLE, fwd.state, -math.pi / 10, TOL)
             assert fwd.converged and back.converged
-            err = np.abs(back.state.as_vector() - z0.as_vector()).max()
+            err = np.abs(PhaseState.from_vector(back.state).as_vector() - z0.as_vector()).max()
             scale = TOL.tolerance * (1 + np.abs(z0.as_vector()).max())
             assert err <= 10 * scale

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bdli.linalg import as_phasevec, as_vec3, cross, hat
+from bdli.linalg import as_vec3, cross, hat
 
 
 def test_cross_basis_orientation():
@@ -71,9 +71,3 @@ def test_as_vec3_rejects_bad_input(bad):
         as_vec3(bad)
 
 
-def test_as_phasevec_shape_and_finiteness():
-    assert as_phasevec(range(6)).shape == (6,)
-    with pytest.raises(ValueError):
-        as_phasevec([1, 2, 3])
-    with pytest.raises(ValueError):
-        as_phasevec([0, 0, 0, 0, 0, np.nan])

@@ -222,9 +222,9 @@ def test_record_conservation_beyond_degree_four(degree, capsys):
         zz, drift = z, 0.0
         Hp = energy(sys, zz)
         for _ in range(200):
-            rep = dli_step(sys, rule, zz, 0.05, opts)
+            rep = dli_step(sys, rule, zz.as_vector(), 0.05, opts)
             assert rep.converged
-            zz = rep.state
+            zz = PhaseState.from_vector(rep.state)
             H = energy(sys, zz)
             drift = max(drift, abs(H - Hp))
             Hp = H
