@@ -65,7 +65,7 @@ from .integrators import (
     resolve_rule,
     rk4_step,
 )
-from .linalg import Mat3, PhaseVec, Vec3, cross, hat
+from .linalg import Mat3, PhaseVec, Vec3, hat
 from .quadrature import (
     QuadratureRule,
     builtin_rule,

@@ -7,7 +7,8 @@
     bdli list-builtins
 
 Exit codes: 0 success, 2 configuration error, 3 solver non-convergence or
-a non-finite state, 4 field singularity.
+a non-finite state, 4 field singularity.  On 3 and 4 ``run`` still writes
+the series of the states reached before the failure and names its path.
 """
 
 from __future__ import annotations
@@ -166,6 +167,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report_partial_series(exc: Exception):
+    path = getattr(exc, "series_path", None)
+    if path:
+        print(f"partial series written to {path}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -175,9 +182,11 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except NonConvergenceError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        _report_partial_series(exc)
         return EXIT_NONCONVERGENCE
     except (SingularityError, FieldSingularityError) as exc:
         print(f"singularity: {exc}", file=sys.stderr)
+        _report_partial_series(exc)
         return EXIT_SINGULARITY
 
 

@@ -26,16 +26,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import quantity_series, series_errors
-from .fields import make_field
+from .diagnostics import ZeroFieldError, quantity_series, series_errors
+from .fields import FieldSingularityError, PotentialUnavailableError, make_field
 from .hamiltonian import ChargedParticleSystem, PhaseState
 from .integrators import (
+    IntegrationError,
     SolverOptions,
     Trajectory,
     integrate,
     resolve_rule,
 )
-from .quadrature import register_rule
+from .quadrature import _custom_rules, register_rule
 
 SERIES_COLUMNS = (
     "t,x,y,z,vx,vy,vz,H,p_xi,mu,err_H,err_p_xi,err_mu,iters"
@@ -59,7 +60,7 @@ def parse_step_size(value) -> tuple[float, str | None]:
     input was already numeric).
     """
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value), None
+        return _coerce("h", float, value), None
     if isinstance(value, str):
         s = value.strip().lower().replace(" ", "")
         m = _PI_EXPR.fullmatch(s)
@@ -104,18 +105,21 @@ class Scenario:
             raise ConfigError(f"n_steps: must be >= 1, got {self.n_steps}")
         if self.h == 0.0 or not math.isfinite(self.h):
             raise ConfigError(f"h: must be finite and nonzero, got {self.h}")
-        if not self.mass > 0:
-            raise ConfigError(f"mass: must be positive, got {self.mass}")
+        if not 0 < self.mass < math.inf:
+            raise ConfigError(f"mass: must be positive and finite, got {self.mass}")
+        if not math.isfinite(self.charge):
+            raise ConfigError(f"charge: must be finite, got {self.charge}")
         if self.stride < 1:
             raise ConfigError(f"stride: must be >= 1, got {self.stride}")
         try:  # unknown model names and bad parameters alike
             make_field(self.field_name, **self.field_params)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"field: {exc}") from None
-        object.__setattr__(self, "x0", tuple(float(c) for c in self.x0))
-        object.__setattr__(self, "v0", tuple(float(c) for c in self.v0))
-        if len(self.x0) != 3 or len(self.v0) != 3:
-            raise ConfigError("x0/v0: must have exactly three components")
+        for key in ("x0", "v0"):
+            vec = tuple(float(c) for c in getattr(self, key))
+            if len(vec) != 3 or not all(map(math.isfinite, vec)):
+                raise ConfigError(f"{key}: expected three finite numbers, got {vec}")
+            object.__setattr__(self, key, vec)
         try:
             implied = resolve_rule(self.method)  # validates the method name
         except ValueError as exc:
@@ -208,6 +212,14 @@ def _coerce(key: str, kind, value):
         raise ConfigError(f"{key}: expected {what}, got {value!r}") from None
 
 
+def _count(key: str, value) -> int:
+    """An integer config entry: integral floats such as JSON ``1e4`` pass,
+    booleans and fractions such as 1.5 are refused."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{key}: expected an integer, got {value!r}")
+    return _coerce(key, int, value)
+
+
 def _scenario_from_dict(doc: dict, source: str) -> Scenario:
     unknown = set(doc) - _SCENARIO_KEYS - _RESERVED_KEYS
     if unknown:
@@ -247,7 +259,7 @@ def _scenario_from_dict(doc: dict, source: str) -> Scenario:
     if "h" in doc:
         updates["h"], updates["h_expr"] = parse_step_size(doc["h"])
     if "n_steps" in doc:
-        updates["n_steps"] = _coerce("n_steps", int, doc["n_steps"])
+        updates["n_steps"] = _count("n_steps", doc["n_steps"])
     if "method" in doc:
         updates["method"] = str(doc["method"])
     if "rule" in doc:
@@ -256,15 +268,17 @@ def _scenario_from_dict(doc: dict, source: str) -> Scenario:
             extra = set(rspec) - {"name", "pairs", "degree"}
             if extra:
                 raise ConfigError(f"rule: unknown key(s) {sorted(extra)}")
+            name = rspec.get("name")
+            if not isinstance(name, str):
+                raise ConfigError(f"rule: name must be a string, got {name!r}")
+            degree = _count("rule: degree", rspec.get("degree", 0))
             try:
-                register_rule(
-                    rspec["name"], rspec["pairs"], rspec.get("degree", 0)
-                )
+                register_rule(name, rspec["pairs"], degree)
             except KeyError as exc:
                 raise ConfigError(f"rule: missing key {exc}") from None
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 raise ConfigError(f"rule: {exc}") from None
-            updates["rule"] = rspec["name"]
+            updates["rule"] = name
         else:
             updates["rule"] = str(rspec)
         if "method" not in doc and base is not None:
@@ -278,14 +292,21 @@ def _scenario_from_dict(doc: dict, source: str) -> Scenario:
         if extra:
             raise ConfigError(f"solver: unknown key(s) {sorted(extra)}")
         defaults = base.solver if base is not None else SolverOptions()
+        sspec = dict(sspec)
+        if "tolerance" in sspec:
+            sspec["tolerance"] = _coerce("solver: tolerance", float, sspec["tolerance"])
+        if "max_iterations" in sspec:
+            sspec["max_iterations"] = _count(
+                "solver: max_iterations", sspec["max_iterations"]
+            )
         try:
             updates["solver"] = replace(defaults, **sspec)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"solver: {exc}") from None
     if "output" in doc:
         updates["output"] = str(doc["output"]) if doc["output"] else None
     if "stride" in doc:
-        updates["stride"] = _coerce("stride", int, doc["stride"])
+        updates["stride"] = _count("stride", doc["stride"])
 
     if base is not None:
         if updates.get("method") not in (None, base.method) and "rule" not in doc:
@@ -323,7 +344,12 @@ def load_config(path) -> Scenario:
 
 
 def scenario_to_config(scn: Scenario) -> dict:
-    """Serializable dict that :func:`load_config` maps back to ``scn``."""
+    """Serializable dict that :func:`load_config` maps back to ``scn``.
+
+    A custom rule is written inline, so the document loads in a process
+    where the rule was never registered.
+    """
+    rule = _custom_rules.get(scn.rule)
     return {
         "name": scn.name,
         "field": {"name": scn.field_name, "params": dict(scn.field_params)},
@@ -334,7 +360,11 @@ def scenario_to_config(scn: Scenario) -> dict:
         "h": scn.h_expr if scn.h_expr is not None else scn.h,
         "n_steps": scn.n_steps,
         "method": scn.method,
-        "rule": scn.rule,
+        "rule": scn.rule if rule is None else {
+            "name": rule.name,
+            "pairs": [list(p) for p in zip(rule.nodes, rule.weights)],
+            "degree": rule.degree_of_exactness,
+        },
         "solver": {
             "tolerance": scn.solver.tolerance,
             "max_iterations": scn.solver.max_iterations,
@@ -378,6 +408,33 @@ class RunSummary:
         return "\n".join(lines) + "\n"
 
 
+def _write_series(scn: Scenario, traj: Trajectory, series_path: Path,
+                  relative_errors: bool):
+    """Write the series file of ``traj``; returns H, p_xi, mu and the
+    emitted row indices.  p_xi is NaN for a field without a vector
+    potential."""
+    sys = scn.system()
+    H = quantity_series(sys, traj, "H")
+    try:
+        p = quantity_series(sys, traj, "p_xi")
+    except PotentialUnavailableError:
+        p = np.full(len(traj), math.nan)
+    mu = quantity_series(sys, traj, "mu")
+    errs = [series_errors(series, relative_errors) for series in (H, p, mu)]
+
+    emitted = list(range(0, len(traj), scn.stride))
+    table = np.column_stack([traj.times, traj.states, H, p, mu, *errs])
+    iters = [0, *traj.iterations.tolist()]
+    row = ",".join(["%.17g"] * 13) + ",%d\n"
+    series_path.parent.mkdir(parents=True, exist_ok=True)
+    # row by row, so no text copy of the whole series is held in memory
+    with series_path.open("w") as f:
+        f.write(SERIES_COLUMNS + "\n")
+        for i in emitted:
+            f.write(row % (*table[i].tolist(), iters[i]))
+    return H, p, mu, emitted
+
+
 def run_scenario(
     scn: Scenario,
     out=None,
@@ -388,31 +445,23 @@ def run_scenario(
     ``out`` overrides the scenario's output path; by default the files are
     ``<name>_series.csv`` and ``<name>_series.summary.txt`` in the current
     directory.  The run is deterministic: identical scenarios produce
-    byte-identical series and summary files.
+    byte-identical series and summary files.  When the integration fails,
+    the series of the states reached so far is written to the same path
+    (recorded as the error's ``series_path``) before the error propagates.
     """
-    traj = scn.run_trajectory()
-    sys = scn.system()
-
-    t = traj.times
-    H = quantity_series(sys, traj, "H")
-    if sys.field.provides_vector_potential:
-        p = quantity_series(sys, traj, "p_xi")
-    else:
-        p = np.full(len(traj), math.nan)
-    mu = quantity_series(sys, traj, "mu")
-    errs = [series_errors(series, relative_errors) for series in (H, p, mu)]
-
-    emitted = list(range(0, len(traj), scn.stride))
-    table = np.column_stack([t, traj.states, H, p, mu, *errs])
-    iters = [0, *traj.iterations.tolist()]
-    row = ",".join(["%.17g"] * 13) + ",%d\n"
     series_path = Path(out) if out else Path(scn.output or f"{scn.name}_series.csv")
-    series_path.parent.mkdir(parents=True, exist_ok=True)
-    # row by row, so no text copy of the whole series is held in memory
-    with series_path.open("w") as f:
-        f.write(SERIES_COLUMNS + "\n")
-        for i in emitted:
-            f.write(row % (*table[i].tolist(), iters[i]))
+    try:
+        traj = scn.run_trajectory()
+    except IntegrationError as exc:
+        # keep the states reached before the failure, in the same format
+        try:
+            _write_series(scn, exc.trajectory, series_path, relative_errors)
+        except (FieldSingularityError, ZeroFieldError):
+            pass  # a diagnostic is undefined at a reached state: no series
+        else:
+            exc.series_path = str(series_path)
+        raise
+    H, p, mu, emitted = _write_series(scn, traj, series_path, relative_errors)
 
     abs_errs = {
         q: np.abs(series_errors(series))[emitted]

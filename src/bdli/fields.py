@@ -6,12 +6,14 @@ potential A(x), all in normalized units and Cartesian components.  The
 models are immutable and their evaluators are pure functions of position,
 so they are safe to share between concurrent callers.
 
-Two hot-path conventions keep the integrators fast: every model exposes
-scalar evaluators ``b_at``/``e_at``/``phi_at``/``a_at`` taking three floats
-and returning tuples, and the numpy-facing ``eval_*`` wrappers are built on
-top of those.  Models whose electric field vanishes identically advertise
-it through ``zero_electric`` so the implicit solver can skip the segment
-quadrature entirely.
+The four scalar evaluators ``b_at``/``e_at``/``phi_at``/``a_at`` are the
+whole interface: each takes the three position components as floats and
+returns a float or a 3-tuple of floats, and every caller (the steppers,
+the diagnostics, the structure matrix) goes through them.  ``a_at`` raises
+:class:`PotentialUnavailableError` on models without a vector potential.
+Models whose electric field vanishes identically advertise it through
+``zero_electric`` so the implicit solver can skip the segment quadrature
+entirely.
 """
 
 from __future__ import annotations
@@ -19,9 +21,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 
-import numpy as np
-
-from .linalg import Vec3, as_vec3
+from .linalg import as_vec3
 
 # Evaluation this close to a model's singular axis is refused outright;
 # the reference scenarios never come near it, and silent garbage from a
@@ -43,12 +43,7 @@ class FieldModel(ABC):
     name: str = "custom"
     #: True when E(x) == 0 everywhere (lets solvers skip quadrature sums).
     zero_electric: bool = False
-    #: True when ``a_at`` / ``eval_A`` are implemented.
-    provides_vector_potential: bool = False
-    #: human-readable description of the excluded points, if any
-    singular_set: str = "none"
 
-    # --- scalar core (hot path) -----------------------------------------
     @abstractmethod
     def b_at(self, x: float, y: float, z: float) -> tuple[float, float, float]:
         """Magnetic field components at (x, y, z)."""
@@ -66,31 +61,6 @@ class FieldModel(ABC):
         raise PotentialUnavailableError(
             f"field model {self.name!r} does not provide a vector potential"
         )
-
-    # --- array-facing wrappers -------------------------------------------
-    def eval_B(self, x) -> Vec3:
-        p = as_vec3(x)
-        return np.array(self.b_at(p[0], p[1], p[2]))
-
-    def eval_E(self, x) -> Vec3:
-        p = as_vec3(x)
-        return np.array(self.e_at(p[0], p[1], p[2]))
-
-    def eval_phi(self, x) -> float:
-        p = as_vec3(x)
-        return self.phi_at(p[0], p[1], p[2])
-
-    def eval_A(self, x) -> Vec3:
-        p = as_vec3(x)
-        return np.array(self.a_at(p[0], p[1], p[2]))
-
-    def parameters(self) -> dict:
-        """Constructor parameters, for config round-tripping."""
-        return {}
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{k}={v!r}" for k, v in self.parameters().items())
-        return f"{type(self).__name__}({args})"
 
 
 def _checked_R(x: float, y: float, name: str) -> float:
@@ -114,8 +84,6 @@ class CylindricalDriftField(FieldModel):
     """
 
     name = "cylindrical_drift"
-    provides_vector_potential = True
-    singular_set = "the axis R = sqrt(x^2+y^2) = 0"
 
     def __init__(self, epsilon: float = 1e-2):
         self.epsilon = float(epsilon)
@@ -138,9 +106,6 @@ class CylindricalDriftField(FieldModel):
         # A_xi = R^2/3 along e_xi = (-y/R, x/R, 0)
         k = R / 3.0
         return (-k * y, k * x, 0.0)
-
-    def parameters(self):
-        return {"epsilon": self.epsilon}
 
 
 class TokamakField(FieldModel):
@@ -169,8 +134,6 @@ class TokamakField(FieldModel):
 
     name = "tokamak"
     zero_electric = True
-    provides_vector_potential = True
-    singular_set = "the axis R = sqrt(x^2+y^2) = 0"
 
     def __init__(self, B0: float = 1.0, R0: float = 1.0, safety_factor: float = 2.0):
         if safety_factor == 0:
@@ -204,9 +167,6 @@ class TokamakField(FieldModel):
         # e_R = (x/R, y/R, 0), e_xi = (-y/R, x/R, 0)
         return ((a_R * x - a_xi * y) / R, (a_R * y + a_xi * x) / R, a_z)
 
-    def parameters(self):
-        return {"B0": self.B0, "R0": self.R0, "safety_factor": self.safety_factor}
-
 
 class UniformField(FieldModel):
     """Constant B and E fields (test/baseline model, no singularity).
@@ -216,7 +176,6 @@ class UniformField(FieldModel):
     """
 
     name = "uniform"
-    provides_vector_potential = True
 
     def __init__(self, B=(0.0, 0.0, 1.0), E=(0.0, 0.0, 0.0)):
         self.B = tuple(float(c) for c in as_vec3(B))
@@ -240,9 +199,6 @@ class UniformField(FieldModel):
             0.5 * (bx * y - by * x),
         )
 
-    def parameters(self):
-        return {"B": list(self.B), "E": list(self.E)}
-
 
 class QuarticWellField(FieldModel):
     """Uniform B plus the confining quartic potential phi = k (x.x)^2.
@@ -254,7 +210,6 @@ class QuarticWellField(FieldModel):
     """
 
     name = "quartic_well"
-    provides_vector_potential = True
 
     def __init__(self, B=(0.0, 0.0, 1.0), strength: float = 1.0):
         self.B = tuple(float(c) for c in as_vec3(B))
@@ -279,9 +234,6 @@ class QuarticWellField(FieldModel):
             0.5 * (bz * x - bx * z),
             0.5 * (bx * y - by * x),
         )
-
-    def parameters(self):
-        return {"B": list(self.B), "strength": self.strength}
 
 
 FIELD_MODELS: dict[str, type[FieldModel]] = {

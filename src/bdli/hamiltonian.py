@@ -85,7 +85,7 @@ def grad_energy(sys: ChargedParticleSystem, z: PhaseState) -> PhaseVec:
     the gradient stays smooth for the implicit solver.
     """
     out = np.empty(6)
-    out[:3] = -sys.charge * sys.field.eval_E(z.x)
+    out[:3] = -sys.charge * np.array(sys.field.e_at(*z.x))
     out[3:] = sys.mass * z.v
     return out
 
@@ -101,7 +101,7 @@ def k_matrix(sys: ChargedParticleSystem, x) -> np.ndarray:
     K = np.zeros((6, 6))
     K[:3, 3:] = np.eye(3) / m
     K[3:, :3] = -np.eye(3) / m
-    K[3:, 3:] = (sys.charge / m**2) * hat(sys.field.eval_B(x))
+    K[3:, 3:] = (sys.charge / m**2) * hat(sys.field.b_at(*x))
     return K
 
 

@@ -52,8 +52,8 @@ class SolverOptions:
     max_iterations: int = 200
 
     def __post_init__(self):
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
@@ -69,12 +69,14 @@ class StepReport:
 
 
 class IntegrationError(RuntimeError):
-    """Trajectory loop aborted; carries the step index and partial result."""
+    """Trajectory loop aborted; carries the step index, the partial result
+    and, once a caller has written it, the partial series' ``series_path``."""
 
     def __init__(self, message: str, step_index: int, trajectory: "Trajectory"):
         super().__init__(message)
         self.step_index = step_index
         self.trajectory = trajectory
+        self.series_path: str | None = None
 
 
 class NonConvergenceError(IntegrationError):

@@ -30,19 +30,6 @@ def as_vec3(a) -> Vec3:
     return v
 
 
-def cross(a, b) -> Vec3:
-    """Right-handed cross product a x b of two 3-vectors."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return np.array(
-        [
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        ]
-    )
-
-
 def hat(B) -> Mat3:
     """Skew matrix of the cross product with B: hat(B) @ v == v x B.
 

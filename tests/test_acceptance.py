@@ -357,8 +357,8 @@ def test_criterion_8_structural_identities():
         for p in sample_points():
             worst_d = max(
                 worst_d,
-                float(np.abs(curl_fd(field, p) - field.eval_B(p)).max()),
-                float(np.abs(field.eval_E(p) + grad_fd(field, p)).max()),
+                float(np.abs(curl_fd(field, p) - np.array(field.b_at(*p))).max()),
+                float(np.abs(np.array(field.e_at(*p)) + grad_fd(field, p)).max()),
                 abs(div_fd(field, p)),
             )
     ok_d = worst_d <= 1e-6

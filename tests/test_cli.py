@@ -3,6 +3,9 @@ import json
 import pytest
 
 from bdli.cli import main
+from bdli.experiments import SERIES_COLUMNS
+
+HUGE = 10**400  # a 401-digit JSON integer, beyond the float range
 
 
 def write(tmp_path, doc, name="cfg.json"):
@@ -84,9 +87,25 @@ def test_broken_json_exit_2(tmp_path, capsys):
       "field": {"name": "tokamak", "params": {"bogus": 1}}}, "field"),
     ({"builtin": "banana",
       "field": {"name": "tokamak", "params": {"safety_factor": 0}}}, "field"),
+    ({"builtin": "banana", "x0": [float("nan"), 0, 0]}, "x0"),
+    ({"builtin": "banana", "v0": [float("inf"), 0, 0]}, "v0"),
+    ({"builtin": "banana", "charge": float("nan")}, "charge"),
+    ({"builtin": "banana", "h": HUGE}, "h"),
+    ({"builtin": "banana",
+      "field": {"name": "tokamak", "params": {"B0": HUGE}}}, "field"),
+    ({"builtin": "banana", "rule": {"name": "q2", "pairs": 5}}, "rule"),
+    ({"builtin": "banana",
+      "rule": {"name": 3, "pairs": [[0, 0.5], [1, 0.5]]}}, "rule"),
+    ({"builtin": "banana", "n_steps": 1.5}, "n_steps"),
+    ({"builtin": "banana", "stride": 2.7}, "stride"),
+    ({"builtin": "banana", "stride": True}, "stride"),
+    ({"builtin": "banana", "solver": {"max_iterations": 1.5}}, "solver"),
 ], ids=["n_steps-0", "solver-3", "solver-predictor", "n_steps-abc",
         "stride-x", "mass-x", "mass-negative", "h-pi/0", "x0-string",
-        "field-unknown-param", "field-safety-factor-0"])
+        "field-unknown-param", "field-safety-factor-0", "x0-nan", "v0-inf",
+        "charge-nan", "h-401-digits", "field-B0-401-digits", "rule-pairs-int",
+        "rule-name-int", "n_steps-1.5", "stride-2.7", "stride-true",
+        "solver-max_iterations-1.5"])
 def test_invalid_scenario_exit_2(tmp_path, capsys, doc, key):
     assert main(["run", write(tmp_path, doc)]) == 2
     assert f"config error: {key}:" in capsys.readouterr().err
@@ -121,6 +140,18 @@ def test_nonfinite_state_exit_3(tmp_path, capsys):
     assert "non-finite state at step 0" in capsys.readouterr().err
 
 
+def test_failed_run_keeps_partial_series(tmp_path, capsys):
+    out = tmp_path / "p3.csv"
+    rc = main(["run", "banana", "--method", "boris", "--h", "1e308",
+               "--steps", "3", "--out", str(out)])
+    assert rc == 3
+    assert f"partial series written to {out}" in capsys.readouterr().err
+    header, row, end = out.read_text().split("\n")
+    assert header == SERIES_COLUMNS
+    assert row.startswith("0,1.05,0,0,") and row.endswith(",0")
+    assert end == ""
+
+
 def test_singularity_exit_4(tmp_path, capsys):
     cfg = write(tmp_path, {
         "name": "axis",
@@ -133,7 +164,11 @@ def test_singularity_exit_4(tmp_path, capsys):
         "output": str(tmp_path / "x.csv"),
     })
     assert main(["run", cfg]) == 4
-    assert "singularity" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "singularity" in err
+    # H is undefined at the singular start, so there is no partial series
+    assert "partial series" not in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_convergence_subcommand(tmp_path, capsys):

@@ -4,8 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bdli
+from bdli import fields, quadrature
 from bdli import (
     ConfigError,
     Scenario,
@@ -17,6 +20,7 @@ from bdli import (
     run_scenario,
     scenario_to_config,
 )
+from bdli.experiments import _SCENARIO_KEYS, _scenario_from_dict
 
 
 # --- builtins ---------------------------------------------------------------
@@ -178,6 +182,94 @@ def test_load_config_inline_custom_rule(tmp_path):
     assert len(traj) == 6
 
 
+def test_custom_rule_roundtrips_through_config(tmp_path):
+    doc = {"builtin": "banana", "n_steps": 5,
+           "rule": {"name": "w2", "pairs": [[0, 0.5], [1, 0.5]], "degree": 1}}
+    scn = load_config(write_config(tmp_path, doc))
+    p = write_config(tmp_path, scenario_to_config(scn), "rt.json")
+    # a fresh process knows only the rules its config defines
+    rule = quadrature._custom_rules.pop("w2")
+    try:
+        assert load_config(p) == scn
+    finally:
+        quadrature._custom_rules["w2"] = rule
+
+
+def test_load_config_integral_float_counts(tmp_path):
+    p = write_config(tmp_path, {"builtin": "banana", "n_steps": 1e4,
+                                "stride": 2.0, "solver": {"max_iterations": 5e1}})
+    s = load_config(p)
+    assert (s.n_steps, s.stride, s.solver.max_iterations) == (10_000, 2, 50)
+    assert all(type(n) is int for n in (s.n_steps, s.stride, s.solver.max_iterations))
+
+
+BUILTIN_NAMES = ("banana", "drift2d", "transit")
+HUGE = 10**400  # a 401-digit JSON integer, beyond the float range
+
+
+def _config_documents():
+    """JSON objects over the config keys plus random ones.
+
+    Each value is drawn either in the shape its key expects or as any JSON
+    scalar, list or object; numbers favour the edge cases (fractions, NaN,
+    +-inf, booleans, out-of-range integers).  A document holds a few keys,
+    so that one bad value rarely hides the others.
+    """
+    numbers = st.sampled_from([1.5, math.nan, math.inf, -math.inf, HUGE, True]) | (
+        st.integers(-3, 10**5) | st.floats())
+    names = st.sampled_from([
+        *BUILTIN_NAMES, *fields.FIELD_MODELS, "bdli", "boris", "dli:simpson", "boole",
+        "pi/10", "-2*pi/0.5", "1e400", "nan",
+    ]) | st.text(max_size=4)
+    scalars = numbers | names | st.none()
+    anything = scalars | st.lists(scalars, max_size=4) | st.dictionaries(
+        st.text(max_size=4), scalars, max_size=3)
+    vec3 = st.lists(numbers, min_size=3, max_size=3)
+
+    def obj(**fields):
+        return st.fixed_dictionaries({}, optional=fields)
+
+    params = st.dictionaries(
+        st.sampled_from(["B0", "R0", "safety_factor", "epsilon", "B", "E",
+                         "strength"]) | st.text(max_size=4),
+        numbers | vec3, max_size=2)
+    pairs = st.lists(st.lists(numbers, max_size=3), max_size=4)
+    shaped = {
+        "mass": numbers, "charge": numbers, "h": numbers | names,
+        "n_steps": numbers, "stride": numbers, "x0": vec3, "v0": vec3,
+        "name": names, "method": names, "output": names,
+        "field": names | obj(name=names, params=params),
+        "rule": names | obj(name=scalars, pairs=pairs | scalars, degree=numbers),
+        "solver": obj(tolerance=numbers, max_iterations=numbers),
+    }
+    keys = st.lists(st.sampled_from(sorted(_SCENARIO_KEYS)), max_size=3, unique=True)
+    return st.builds(
+        lambda base, known, other: {**base, **known, **other},
+        st.sampled_from([{}] + [{"builtin": b} for b in BUILTIN_NAMES]),
+        keys.flatmap(lambda ks: st.fixed_dictionaries(
+            {k: shaped[k] | anything for k in ks})),
+        st.dictionaries(st.text(max_size=4), anything, max_size=1),
+    )
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_config_documents())
+def test_config_parser_raises_only_config_error(doc):
+    rules = dict(quadrature._custom_rules)
+    try:
+        scn = _scenario_from_dict(doc, "doc")
+    except ConfigError:
+        return
+    finally:  # leave no rule registered by the document behind
+        quadrature._custom_rules.clear()
+        quadrature._custom_rules.update(rules)
+    # an accepted document holds finite numbers and integer counts
+    numbers = (scn.mass, scn.charge, scn.h, *scn.x0, *scn.v0, scn.solver.tolerance)
+    assert all(type(c) is float and math.isfinite(c) for c in numbers)
+    counts = (scn.n_steps, scn.stride, scn.solver.max_iterations)
+    assert all(type(n) is int for n in counts)
+
+
 def test_load_config_bad_solver_key(tmp_path):
     p = write_config(tmp_path, {"builtin": "banana", "solver": {"tol": 1e-12}})
     with pytest.raises(ConfigError, match="solver"):
@@ -237,6 +329,22 @@ def test_run_scenario_stride(small_banana, tmp_path):
     run_scenario(strided)
     lines = (tmp_path / "run.csv").read_text().strip().split("\n")
     assert len(lines) == 1 + 5  # header + steps 0,50,100,150,200
+
+
+def test_run_scenario_p_xi_nan_without_vector_potential(monkeypatch, tmp_path):
+    class NoA(fields.UniformField):
+        name = "uniform_no_a"
+        a_at = fields.FieldModel.a_at
+
+    monkeypatch.setitem(fields.FIELD_MODELS, NoA.name, NoA)
+    scn = Scenario(name="no_a", field_name=NoA.name, x0=(0.0, 0.0, 0.0),
+                   v0=(0.1, 0.0, 0.0), h=0.1, n_steps=4, method="boris",
+                   output=str(tmp_path / "no_a.csv"))
+    summary = run_scenario(scn)
+    rows = np.genfromtxt(tmp_path / "no_a.csv", delimiter=",", names=True)
+    assert np.isnan(rows["p_xi"]).all() and np.isnan(rows["err_p_xi"]).all()
+    assert math.isnan(summary.max_abs_err_p_xi)
+    assert np.isfinite(rows["H"]).all()
 
 
 def test_run_scenario_relative_errors(small_banana, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from bdli.fields import (
     FIELD_MODELS,
     CylindricalDriftField,
+    FieldModel,
     FieldSingularityError,
     PotentialUnavailableError,
     QuarticWellField,
@@ -40,7 +41,7 @@ def curl_fd(field, p, eps=FD_STEP):
         pp, pm = p.copy(), p.copy()
         pp[axis] += eps
         pm[axis] -= eps
-        return (field.eval_A(pp)[comp] - field.eval_A(pm)[comp]) / (2 * eps)
+        return (field.a_at(*pp)[comp] - field.a_at(*pm)[comp]) / (2 * eps)
 
     return np.array(
         [
@@ -57,7 +58,7 @@ def grad_fd(field, p, eps=FD_STEP):
         pp, pm = p.copy(), p.copy()
         pp[axis] += eps
         pm[axis] -= eps
-        out[axis] = (field.eval_phi(pp) - field.eval_phi(pm)) / (2 * eps)
+        out[axis] = (field.phi_at(*pp) - field.phi_at(*pm)) / (2 * eps)
     return out
 
 
@@ -67,7 +68,7 @@ def div_fd(field, p, eps=FD_STEP):
         pp, pm = p.copy(), p.copy()
         pp[axis] += eps
         pm[axis] -= eps
-        s += (field.eval_B(pp)[axis] - field.eval_B(pm)[axis]) / (2 * eps)
+        s += (field.b_at(*pp)[axis] - field.b_at(*pm)[axis]) / (2 * eps)
     return s
 
 
@@ -84,21 +85,21 @@ ALL_MODELS = [
 def test_cylindrical_point_values():
     f = CylindricalDriftField()
     p = np.array([0.0, 0.1, 0.0])
-    assert f.eval_B(p) == pytest.approx([0.0, 0.0, 0.1], abs=1e-16)
-    assert f.eval_E(p) == pytest.approx([0.0, 1.0, 0.0], rel=1e-15)
-    assert f.eval_phi(p) == pytest.approx(0.1, rel=1e-15)
-    assert f.eval_phi([1.0, 0.0, 0.0]) == pytest.approx(0.01, rel=1e-15)
+    assert f.b_at(*p) == pytest.approx([0.0, 0.0, 0.1], abs=1e-16)
+    assert f.e_at(*p) == pytest.approx([0.0, 1.0, 0.0], rel=1e-15)
+    assert f.phi_at(*p) == pytest.approx(0.1, rel=1e-15)
+    assert f.phi_at(1.0, 0.0, 0.0) == pytest.approx(0.01, rel=1e-15)
     # A_xi = R^2/3 along e_xi = (-1, 0, 0) at this point
-    assert f.eval_A(p) == pytest.approx([-0.1**2 / 3.0, 0.0, 0.0], rel=1e-15)
+    assert f.a_at(*p) == pytest.approx([-0.1**2 / 3.0, 0.0, 0.0], rel=1e-15)
 
 
 def test_cylindrical_B_magnitude_equals_R_and_E_radial():
     f = CylindricalDriftField()
     for p in sample_points(60, r_min=0.05):
         R = math.hypot(p[0], p[1])
-        B = f.eval_B(p)
+        B = np.array(f.b_at(*p))
         assert abs(np.linalg.norm(B) - R) <= 1e-14 * R
-        E = f.eval_E(p)
+        E = np.array(f.e_at(*p))
         assert np.linalg.norm(np.cross(E, [p[0], p[1], 0.0])) <= 1e-14
         assert np.linalg.norm(E) == pytest.approx(1e-2 / R**2, rel=1e-13)
 
@@ -106,12 +107,12 @@ def test_cylindrical_B_magnitude_equals_R_and_E_radial():
 def test_tokamak_point_values():
     f = TokamakField()
     p = np.array([1.05, 0.0, 0.0])
-    assert f.eval_B(p) == pytest.approx([0.0, 1 / 1.05, 0.05 / 2.1], rel=1e-12)
-    assert np.array_equal(f.eval_E(p), [0.0, 0.0, 0.0])
-    assert f.eval_phi(p) == 0.0
+    assert f.b_at(*p) == pytest.approx([0.0, 1 / 1.05, 0.05 / 2.1], rel=1e-12)
+    assert np.array_equal(f.e_at(*p), [0.0, 0.0, 0.0])
+    assert f.phi_at(*p) == 0.0
     # A_R = 0, A_xi = 0.05^2 / (4 * 1.05) along e_xi = (0, 1, 0),
     # A_z = -ln(1.05)/2
-    assert f.eval_A(p) == pytest.approx(
+    assert f.a_at(*p) == pytest.approx(
         [0.0, 0.0025 / 4.2, -math.log(1.05) / 2.0], rel=1e-12
     )
 
@@ -133,17 +134,17 @@ def test_tokamak_matches_toroidal_form():
         sin_t, cos_t = z / r, (R - 1.0) / r
         e_theta = -sin_t * e_R + cos_t * e_z
         B_oracle = (r / (2.0 * R)) * e_theta + (1.0 / R) * e_xi
-        assert f.eval_B(p) == pytest.approx(B_oracle, rel=1e-12, abs=1e-14)
+        assert f.b_at(*p) == pytest.approx(B_oracle, rel=1e-12, abs=1e-14)
 
 
 def test_uniform_point_values():
     f = UniformField(B=(0.0, 0.0, 1.0), E=(0.0, 0.0, 0.0))
-    assert np.array_equal(f.eval_B([3.0, -1.0, 2.0]), [0.0, 0.0, 1.0])
-    assert np.array_equal(f.eval_E([0.5, 0.5, 0.5]), [0.0, 0.0, 0.0])
-    assert f.eval_A([1.0, 0.0, 0.0]) == pytest.approx([0.0, 0.5, 0.0], abs=0.0)
+    assert np.array_equal(f.b_at(3.0, -1.0, 2.0), [0.0, 0.0, 1.0])
+    assert np.array_equal(f.e_at(0.5, 0.5, 0.5), [0.0, 0.0, 0.0])
+    assert f.a_at(1.0, 0.0, 0.0) == pytest.approx([0.0, 0.5, 0.0], abs=0.0)
     g = UniformField(B=(0.0, 0.0, 1.0), E=(0.2, -0.1, 0.05))
     p = [1.0, 2.0, 3.0]
-    assert g.eval_phi(p) == pytest.approx(-(0.2 * 1 - 0.1 * 2 + 0.05 * 3), rel=1e-15)
+    assert g.phi_at(*p) == pytest.approx(-(0.2 * 1 - 0.1 * 2 + 0.05 * 3), rel=1e-15)
     assert not g.zero_electric
     assert f.zero_electric
 
@@ -151,12 +152,12 @@ def test_uniform_point_values():
 def test_quartic_well_values():
     f = QuarticWellField(strength=1.0)
     p = np.array([1.0, 0.0, 0.0])
-    assert f.eval_phi(p) == 1.0
-    assert f.eval_E(p) == pytest.approx([-4.0, 0.0, 0.0], abs=0.0)
+    assert f.phi_at(*p) == 1.0
+    assert f.e_at(*p) == pytest.approx([-4.0, 0.0, 0.0], abs=0.0)
     p2 = np.array([1.0, -2.0, 0.5])
     r2 = float(p2 @ p2)
-    assert f.eval_phi(p2) == pytest.approx(r2**2, rel=1e-15)
-    assert f.eval_E(p2) == pytest.approx(-4.0 * r2 * p2, rel=1e-15)
+    assert f.phi_at(*p2) == pytest.approx(r2**2, rel=1e-15)
+    assert f.e_at(*p2) == pytest.approx(-4.0 * r2 * p2, rel=1e-15)
 
 
 # --- differential consistency ---------------------------------------------
@@ -165,7 +166,7 @@ def test_quartic_well_values():
 def test_curl_of_A_is_B(field):
     worst = 0.0
     for p in sample_points():
-        err = np.abs(curl_fd(field, p) - field.eval_B(p)).max()
+        err = np.abs(curl_fd(field, p) - np.array(field.b_at(*p))).max()
         worst = max(worst, err)
     assert worst <= FD_TOL
 
@@ -174,7 +175,7 @@ def test_curl_of_A_is_B(field):
 def test_E_is_minus_grad_phi(field):
     worst = 0.0
     for p in sample_points():
-        err = np.abs(field.eval_E(p) + grad_fd(field, p)).max()
+        err = np.abs(np.array(field.e_at(*p)) + grad_fd(field, p)).max()
         worst = max(worst, err)
     assert worst <= FD_TOL
 
@@ -236,25 +237,30 @@ def test_symbolic_consistency_of_axis_models():
 @pytest.mark.parametrize("field", [CylindricalDriftField(), TokamakField()],
                          ids=lambda f: f.name)
 def test_singularity_guard(field):
-    for evaluate in (field.eval_B, field.eval_E, field.eval_phi, field.eval_A):
-        if field.zero_electric and evaluate in (field.eval_E, field.eval_phi):
+    for evaluate in (field.b_at, field.e_at, field.phi_at, field.a_at):
+        if field.zero_electric and evaluate in (field.e_at, field.phi_at):
             continue  # constants, no singular behaviour to guard
         with pytest.raises(FieldSingularityError):
-            evaluate([0.0, 0.0, 0.3])
+            evaluate(0.0, 0.0, 0.3)
         with pytest.raises(FieldSingularityError):
-            evaluate([1e-13, 0.0, 0.0])
+            evaluate(1e-13, 0.0, 0.0)
 
 
 def test_vector_potential_unavailable():
-    class BareField(CylindricalDriftField):
+    class BareField(FieldModel):  # no a_at: the base class refuses
         name = "bare"
-        provides_vector_potential = False
 
-        def a_at(self, x, y, z):
-            raise PotentialUnavailableError("no A for bare")
+        def b_at(self, x, y, z):
+            return (0.0, 0.0, 1.0)
 
-    with pytest.raises(PotentialUnavailableError):
-        BareField().eval_A([1.0, 0.0, 0.0])
+        def e_at(self, x, y, z):
+            return (0.0, 0.0, 0.0)
+
+        def phi_at(self, x, y, z):
+            return 0.0
+
+    with pytest.raises(PotentialUnavailableError, match="bare"):
+        BareField().a_at(1.0, 0.0, 0.0)
 
 
 def test_registry():
@@ -266,8 +272,3 @@ def test_registry():
     with pytest.raises(ValueError, match="unknown field model"):
         make_field("nope")
 
-
-def test_eval_rejects_nonfinite_position():
-    f = UniformField()
-    with pytest.raises(ValueError):
-        f.eval_B([np.nan, 0.0, 0.0])
