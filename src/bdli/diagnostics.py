@@ -13,6 +13,8 @@ Q(z_n) - Q(z_0); relative errors are available via a flag.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .hamiltonian import ChargedParticleSystem, PhaseState, energies
@@ -37,21 +39,19 @@ def toroidal_momenta(sys: ChargedParticleSystem, states) -> np.ndarray:
 
 
 def magnetic_moments(sys: ChargedParticleSystem, states) -> np.ndarray:
-    """|v_perp|^2 / (2 |B|), v_perp orthogonal to B, of every row."""
+    """|v_perp|^2 / (2 |B|), v_perp orthogonal to B, of every row; NaN at
+    rows where B = 0, where mu is undefined."""
     b_at = sys.field.b_at
     b = np.array([b_at(x, y, z) for x, y, z in states[:, :3].tolist()])
     bx, by, bz = b[:, 0], b[:, 1], b[:, 2]
     b2 = bx * bx + by * by + bz * bz
-    zero = np.flatnonzero(b2 == 0.0)
-    if zero.size:
-        raise ZeroFieldError(
-            f"magnetic moment undefined where B = 0 (at {states[zero[0], :3]})"
-        )
     bnorm = np.sqrt(b2)
     v = states[:, 3:]
-    vpar = (v[:, 0] * bx + v[:, 1] * by + v[:, 2] * bz) / bnorm
-    vperp2 = np.vecdot(v, v) - vpar * vpar
-    return vperp2 / (2.0 * bnorm)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vpar = (v[:, 0] * bx + v[:, 1] * by + v[:, 2] * bz) / bnorm
+        vperp2 = np.vecdot(v, v) - vpar * vpar
+        mu = vperp2 / (2.0 * bnorm)
+    return np.where(b2 == 0.0, np.nan, mu)
 
 
 def toroidal_momentum(sys: ChargedParticleSystem, z: PhaseState) -> float:
@@ -60,8 +60,12 @@ def toroidal_momentum(sys: ChargedParticleSystem, z: PhaseState) -> float:
 
 
 def magnetic_moment(sys: ChargedParticleSystem, z: PhaseState) -> float:
-    """Magnetic moment |v_perp|^2 / (2 |B|) with v_perp orthogonal to B."""
-    return float(magnetic_moments(sys, z.as_vector()[None])[0])
+    """Magnetic moment |v_perp|^2 / (2 |B|) with v_perp orthogonal to B;
+    raises :class:`ZeroFieldError` where B = 0."""
+    mu = float(magnetic_moments(sys, z.as_vector()[None])[0])
+    if math.isnan(mu):
+        raise ZeroFieldError(f"magnetic moment undefined where B = 0 (at {z.x})")
+    return mu
 
 
 _SERIES = {"H": energies, "p_xi": toroidal_momenta, "mu": magnetic_moments}

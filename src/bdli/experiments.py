@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import ZeroFieldError, quantity_series, series_errors
+from .diagnostics import quantity_series, series_errors
 from .fields import FieldSingularityError, PotentialUnavailableError, make_field
 from .hamiltonian import ChargedParticleSystem, PhaseState
 from .integrators import (
@@ -412,7 +412,7 @@ def _write_series(scn: Scenario, traj: Trajectory, series_path: Path,
                   relative_errors: bool):
     """Write the series file of ``traj``; returns H, p_xi, mu and the
     emitted row indices.  p_xi is NaN for a field without a vector
-    potential."""
+    potential, and mu is NaN at rows where B = 0."""
     sys = scn.system()
     H = quantity_series(sys, traj, "H")
     try:
@@ -456,7 +456,7 @@ def run_scenario(
         # keep the states reached before the failure, in the same format
         try:
             _write_series(scn, exc.trajectory, series_path, relative_errors)
-        except (FieldSingularityError, ZeroFieldError):
+        except FieldSingularityError:
             pass  # a diagnostic is undefined at a reached state: no series
         else:
             exc.series_path = str(series_path)

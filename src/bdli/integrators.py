@@ -20,6 +20,14 @@ for the palindromic built-in rules), and only the velocity block needs the
 quadrature sum.  This halves the work per iteration without changing the
 scheme.
 
+Each iterate freezes B at the segment midpoint and the E quadrature sum at
+the current velocity; the velocity equation
+v1 = v0 + h (q/m) (sE + ((1 - s) v0 + s v1) x B) is then linear in v1 and
+is solved exactly by the Cayley (Boris) rotation, so the iteration only has
+to resolve how B and E move along the segment, not the gyration itself.
+The fixed point, and hence the scheme, is the same as for a plain Picard
+iteration of the update.
+
 The step kernels ``dli_step``, ``boris_step`` and ``rk4_step`` map a row
 ``(x, y, z, vx, vy, vz)`` to the next row as a 6-tuple of floats, which
 ``integrate`` stores directly; ``PhaseState`` is only the boundary type.
@@ -179,20 +187,22 @@ def dli_step(
     """One implicit DLI step of size h from the row z0 (h may have either sign).
 
     ``z0`` is ``(x, y, z, vx, vy, vz)`` and the report's ``state`` the next
-    row as a 6-tuple.  Fixed-point iteration from an explicit-Euler
-    predictor; non-convergence is reported through the ``converged`` flag,
-    never papered over, because the conservation properties are
-    meaningless on unconverged steps.
+    row as a 6-tuple.  Fixed-point iteration with the exact rotation of
+    the module docstring, from v1 = v0: the first iterate takes B at the
+    half-drifted point x0 + (h/2) v0, as the Boris push does.
+    Non-convergence is reported through the ``converged`` flag, never
+    papered over, because the conservation properties are meaningless on
+    unconverged steps.
     """
     opts = opts or SolverOptions()
-    m, q = sys.mass, sys.charge
     fld = sys.field
     e_at, b_at = fld.e_at, fld.b_at
     no_e = fld.zero_electric
-    qm = q / m
     nodes, weights = rule.nodes, rule.weights
     s = rule.first_moment
     r = 1.0 - s
+    k = h * sys.charge / sys.mass
+    kr, ks = k * r, k * s
 
     x0x, x0y, x0z, v0x, v0y, v0z = z0
 
@@ -207,13 +217,7 @@ def dli_step(
     else:
         e0x, e0y, e0z = e_at(x0x, x0y, x0z)
 
-    bx, by, bz = b_at(x0x, x0y, x0z)
-    vx = v0x + h * qm * (e0x + v0y * bz - v0z * by)
-    vy = v0y + h * qm * (e0y + v0z * bx - v0x * bz)
-    vz = v0z + h * qm * (e0z + v0x * by - v0y * bx)
-    if not (math.isfinite(vx) and math.isfinite(vy) and math.isfinite(vz)):
-        vx, vy, vz = v0x, v0y, v0z
-
+    vx, vy, vz = v0x, v0y, v0z
     converged = False
     residual = math.inf
     iterations = 0
@@ -236,9 +240,17 @@ def dli_step(
                 sez += w * ez
 
         bx, by, bz = b_at(x0x + 0.5 * dxx, x0y + 0.5 * dxy, x0z + 0.5 * dxz)
-        nvx = v0x + h * qm * (sex + avy * bz - avz * by)
-        nvy = v0y + h * qm * (sey + avz * bx - avx * bz)
-        nvz = v0z + h * qm * (sez + avx * by - avy * bx)
+        # v = a + v x t with a = v0 + k sE + k r v0 x B and t = k s B,
+        # solved exactly: v = (a + a x t + (a.t) t) / (1 + t.t)
+        ax = v0x + k * sex + kr * (v0y * bz - v0z * by)
+        ay = v0y + k * sey + kr * (v0z * bx - v0x * bz)
+        az = v0z + k * sez + kr * (v0x * by - v0y * bx)
+        tx, ty, tz = ks * bx, ks * by, ks * bz
+        at = ax * tx + ay * ty + az * tz
+        d = 1.0 + tx * tx + ty * ty + tz * tz
+        nvx = (ax + (ay * tz - az * ty) + at * tx) / d
+        nvy = (ay + (az * tx - ax * tz) + at * ty) / d
+        nvz = (az + (ax * ty - ay * tx) + at * tz) / d
 
         delta = max(abs(nvx - vx), abs(nvy - vy), abs(nvz - vz))
         if not math.isfinite(delta):

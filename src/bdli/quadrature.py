@@ -16,6 +16,7 @@ against the same invariants at construction time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,9 +59,10 @@ class QuadratureRule:
                     f"declared degree of exactness {self.degree_of_exactness} is wrong"
                 )
 
-    @property
+    @cached_property
     def first_moment(self) -> float:
-        """Sum of w_i * c_i; equals 1/2 for node-symmetric rules."""
+        """Sum of w_i * c_i; equals 1/2 for node-symmetric rules.  Summed
+        once per rule, since every DLI step reads it."""
         return float(sum(w * c for c, w in zip(self.nodes, self.weights)))
 
     def integrate_monomial(self, k: int) -> float:

@@ -171,6 +171,30 @@ def test_singularity_exit_4(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_zero_field_run_writes_nan_mu(tmp_path):
+    # mu is undefined where B = 0, but the run itself is valid
+    out = tmp_path / "b0.csv"
+    cfg = write(tmp_path, {
+        "name": "b0",
+        "field": {"name": "uniform", "params": {"B": [0, 0, 0]}},
+        "x0": [0, 0, 0],
+        "v0": [0.1, 0, 0],
+        "h": 0.1,
+        "n_steps": 3,
+        "method": "boris",
+    })
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    header, *rows = out.read_text().splitlines()
+    cols = header.split(",")
+    assert len(rows) == 4
+    for row in rows:
+        fields = dict(zip(cols, row.split(",")))
+        assert fields["mu"] == fields["err_mu"] == "nan"
+        assert fields["H"] == "0.005000000000000001"
+    summary = out.with_suffix(".summary.txt").read_text()
+    assert "max_abs_err_mu = nan" in summary
+
+
 def test_convergence_subcommand(tmp_path, capsys):
     cfg = write(tmp_path, {
         "builtin": "banana",
