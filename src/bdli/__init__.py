@@ -62,15 +62,10 @@ from .integrators import (
     dli_residual,
     dli_step,
     integrate,
-    resolve_rule,
+    resolve_method,
     rk4_step,
 )
 from .linalg import Mat3, PhaseVec, Vec3, hat
-from .quadrature import (
-    QuadratureRule,
-    builtin_rule,
-    register_rule,
-    weighted_gradient,
-)
+from .quadrature import QuadratureRule, builtin_rule, weighted_gradient
 
 __version__ = "0.1.0"

@@ -28,6 +28,7 @@ from .experiments import (
     parse_step_size,
     run_scenario,
     _load_document,
+    _method_for_rule,
     _scenario_from_dict,
 )
 from .fields import FieldSingularityError
@@ -42,7 +43,8 @@ EXIT_SINGULARITY = 4
 def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("scenario", help="config file path or builtin scenario name")
     p.add_argument("--method", help="integrator: bdli, dli:<rule>, boris, rk4")
-    p.add_argument("--rule", help="quadrature rule name (retargets the DLI stepper)")
+    p.add_argument("--rule", help="quadrature rule: alone it means "
+                   "--method dli:<rule>; with --method, the same rule")
     p.add_argument("--steps", type=int, help="number of time steps")
     p.add_argument("--h", dest="h", help="step size (number or e.g. 'pi/20')")
     p.add_argument("--tol", type=float, help="fixed-point solver tolerance")
@@ -69,12 +71,10 @@ def _load_scenario(arg: str) -> tuple[Scenario, dict]:
 
 def _apply_flags(scn: Scenario, args) -> Scenario:
     updates = {}
-    if args.method:
-        updates["method"] = args.method
-        updates["rule"] = None
     if args.rule:
-        updates["method"] = f"dli:{args.rule}"
-        updates["rule"] = args.rule
+        updates["method"] = _method_for_rule(args.method, args.rule)
+    elif args.method:
+        updates["method"] = args.method
     if args.steps is not None:
         updates["n_steps"] = args.steps
     if args.h is not None:

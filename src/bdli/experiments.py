@@ -2,9 +2,10 @@
 
 A :class:`Scenario` pins down everything needed to reproduce a run: the
 field model, particle parameters, initial state, step size, step count,
-method and solver options.  Step sizes tied to the gyro-period are stored
-as exact expressions such as ``"pi/10"`` and expanded to float at load
-time, so configs round-trip without precision loss.
+method, the scenario's own quadrature rule if any, and solver options.
+Step sizes tied to the gyro-period are stored as exact expressions such as
+``"pi/10"`` and expanded to float at load time, so configs round-trip
+without precision loss.
 
 Built-in scenarios:
 
@@ -34,9 +35,9 @@ from .integrators import (
     SolverOptions,
     Trajectory,
     integrate,
-    resolve_rule,
+    resolve_method,
 )
-from .quadrature import _custom_rules, register_rule
+from .quadrature import BUILTIN_RULES, QuadratureRule
 
 SERIES_COLUMNS = (
     "t,x,y,z,vx,vy,vz,H,p_xi,mu,err_H,err_p_xi,err_mu,iters"
@@ -82,7 +83,9 @@ def parse_step_size(value) -> tuple[float, str | None]:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A fully pinned-down run."""
+    """A fully pinned-down run.  ``method`` alone picks the stepper; ``rule``
+    is the scenario's own palindromic quadrature rule, which runs when
+    ``method`` is "dli:<its name>" and may not take a built-in rule's name."""
 
     name: str
     field_name: str
@@ -95,7 +98,7 @@ class Scenario:
     h_expr: str | None = None
     n_steps: int = 1
     method: str = "bdli"
-    rule: str | None = "boole"
+    rule: QuadratureRule | None = None
     solver: SolverOptions = field(default_factory=SolverOptions)
     output: str | None = None
     stride: int = 1
@@ -120,20 +123,25 @@ class Scenario:
             if len(vec) != 3 or not all(map(math.isfinite, vec)):
                 raise ConfigError(f"{key}: expected three finite numbers, got {vec}")
             object.__setattr__(self, key, vec)
+        own = self.rule
+        if own is not None and not isinstance(own, QuadratureRule):
+            raise ConfigError(f"rule: expected a QuadratureRule, got {own!r}")
+        if own is not None and own.name in BUILTIN_RULES:
+            raise ConfigError(f"rule: cannot shadow built-in rule {own.name!r}")
+        if own is not None and not own.palindromic:
+            raise ConfigError(f"rule: {own.name!r} is not palindromic, so the "
+                              "step would not be time-symmetric")
         try:
-            implied = resolve_rule(self.method)  # validates the method name
+            self.stepper  # validates the method text
         except ValueError as exc:
             raise ConfigError(f"method: {exc}") from None
-        if implied is not None:
-            if self.rule is None:
-                object.__setattr__(self, "rule", implied.name)
-            elif self.rule != implied.name:
-                raise ConfigError(
-                    f"rule: {self.rule!r} contradicts method {self.method!r} "
-                    f"(which implies {implied.name!r})"
-                )
-        else:
-            object.__setattr__(self, "rule", None)
+
+    @property
+    def stepper(self) -> str | QuadratureRule:
+        """The method as :func:`integrate` takes it: the text, or the own rule
+        when the method names it (``integrate`` knows only built-in rules)."""
+        step = resolve_method(self.method, self.rule)
+        return step if step is self.rule else self.method
 
     @property
     def total_time(self) -> float:
@@ -148,14 +156,8 @@ class Scenario:
         return PhaseState(self.x0, self.v0)
 
     def run_trajectory(self) -> Trajectory:
-        return integrate(
-            self.system(),
-            self.method,
-            self.initial_state(),
-            self.h,
-            self.n_steps,
-            self.solver,
-        )
+        return integrate(self.system(), self.stepper, self.initial_state(),
+                         self.h, self.n_steps, self.solver)
 
 
 def builtin_scenario(name: str) -> Scenario:
@@ -220,6 +222,34 @@ def _count(key: str, value) -> int:
     return _coerce(key, int, value)
 
 
+def _method_for_rule(method: str | None, name: str) -> str:
+    """The method a ``rule`` key or ``--rule`` flag sets: "dli:<name>" on its
+    own; next to a method, that method if it names the same rule."""
+    if method is None:
+        return f"dli:{name}"
+    if method != f"dli:{name}" and (method, name) != ("bdli", "boole"):
+        raise ConfigError(f"rule: {name!r} contradicts method {method!r}")
+    return method
+
+
+def _inline_rule(spec: dict) -> QuadratureRule:
+    """A config's own rule from ``{name, pairs, degree}``."""
+    extra = set(spec) - {"name", "pairs", "degree"}
+    if extra:
+        raise ConfigError(f"rule: unknown key(s) {sorted(extra)}")
+    name = spec.get("name")
+    if not isinstance(name, str):
+        raise ConfigError(f"rule: name must be a string, got {name!r}")
+    degree = _count("rule: degree", spec.get("degree", 0))
+    try:
+        nodes, weights = zip(*((float(c), float(w)) for c, w in spec["pairs"]))
+        return QuadratureRule(name, nodes, weights, degree)
+    except KeyError as exc:
+        raise ConfigError(f"rule: missing key {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"rule: {exc}") from None
+
+
 def _scenario_from_dict(doc: dict, source: str) -> Scenario:
     unknown = set(doc) - _SCENARIO_KEYS - _RESERVED_KEYS
     if unknown:
@@ -262,28 +292,14 @@ def _scenario_from_dict(doc: dict, source: str) -> Scenario:
         updates["n_steps"] = _count("n_steps", doc["n_steps"])
     if "method" in doc:
         updates["method"] = str(doc["method"])
-    if "rule" in doc:
+    if doc.get("rule") is not None:
         rspec = doc["rule"]
         if isinstance(rspec, dict):
-            extra = set(rspec) - {"name", "pairs", "degree"}
-            if extra:
-                raise ConfigError(f"rule: unknown key(s) {sorted(extra)}")
-            name = rspec.get("name")
-            if not isinstance(name, str):
-                raise ConfigError(f"rule: name must be a string, got {name!r}")
-            degree = _count("rule: degree", rspec.get("degree", 0))
-            try:
-                register_rule(name, rspec["pairs"], degree)
-            except KeyError as exc:
-                raise ConfigError(f"rule: missing key {exc}") from None
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"rule: {exc}") from None
-            updates["rule"] = name
+            updates["rule"] = _inline_rule(rspec)
+            name = updates["rule"].name
         else:
-            updates["rule"] = str(rspec)
-        if "method" not in doc and base is not None:
-            # a bare rule override retargets the DLI stepper
-            updates["method"] = f"dli:{updates['rule']}"
+            name = str(rspec)
+        updates["method"] = _method_for_rule(updates.get("method"), name)
     if "solver" in doc:
         sspec = doc["solver"]
         if not isinstance(sspec, dict):
@@ -309,9 +325,6 @@ def _scenario_from_dict(doc: dict, source: str) -> Scenario:
         updates["stride"] = _count("stride", doc["stride"])
 
     if base is not None:
-        if updates.get("method") not in (None, base.method) and "rule" not in doc:
-            # method override wins over the builtin's rule pin
-            updates.setdefault("rule", None)
         return replace(base, **updates)
     required = {
         "name": "name", "field_name": "field", "x0": "x0", "v0": "v0",
@@ -346,11 +359,10 @@ def load_config(path) -> Scenario:
 def scenario_to_config(scn: Scenario) -> dict:
     """Serializable dict that :func:`load_config` maps back to ``scn``.
 
-    A custom rule is written inline, so the document loads in a process
-    where the rule was never registered.
+    The scenario's own rule is written inline when its method runs it; a
+    rule the method does not run cannot be written next to that method.
     """
-    rule = _custom_rules.get(scn.rule)
-    return {
+    cfg = {
         "name": scn.name,
         "field": {"name": scn.field_name, "params": dict(scn.field_params)},
         "mass": scn.mass,
@@ -360,11 +372,6 @@ def scenario_to_config(scn: Scenario) -> dict:
         "h": scn.h_expr if scn.h_expr is not None else scn.h,
         "n_steps": scn.n_steps,
         "method": scn.method,
-        "rule": scn.rule if rule is None else {
-            "name": rule.name,
-            "pairs": [list(p) for p in zip(rule.nodes, rule.weights)],
-            "degree": rule.degree_of_exactness,
-        },
         "solver": {
             "tolerance": scn.solver.tolerance,
             "max_iterations": scn.solver.max_iterations,
@@ -372,6 +379,14 @@ def scenario_to_config(scn: Scenario) -> dict:
         "output": scn.output,
         "stride": scn.stride,
     }
+    own = scn.stepper
+    if isinstance(own, QuadratureRule):
+        cfg["rule"] = {
+            "name": own.name,
+            "pairs": [list(p) for p in zip(own.nodes, own.weights)],
+            "degree": own.degree_of_exactness,
+        }
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -502,10 +517,7 @@ class ConvergenceStudy:
 
 
 def _endpoint(scn: Scenario, h: float, n: int) -> np.ndarray:
-    traj = integrate(
-        scn.system(), scn.method, scn.initial_state(), h, n, scn.solver
-    )
-    return traj.states[-1]
+    return replace(scn, h=h, h_expr=None, n_steps=n).run_trajectory().states[-1]
 
 
 def convergence_study(
@@ -577,7 +589,7 @@ def compare_methods(
     base.mkdir(parents=True, exist_ok=True)
     summaries = []
     for method in methods:
-        sub = replace(scn, method=method, rule=None, output=None)
+        sub = replace(scn, method=method, output=None)
         fname = f"{scn.name}_{method.replace(':', '-')}_series.csv"
         summaries.append(
             run_scenario(sub, out=base / fname, relative_errors=relative_errors)

@@ -102,12 +102,10 @@ class Trajectory:
     has one entry per step (0 for explicit methods).
     """
 
-    def __init__(self, h: float, states: np.ndarray, iterations: np.ndarray,
-                 method: str = ""):
+    def __init__(self, h: float, states: np.ndarray, iterations: np.ndarray):
         self.h = float(h)
         self.states = np.asarray(states, dtype=float)
         self.iterations = np.asarray(iterations, dtype=int)
-        self.method = method
         if self.states.ndim != 2 or self.states.shape[1] != 6:
             raise ValueError("states must have shape (n+1, 6)")
         if len(self.iterations) != len(self.states) - 1:
@@ -123,10 +121,6 @@ class Trajectory:
     @property
     def positions(self) -> np.ndarray:
         return self.states[:, :3]
-
-    @property
-    def velocities(self) -> np.ndarray:
-        return self.states[:, 3:]
 
     def state(self, i: int) -> PhaseState:
         return PhaseState.from_vector(self.states[i])
@@ -344,23 +338,30 @@ def rk4_step(sys: ChargedParticleSystem, z0, h: float) -> tuple:
 # method resolution and the trajectory loop
 # ---------------------------------------------------------------------------
 
-METHOD_NAMES = ("bdli", "dli:<rule>", "boris", "rk4")
+def resolve_method(method: str, own: QuadratureRule | None = None):
+    """The stepper that method text names; the one place it is read.
 
-
-def resolve_rule(method: str) -> QuadratureRule | None:
-    """Quadrature rule implied by a method name, None for explicit methods."""
-    if method == "bdli":
-        return builtin_rule("boole")
-    if method.startswith("dli:"):
-        return builtin_rule(method.split(":", 1)[1])
+    "boris" and "rk4" name ``boris_step`` and ``rk4_step``; "bdli" and
+    "dli:<name>" the DLI step, returned as its rule: Boole's, the built-in
+    rule of that name or, failing that, ``own``, a scenario's own rule.
+    """
     if method in ("boris", "rk4"):
-        return None
-    raise ValueError(f"unknown method {method!r} (expected one of {METHOD_NAMES})")
+        return boris_step if method == "boris" else rk4_step
+    name = "boole" if method == "bdli" else method.removeprefix("dli:")
+    if name == method:
+        raise ValueError(
+            f"unknown method {method!r} (expected bdli, dli:<rule>, boris or rk4)")
+    try:
+        return builtin_rule(name)
+    except ValueError:
+        if own is not None and own.name == name:
+            return own
+        raise
 
 
 def integrate(
     sys: ChargedParticleSystem,
-    method: str,
+    method: str | QuadratureRule,
     z0: PhaseState,
     h: float,
     n_steps: int,
@@ -368,7 +369,8 @@ def integrate(
 ) -> Trajectory:
     """Apply a one-step method n_steps times from z0.
 
-    ``method`` is one of "bdli", "dli:<rule>", "boris", "rk4".  Aborts with
+    ``method`` is method text (see :func:`resolve_method`) or a
+    QuadratureRule, which runs the DLI step with that rule.  Aborts with
     :class:`NonConvergenceError` or :class:`SingularityError` (both carry
     the failing step index and the partial trajectory) if the solver fails
     to converge, a step yields a non-finite state, or a field singularity
@@ -376,7 +378,11 @@ def integrate(
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    rule = resolve_rule(method)
+    if isinstance(method, QuadratureRule):
+        step, method = method, f"dli:{method.name}"  # the label in errors
+    else:
+        step = resolve_method(method)
+    rule = step if isinstance(step, QuadratureRule) else None
     opts = opts or SolverOptions()
 
     states = np.empty((n_steps + 1, 6))
@@ -385,7 +391,7 @@ def integrate(
     z = tuple(states[0].tolist())
 
     def partial(k: int) -> Trajectory:
-        return Trajectory(h, states[: k + 1].copy(), iters[:k].copy(), method)
+        return Trajectory(h, states[: k + 1].copy(), iters[:k].copy())
 
     for k in range(n_steps):
         try:
@@ -398,10 +404,8 @@ def integrate(
                         f"{rep.iterations} iterations)", k, partial(k))
                 z = rep.state
                 iters[k] = rep.iterations
-            elif method == "boris":
-                z = boris_step(sys, z, h)
             else:
-                z = rk4_step(sys, z, h)
+                z = step(sys, z, h)
         except FieldSingularityError as exc:
             raise SingularityError(
                 f"{method}: {exc} at step {k}", k, partial(k)
@@ -411,4 +415,4 @@ def integrate(
                 f"{method}: non-finite state at step {k}", k, partial(k)
             )
         states[k + 1] = z
-    return Trajectory(h, states, iters, method)
+    return Trajectory(h, states, iters)

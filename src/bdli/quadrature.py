@@ -9,8 +9,8 @@ conserves H exactly.  Built-in rules:
     simpson     nodes (0, 1/2, 1),       weights (1, 4, 1)/6,     exactness 3
     boole       nodes (0, 1/4, .., 1),   weights (7,32,12,32,7)/90, exactness 5
 
-Custom rules may be registered from (node, weight) pairs; they are checked
-against the same invariants at construction time.
+Custom rules are built from (node, weight) pairs and checked against the
+same invariants; there is no rule registry, a scenario holds its own rule.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class QuadratureRule:
             raise ValueError(f"rule {self.name!r}: nodes must lie in [0, 1]")
         if any(b <= a for a, b in zip(self.nodes, self.nodes[1:])):
             raise ValueError(f"rule {self.name!r}: nodes must be strictly ascending")
-        if abs(sum(self.weights) - 1.0) > _WEIGHT_SUM_TOL:
+        if not abs(sum(self.weights) - 1.0) <= _WEIGHT_SUM_TOL:  # NaN fails too
             raise ValueError(
                 f"rule {self.name!r}: weights sum to {sum(self.weights)!r}, not 1"
             )
@@ -53,7 +53,7 @@ class QuadratureRule:
             raise ValueError("degree_of_exactness must be >= 0")
         for k in range(self.degree_of_exactness + 1):
             err = abs(self.integrate_monomial(k) - 1.0 / (k + 1))
-            if err > _EXACTNESS_TOL:
+            if not err <= _EXACTNESS_TOL:
                 raise ValueError(
                     f"rule {self.name!r} misses monomial c^{k} by {err:.2e}; "
                     f"declared degree of exactness {self.degree_of_exactness} is wrong"
@@ -65,6 +65,14 @@ class QuadratureRule:
         once per rule, since every DLI step reads it."""
         return float(sum(w * c for c, w in zip(self.nodes, self.weights)))
 
+    @property
+    def palindromic(self) -> bool:
+        """Nodes symmetric about 1/2 and weights the same backwards (to the
+        exactness tolerance): the DLI step is then time-symmetric."""
+        tol, c, w = _EXACTNESS_TOL, self.nodes, self.weights
+        return all(abs(a + b - 1.0) <= tol and abs(u - v) <= tol
+                   for a, b, u, v in zip(c, c[::-1], w, w[::-1]))
+
     def integrate_monomial(self, k: int) -> float:
         """Apply the rule to f(c) = c^k."""
         return float(sum(w * c**k for c, w in zip(self.nodes, self.weights)))
@@ -74,7 +82,7 @@ class QuadratureRule:
         return float(sum(w * f(c) for c, w in zip(self.nodes, self.weights)))
 
 
-_BUILTIN_RULES = {
+BUILTIN_RULES = {
     "trapezoid": QuadratureRule("trapezoid", (0.0, 1.0), (0.5, 0.5), 1),
     "simpson": QuadratureRule("simpson", (0.0, 0.5, 1.0), (1 / 6, 4 / 6, 1 / 6), 3),
     "boole": QuadratureRule(
@@ -85,37 +93,14 @@ _BUILTIN_RULES = {
     ),
 }
 
-_custom_rules: dict[str, QuadratureRule] = {}
-
 
 def builtin_rule(name: str) -> QuadratureRule:
-    """Look up a rule by name (built-in or previously registered custom)."""
-    rule = _BUILTIN_RULES.get(name) or _custom_rules.get(name)
+    """One of the three built-in rules: trapezoid, simpson or boole."""
+    rule = BUILTIN_RULES.get(name)
     if rule is None:
-        known = ", ".join(sorted(_BUILTIN_RULES) + sorted(_custom_rules))
+        known = ", ".join(sorted(BUILTIN_RULES))
         raise ValueError(f"unknown quadrature rule {name!r} (known: {known})")
     return rule
-
-
-def register_rule(
-    name: str, pairs, degree_of_exactness: int = 0
-) -> QuadratureRule:
-    """Validate and register a custom rule from (node, weight) pairs.
-
-    The invariants (nodes ascending in [0,1], weights summing to 1, the
-    declared exactness holding on monomials) are enforced at registration;
-    note that the implicit step is time-symmetric only for rules whose
-    nodes are symmetric about 1/2 with palindromic weights.  Registering
-    the same rule again is a no-op; a different rule under a taken name is
-    refused, since scenarios refer to rules by name.
-    """
-    if name in _BUILTIN_RULES:
-        raise ValueError(f"cannot shadow built-in rule {name!r}")
-    nodes, weights = zip(*((float(c), float(w)) for c, w in pairs))
-    rule = QuadratureRule(name, nodes, weights, int(degree_of_exactness))
-    if _custom_rules.setdefault(name, rule) != rule:
-        raise ValueError(f"rule {name!r} is already registered with other values")
-    return _custom_rules[name]
 
 
 def weighted_gradient(

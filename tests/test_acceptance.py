@@ -225,7 +225,7 @@ def test_criterion_6_convergence_orders():
     href = math.pi / 1280
     slopes = {}
     for method in ("bdli", "boris", "rk4"):
-        scn = replace(base, method=method, rule=None)
+        scn = replace(base, method=method)
         slopes[method] = convergence_study(scn, hs, href).slope
     ok = (1.9 <= slopes["bdli"] <= 2.1 and 1.9 <= slopes["boris"] <= 2.1
           and 3.8 <= slopes["rk4"] <= 4.2)
@@ -416,7 +416,7 @@ def test_evidence_magnetized_regime_orders(magnetized_scenario):
     href = math.pi / 1280
     slopes = {}
     for method in ("bdli", "boris", "rk4"):
-        scn = replace(base, method=method, rule=None)
+        scn = replace(base, method=method)
         slopes[method] = convergence_study(scn, hs, href).slope
     assert 1.9 <= slopes["bdli"] <= 2.1
     assert 1.9 <= slopes["boris"] <= 2.1

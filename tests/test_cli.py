@@ -56,6 +56,19 @@ def test_run_rule_flag_retargets_dli(tmp_path, capsys):
     assert "method = dli:simpson" in capsys.readouterr().out
 
 
+def test_run_rule_flag_must_agree_with_method_flag(tmp_path, capsys):
+    out = str(tmp_path / "s.csv")
+    rc = main(["run", "banana", "--steps", "5", "--method", "boris",
+               "--rule", "simpson", "--out", out])
+    assert rc == 2
+    assert "config error: rule: 'simpson' contradicts method 'boris'" in (
+        capsys.readouterr().err)
+    rc = main(["run", "banana", "--steps", "5", "--method", "bdli",
+               "--rule", "boole", "--out", out])
+    assert rc == 0
+    assert "method = bdli" in capsys.readouterr().out
+
+
 def test_run_h_and_tol_flags(tmp_path, capsys):
     rc = main(["run", "banana", "--steps", "30", "--h", "pi/20",
                "--tol", "1e-12", "--out", str(tmp_path / "h.csv")])
@@ -100,12 +113,18 @@ def test_broken_json_exit_2(tmp_path, capsys):
     ({"builtin": "banana", "stride": 2.7}, "stride"),
     ({"builtin": "banana", "stride": True}, "stride"),
     ({"builtin": "banana", "solver": {"max_iterations": 1.5}}, "solver"),
+    ({"builtin": "banana", "method": "boris", "rule": "simpson"}, "rule"),
+    ({"builtin": "banana",
+      "rule": {"name": "np", "pairs": [[0, 0.25], [1, 0.75]], "degree": 0}},
+     "rule"),
+    ({"builtin": "banana", "method": "dli:w2"}, "method"),
 ], ids=["n_steps-0", "solver-3", "solver-predictor", "n_steps-abc",
         "stride-x", "mass-x", "mass-negative", "h-pi/0", "x0-string",
         "field-unknown-param", "field-safety-factor-0", "x0-nan", "v0-inf",
         "charge-nan", "h-401-digits", "field-B0-401-digits", "rule-pairs-int",
         "rule-name-int", "n_steps-1.5", "stride-2.7", "stride-true",
-        "solver-max_iterations-1.5"])
+        "solver-max_iterations-1.5", "rule-vs-method-boris",
+        "rule-not-palindromic", "method-undefined-rule"])
 def test_invalid_scenario_exit_2(tmp_path, capsys, doc, key):
     assert main(["run", write(tmp_path, doc)]) == 2
     assert f"config error: {key}:" in capsys.readouterr().err

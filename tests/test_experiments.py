@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bdli
-from bdli import fields, quadrature
+from bdli import fields
 from bdli import (
     ConfigError,
     Scenario,
@@ -35,7 +35,7 @@ def test_builtin_drift2d():
     assert s.h == pytest.approx(math.pi / 10, abs=0.0)
     assert s.h_expr == "pi/10"
     assert s.n_steps == 50_000
-    assert s.method == "bdli" and s.rule == "boole"
+    assert s.method == "bdli" and s.rule is None
 
 
 def test_builtin_banana_and_transit():
@@ -92,11 +92,21 @@ def test_scenario_invariants():
         replace(builtin_scenario("banana"), rule="simpson")
 
 
-def test_scenario_rule_normalization():
-    s = replace(builtin_scenario("banana"), method="boris", rule=None)
-    assert s.rule is None
-    s2 = replace(builtin_scenario("banana"), method="dli:simpson", rule=None)
-    assert s2.rule == "simpson"
+W2 = bdli.QuadratureRule("w2", (0.0, 1.0), (0.5, 0.5), 1)
+
+
+def test_scenario_rule_is_data_not_selector():
+    base = replace(builtin_scenario("banana"), n_steps=3)
+    assert replace(base, method="dli:simpson").stepper == "dli:simpson"
+    own = replace(base, method="dli:w2", rule=W2)
+    assert own.stepper is W2
+    # a method that does not name the rule runs without it, and keeps it
+    boris = replace(own, method="boris")
+    assert boris.rule is W2 and boris.stepper == "boris"
+    assert np.array_equal(boris.run_trajectory().states,
+                          replace(base, method="boris").run_trajectory().states)
+    with pytest.raises(ConfigError, match="method: unknown quadrature rule 'w2'"):
+        replace(base, method="dli:w2")
 
 
 # --- config files ---------------------------------------------------------------
@@ -131,7 +141,7 @@ def test_load_config_method_rule(tmp_path):
     p = write_config(tmp_path, {"builtin": "drift2d", "method": "dli:simpson"})
     s = load_config(p)
     assert s.method == "dli:simpson"
-    assert s.rule == "simpson"
+    assert s.rule is None and s.stepper == "dli:simpson"
 
 
 def test_load_config_full_scenario(tmp_path):
@@ -176,8 +186,8 @@ def test_load_config_inline_custom_rule(tmp_path):
     }
     s = load_config(write_config(tmp_path, doc))
     assert s.method == "dli:cfg_weighted4"
-    assert s.rule == "cfg_weighted4"
-    # the registered rule drives a working integration
+    assert s.rule.name == "cfg_weighted4" and s.stepper is s.rule
+    # the scenario's own rule drives a working integration
     traj = s.run_trajectory()
     assert len(traj) == 6
 
@@ -186,13 +196,82 @@ def test_custom_rule_roundtrips_through_config(tmp_path):
     doc = {"builtin": "banana", "n_steps": 5,
            "rule": {"name": "w2", "pairs": [[0, 0.5], [1, 0.5]], "degree": 1}}
     scn = load_config(write_config(tmp_path, doc))
+    assert scn.rule == W2
     p = write_config(tmp_path, scenario_to_config(scn), "rt.json")
-    # a fresh process knows only the rules its config defines
-    rule = quadrature._custom_rules.pop("w2")
-    try:
-        assert load_config(p) == scn
-    finally:
-        quadrature._custom_rules["w2"] = rule
+    assert load_config(p) == scn
+
+
+@pytest.mark.parametrize("doc,method", [
+    ({"builtin": "banana", "rule": "simpson"}, "dli:simpson"),
+    ({"builtin": "banana", "method": "dli:simpson", "rule": "simpson"},
+     "dli:simpson"),
+    ({"builtin": "banana", "method": "bdli", "rule": "boole"}, "bdli"),
+    ({"builtin": "banana", "rule": None}, "bdli"),
+    ({"name": "full", "field": "uniform", "x0": [0, 0, 0], "v0": [0.1, 0, 0],
+      "h": 0.1, "n_steps": 2, "rule": "simpson"}, "dli:simpson"),
+])
+def test_rule_key_sets_the_method(doc, method):
+    assert _scenario_from_dict(doc, "doc").method == method
+
+
+@pytest.mark.parametrize("doc", [
+    {"builtin": "banana", "method": "bdli", "rule": "simpson"},
+    {"builtin": "banana", "method": "dli:boole", "rule": {
+        "name": "w2", "pairs": [[0, 0.5], [1, 0.5]], "degree": 1}},
+    {"name": "full", "field": "uniform", "x0": [0, 0, 0], "v0": [0.1, 0, 0],
+     "h": 0.1, "n_steps": 2, "method": "rk4", "rule": "simpson"},
+])
+def test_rule_key_contradicting_method_is_refused(doc):
+    with pytest.raises(ConfigError, match="rule: .* contradicts method"):
+        _scenario_from_dict(doc, "doc")
+
+
+def _w2_doc(pairs, degree):
+    return {"name": "well", "field": {"name": "quartic_well",
+                                      "params": {"B": [0, 0, 1], "strength": 1}},
+            "x0": [1, 0, 0], "v0": [0.2, 0.2, 0.1], "h": 0.05, "n_steps": 100,
+            "rule": {"name": "w2", "pairs": pairs, "degree": degree}}
+
+
+TRAPEZOID_PAIRS = [[0, 0.5], [1, 0.5]]
+SIMPSON_PAIRS = [[0, 1 / 6], [0.5, 4 / 6], [1, 1 / 6]]
+
+
+def test_same_rule_name_in_two_configs(tmp_path):
+    # each config's w2 runs its own nodes, in one process, in either order
+    trap = _scenario_from_dict(_w2_doc(TRAPEZOID_PAIRS, 1), "trap")
+    simp = _scenario_from_dict(_w2_doc(SIMPSON_PAIRS, 3), "simp")
+    assert trap.method == simp.method == "dli:w2"
+    for scn, builtin in ((simp, "dli:simpson"), (trap, "dli:trapezoid")):
+        states = scn.run_trajectory().states
+        ref = replace(scn, method=builtin).run_trajectory().states
+        assert np.array_equal(states, ref)
+    err = {}
+    for label, scn in (("trap", trap), ("simp", simp)):
+        err[label] = run_scenario(scn, out=tmp_path / f"{label}.csv").max_abs_err_H
+    assert err["trap"] > 1e3 * err["simp"]
+
+
+def test_undefined_custom_rule_is_refused():
+    # refused before and after another config in the process defined w2
+    undefined = {"builtin": "banana", "method": "dli:w2"}
+    for define in (False, True):
+        if define:
+            _scenario_from_dict(_w2_doc(TRAPEZOID_PAIRS, 1), "w2")
+        with pytest.raises(ConfigError, match="method: unknown quadrature rule"):
+            _scenario_from_dict(undefined, "doc")
+
+
+def test_compare_runs_the_scenarios_own_rule(tmp_path):
+    doc = {**_w2_doc(TRAPEZOID_PAIRS, 1), "n_steps": 50}
+    scn = _scenario_from_dict(doc, "doc")
+    report = compare_methods(scn, ["dli:w2", "boris", "dli:trapezoid"],
+                             out_dir=tmp_path)
+    by_method = {s.method: s for s in report.summaries}
+    assert by_method["dli:w2"] == replace(
+        by_method["dli:trapezoid"], method="dli:w2",
+        series_path=str(tmp_path / "well_dli-w2_series.csv"))
+    assert by_method["boris"].mean_iters == 0.0
 
 
 def test_load_config_integral_float_counts(tmp_path):
@@ -255,14 +334,10 @@ def _config_documents():
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(_config_documents())
 def test_config_parser_raises_only_config_error(doc):
-    rules = dict(quadrature._custom_rules)
     try:
         scn = _scenario_from_dict(doc, "doc")
     except ConfigError:
         return
-    finally:  # leave no rule registered by the document behind
-        quadrature._custom_rules.clear()
-        quadrature._custom_rules.update(rules)
     # an accepted document holds finite numbers and integer counts
     numbers = (scn.mass, scn.charge, scn.h, *scn.x0, *scn.v0, scn.solver.tolerance)
     assert all(type(c) is float and math.isfinite(c) for c in numbers)

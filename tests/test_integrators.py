@@ -419,6 +419,20 @@ def test_integrate_monotone_time_and_shapes():
     assert np.all(traj.iterations == 0)  # explicit method
 
 
+def test_integrate_takes_method_text_or_a_rule():
+    scn = bdli.builtin_scenario("banana")
+    args = (scn.initial_state(), scn.h, 20, scn.solver)
+    text = integrate(scn.system(), "dli:simpson", *args)
+    rule = integrate(scn.system(), builtin_rule("simpson"), *args)
+    assert np.array_equal(text.states, rule.states)
+    assert np.array_equal(text.iterations, rule.iterations)
+    custom = QuadratureRule("w3", (0.0, 0.5, 1.0), (1 / 6, 4 / 6, 1 / 6), 3)
+    assert np.array_equal(integrate(scn.system(), custom, *args).states,
+                          text.states)
+    with pytest.raises(ValueError, match="unknown quadrature rule 'w3'"):
+        integrate(scn.system(), "dli:w3", *args)
+
+
 def test_integrate_unknown_method():
     sys = uniform_b_system()
     with pytest.raises(ValueError, match="unknown method"):

@@ -11,12 +11,10 @@ from bdli import (
     UniformField,
     builtin_rule,
     grad_energy,
-    register_rule,
     weighted_gradient,
 )
-from bdli.experiments import _scenario_from_dict, resolve_rule
+from bdli.experiments import _scenario_from_dict
 from bdli.fields import FieldModel
-from bdli.quadrature import _custom_rules
 
 RULES = ("trapezoid", "simpson", "boole")
 
@@ -78,38 +76,34 @@ def test_rule_validation():
         QuadratureRule("bad", (0.0, 1.5), (0.5, 0.5), 1)
 
 
-def test_register_custom_rule():
-    name = "milne_open"
-    _custom_rules.pop(name, None)
+def test_palindromic():
+    assert all(builtin_rule(name).palindromic for name in RULES)
+    # decimal thirds: 1/3 + 2/3 is 1 only to the exactness tolerance
+    thirds = QuadratureRule("thirds", (0.0, 0.3333333333333333, 0.6666666666666666,
+                                       1.0), (0.125, 0.375, 0.375, 0.125), 3)
+    assert thirds.palindromic
+    assert not QuadratureRule("skewed", (0.0, 1.0), (0.25, 0.75), 0).palindromic
+    assert not QuadratureRule("shifted", (0.0, 0.5), (0.5, 0.5), 0).palindromic
+
+
+def _inline(name, pairs, degree):
+    doc = {"builtin": "banana",
+           "rule": {"name": name, "pairs": pairs, "degree": degree}}
+    return _scenario_from_dict(doc, "doc")
+
+
+def test_inline_custom_rule_refusals():
     # open Newton-Cotes 3-point rule, degree of exactness 3
-    rule = register_rule(
-        name, [(0.25, 2 / 3), (0.5, -1 / 3), (0.75, 2 / 3)], degree_of_exactness=3
-    )
-    assert builtin_rule(name) is rule
-    with pytest.raises(ValueError, match="shadow"):
-        register_rule("boole", [(0.0, 0.5), (1.0, 0.5)], 1)
-    with pytest.raises(ValueError, match="misses monomial"):
-        register_rule("too_bold", [(0.0, 0.5), (1.0, 0.5)], 2)
-
-
-def test_register_rule_refuses_different_redefinition():
-    name = "redefined"
-    _custom_rules.pop(name, None)
-    trapezoid = [(0.0, 0.5), (1.0, 0.5)]
-    simpson = [(0.0, 1 / 6), (0.5, 4 / 6), (1.0, 1 / 6)]
-    rule = register_rule(name, trapezoid, 1)
-    scn = _scenario_from_dict(
-        {"builtin": "banana", "rule": {"name": name, "pairs": trapezoid,
-                                        "degree": 1}}, "doc")
-    assert register_rule(name, trapezoid, 1) is rule  # identical: allowed
-    with pytest.raises(ValueError, match="already registered"):
-        register_rule(name, simpson, 3)
-    with pytest.raises(ConfigError, match="already registered"):
-        _scenario_from_dict(
-            {"builtin": "banana", "rule": {"name": name, "pairs": simpson,
-                                            "degree": 3}}, "doc")
-    # the scenario built with the first rule still resolves to it
-    assert resolve_rule(scn.method) is rule
+    milne = [(0.25, 2 / 3), (0.5, -1 / 3), (0.75, 2 / 3)]
+    scn = _inline("milne_open", milne, 3)
+    assert scn.rule == QuadratureRule("milne_open", (0.25, 0.5, 0.75),
+                                      (2 / 3, -1 / 3, 2 / 3), 3)
+    with pytest.raises(ConfigError, match="rule: cannot shadow"):
+        _inline("boole", [(0.0, 0.5), (1.0, 0.5)], 1)
+    with pytest.raises(ConfigError, match="rule: .*misses monomial"):
+        _inline("too_bold", [(0.0, 0.5), (1.0, 0.5)], 2)
+    with pytest.raises(ConfigError, match="rule: .*weights sum"):
+        _inline("nan", [(0.0, math.nan), (1.0, math.nan)], 0)
 
 
 class QuadraticPotentialField(FieldModel):
