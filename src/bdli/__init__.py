@@ -43,14 +43,7 @@ from .fields import (
     UniformField,
     make_field,
 )
-from .hamiltonian import (
-    ChargedParticleSystem,
-    PhaseState,
-    energy,
-    grad_energy,
-    k_matrix,
-    vector_field,
-)
+from .hamiltonian import ChargedParticleSystem, PhaseState, energy
 from .integrators import (
     IntegrationError,
     NonConvergenceError,
@@ -59,13 +52,11 @@ from .integrators import (
     StepReport,
     Trajectory,
     boris_step,
-    dli_residual,
     dli_step,
     integrate,
     resolve_method,
     rk4_step,
 )
-from .linalg import Mat3, PhaseVec, Vec3, hat
-from .quadrature import QuadratureRule, builtin_rule, weighted_gradient
+from .quadrature import QuadratureRule, builtin_rule
 
 __version__ = "0.1.0"

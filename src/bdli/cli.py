@@ -72,7 +72,7 @@ def _load_scenario(arg: str) -> tuple[Scenario, dict]:
 def _apply_flags(scn: Scenario, args) -> Scenario:
     updates = {}
     if args.rule:
-        updates["method"] = _method_for_rule(args.method, args.rule)
+        updates["method"] = _method_for_rule(args.method, args.rule, scn.rule)
     elif args.method:
         updates["method"] = args.method
     if args.steps is not None:
@@ -80,7 +80,10 @@ def _apply_flags(scn: Scenario, args) -> Scenario:
     if args.h is not None:
         updates["h"], updates["h_expr"] = parse_step_size(args.h)
     if args.tol is not None:
-        updates["solver"] = replace(scn.solver, tolerance=args.tol)
+        try:
+            updates["solver"] = replace(scn.solver, tolerance=args.tol)
+        except ValueError as exc:
+            raise ConfigError(f"solver: {exc}") from None
     return replace(scn, **updates) if updates else scn
 
 
@@ -97,15 +100,21 @@ def _cmd_convergence(args) -> int:
     scn, doc = _load_scenario(args.scenario)
     scn = _apply_flags(scn, args)
     study = doc.get("study", {})
+    if not isinstance(study, dict):
+        raise ConfigError(f"study: expected an object, got {study!r}")
     unknown = set(study) - {"h_list", "reference_h"}
     if unknown:
         raise ConfigError(f"study: unknown key(s) {sorted(unknown)}")
     if "h_list" in study:
-        hs = [parse_step_size(h)[0] for h in study["h_list"]]
+        h_list = study["h_list"]
+        if not isinstance(h_list, list) or not h_list:
+            raise ConfigError(
+                f"study: h_list: expected a nonempty list, got {h_list!r}")
+        hs = [parse_step_size(h, "study: h_list")[0] for h in h_list]
     else:
         hs = [scn.h / 2**k for k in range(4)]
     if "reference_h" in study:
-        href = parse_step_size(study["reference_h"])[0]
+        href = parse_step_size(study["reference_h"], "study: reference_h")[0]
     else:
         href = min(hs) / 16
     try:
@@ -122,6 +131,8 @@ def _cmd_compare(args) -> int:
     scn, doc = _load_scenario(args.scenario)
     scn = _apply_flags(scn, args)
     methods = doc.get("methods", ["bdli", "boris"])
+    if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
+        raise ConfigError(f"methods: expected a list of method names, got {methods!r}")
     try:
         report = compare_methods(
             scn, methods, out_dir=args.out, relative_errors=args.relative_errors

@@ -54,14 +54,14 @@ _PI_EXPR = re.compile(
 )
 
 
-def parse_step_size(value) -> tuple[float, str | None]:
+def parse_step_size(value, key: str = "h") -> tuple[float, str | None]:
     """Expand a step size that may be a number or an expression like "pi/10".
 
     Returns the float value and the original expression (None when the
-    input was already numeric).
+    input was already numeric).  Errors name the config entry ``key``.
     """
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return _coerce("h", float, value), None
+        return _coerce(key, float, value), None
     if isinstance(value, str):
         s = value.strip().lower().replace(" ", "")
         m = _PI_EXPR.fullmatch(s)
@@ -70,14 +70,14 @@ def parse_step_size(value) -> tuple[float, str | None]:
             num = float(m.group(2)) if m.group(2) else 1.0
             den = float(m.group(3)) if m.group(3) else 1.0
             if den == 0.0:
-                raise ConfigError(f"h: division by zero in {value!r}")
+                raise ConfigError(f"{key}: division by zero in {value!r}")
             return sign * num * math.pi / den, value
         try:
             return float(s), value
         except ValueError:
             pass
     raise ConfigError(
-        f"h: expected a number or an expression like 'pi/10', got {value!r}"
+        f"{key}: expected a number or an expression like 'pi/10', got {value!r}"
     )
 
 
@@ -222,9 +222,15 @@ def _count(key: str, value) -> int:
     return _coerce(key, int, value)
 
 
-def _method_for_rule(method: str | None, name: str) -> str:
+def _method_for_rule(method: str | None, name: str,
+                     own: QuadratureRule | None = None) -> str:
     """The method a ``rule`` key or ``--rule`` flag sets: "dli:<name>" on its
-    own; next to a method, that method if it names the same rule."""
+    own; next to a method, that method if it names the same rule.  The rule
+    must be a built-in one or ``own``, the scenario's own rule."""
+    try:
+        resolve_method(f"dli:{name}", own)
+    except ValueError as exc:
+        raise ConfigError(f"rule: {exc}") from None
     if method is None:
         return f"dli:{name}"
     if method != f"dli:{name}" and (method, name) != ("bdli", "boole"):
@@ -299,7 +305,8 @@ def _scenario_from_dict(doc: dict, source: str) -> Scenario:
             name = updates["rule"].name
         else:
             name = str(rspec)
-        updates["method"] = _method_for_rule(updates.get("method"), name)
+        updates["method"] = _method_for_rule(
+            updates.get("method"), name, updates.get("rule"))
     if "solver" in doc:
         sspec = doc["solver"]
         if not isinstance(sspec, dict):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 
-from .linalg import as_vec3
+import numpy as np
 
 # Evaluation this close to a model's singular axis is refused outright;
 # the reference scenarios never come near it, and silent garbage from a
@@ -35,6 +35,20 @@ class FieldSingularityError(ValueError):
 
 class PotentialUnavailableError(ValueError):
     """Raised when a model is asked for a potential it does not provide."""
+
+
+def as_vec3(a) -> np.ndarray:
+    """Coerce to a finite float64 vector of shape (3,).
+
+    Raises ValueError on wrong shape or non-finite entries; this is the
+    gate through which external values enter the numeric kernels.
+    """
+    v = np.asarray(a, dtype=float)
+    if v.shape != (3,):
+        raise ValueError(f"expected a 3-vector, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"non-finite components in 3-vector: {v}")
+    return v
 
 
 class FieldModel(ABC):

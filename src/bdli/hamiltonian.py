@@ -11,8 +11,9 @@ skew-symmetric structure matrix
     K(z) = (     0        I/m      )
            (   -I/m   (q/m^2) B^(x) )
 
-where B^ is the hat map of B (see :func:`bdli.linalg.hat`).  Everything
-here is a pure function over immutable inputs.
+where B^ is the hat map of B, the skew matrix with B^ v = v x B.  The
+steppers apply K through its blocks and never build it.  Everything here
+is a pure function over immutable inputs.
 """
 
 from __future__ import annotations
@@ -21,22 +22,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import FieldModel
-from .linalg import PhaseVec, Vec3, as_vec3, hat
+from .fields import FieldModel, as_vec3
 
 
 @dataclass(frozen=True)
 class PhaseState:
     """Particle state: position x and velocity v."""
 
-    x: Vec3
-    v: Vec3
+    x: np.ndarray
+    v: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "x", as_vec3(self.x))
         object.__setattr__(self, "v", as_vec3(self.v))
 
-    def as_vector(self) -> PhaseVec:
+    def as_vector(self) -> np.ndarray:
         """Stacked 6-vector [x; v]."""
         return np.concatenate([self.x, self.v])
 
@@ -76,52 +76,3 @@ def energies(sys: ChargedParticleSystem, states) -> np.ndarray:
 def energy(sys: ChargedParticleSystem, z: PhaseState) -> float:
     """Total energy H = m v.v / 2 + q phi(x) of one state."""
     return float(energies(sys, z.as_vector()[None])[0])
-
-
-def grad_energy(sys: ChargedParticleSystem, z: PhaseState) -> PhaseVec:
-    """Phase-space gradient of H: [q grad phi(x); m v] = [-q E(x); m v].
-
-    Uses the analytic E rather than differentiating phi numerically, so
-    the gradient stays smooth for the implicit solver.
-    """
-    out = np.empty(6)
-    out[:3] = -sys.charge * np.array(sys.field.e_at(*z.x))
-    out[3:] = sys.mass * z.v
-    return out
-
-
-def k_matrix(sys: ChargedParticleSystem, x) -> np.ndarray:
-    """Dense 6x6 structure matrix K at position x (skew by construction).
-
-    Exposed for verification; the integrators apply the sparse blocks
-    directly instead of materializing this matrix.
-    """
-    x = as_vec3(x)
-    m = sys.mass
-    K = np.zeros((6, 6))
-    K[:3, 3:] = np.eye(3) / m
-    K[3:, :3] = -np.eye(3) / m
-    K[3:, 3:] = (sys.charge / m**2) * hat(sys.field.b_at(*x))
-    return K
-
-
-def vector_field(sys: ChargedParticleSystem, z: PhaseState) -> PhaseVec:
-    """Time derivative of z: (v, (q/m)(E + v x B)).
-
-    Identical to ``k_matrix(sys, z.x) @ grad_energy(sys, z)``, computed
-    without the dense product.
-    """
-    x, v = z.x, z.v
-    ex, ey, ez = sys.field.e_at(x[0], x[1], x[2])
-    bx, by, bz = sys.field.b_at(x[0], x[1], x[2])
-    qm = sys.charge / sys.mass
-    return np.array(
-        [
-            v[0],
-            v[1],
-            v[2],
-            qm * (ex + v[1] * bz - v[2] * by),
-            qm * (ey + v[2] * bx - v[0] * bz),
-            qm * (ez + v[0] * by - v[1] * bx),
-        ]
-    )

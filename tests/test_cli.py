@@ -69,10 +69,34 @@ def test_run_rule_flag_must_agree_with_method_flag(tmp_path, capsys):
     assert "method = bdli" in capsys.readouterr().out
 
 
+def test_run_rule_flag_names_a_known_rule(tmp_path, capsys):
+    out = str(tmp_path / "s.csv")
+    assert main(["run", "banana", "--steps", "5", "--rule", "gauss",
+                 "--out", out]) == 2
+    assert "config error: rule: unknown quadrature rule 'gauss'" in (
+        capsys.readouterr().err)
+    cfg = write(tmp_path, {
+        "builtin": "banana", "n_steps": 5,
+        "rule": {"name": "w2", "pairs": [[0, 0.5], [1, 0.5]], "degree": 1},
+    })
+    assert main(["run", cfg, "--rule", "w2", "--out", out]) == 0
+    assert "method = dli:w2" in capsys.readouterr().out
+
+
 def test_run_h_and_tol_flags(tmp_path, capsys):
     rc = main(["run", "banana", "--steps", "30", "--h", "pi/20",
                "--tol", "1e-12", "--out", str(tmp_path / "h.csv")])
     assert rc == 0
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "inf", "nan"])
+def test_tol_flag_out_of_range_exit_2(tmp_path, capsys, tol):
+    for command in ("run", "convergence", "compare"):
+        rc = main([command, "banana", "--steps", "5", "--tol", tol,
+                   "--out", str(tmp_path / command)])
+        assert rc == 2
+        assert "config error: solver: tolerance must be positive" in (
+            capsys.readouterr().err)
 
 
 def test_unknown_scenario_exit_2(capsys):
@@ -118,13 +142,14 @@ def test_broken_json_exit_2(tmp_path, capsys):
       "rule": {"name": "np", "pairs": [[0, 0.25], [1, 0.75]], "degree": 0}},
      "rule"),
     ({"builtin": "banana", "method": "dli:w2"}, "method"),
+    ({"builtin": "banana", "rule": "gauss"}, "rule"),
 ], ids=["n_steps-0", "solver-3", "solver-predictor", "n_steps-abc",
         "stride-x", "mass-x", "mass-negative", "h-pi/0", "x0-string",
         "field-unknown-param", "field-safety-factor-0", "x0-nan", "v0-inf",
         "charge-nan", "h-401-digits", "field-B0-401-digits", "rule-pairs-int",
         "rule-name-int", "n_steps-1.5", "stride-2.7", "stride-true",
         "solver-max_iterations-1.5", "rule-vs-method-boris",
-        "rule-not-palindromic", "method-undefined-rule"])
+        "rule-not-palindromic", "method-undefined-rule", "rule-unknown-name"])
 def test_invalid_scenario_exit_2(tmp_path, capsys, doc, key):
     assert main(["run", write(tmp_path, doc)]) == 2
     assert f"config error: {key}:" in capsys.readouterr().err
@@ -249,6 +274,26 @@ def test_compare_rejects_single_method(tmp_path):
     cfg = write(tmp_path, {"builtin": "banana", "n_steps": 10,
                            "methods": ["bdli"]})
     assert main(["compare", cfg]) == 2
+
+
+@pytest.mark.parametrize("command,doc,key", [
+    ("convergence", {"study": {"h_list": 5}}, "study"),
+    ("convergence", {"study": {"h_list": []}}, "study"),
+    ("convergence", {"study": {"h_list": [None]}}, "study"),
+    ("convergence", {"study": {"reference_h": [1]}}, "study"),
+    ("convergence", {"study": [1]}, "study"),
+    ("convergence", {"study": None}, "study"),
+    ("compare", {"methods": [1, 2]}, "methods"),
+    ("compare", {"methods": "bdli"}, "methods"),
+    ("compare", {"methods": None}, "methods"),
+    ("compare", {"methods": {"bdli": 1, "boris": 2}}, "methods"),
+], ids=["h_list-int", "h_list-empty", "h_list-null", "reference_h-list",
+        "study-list", "study-null", "methods-ints", "methods-string",
+        "methods-null", "methods-object"])
+def test_malformed_study_or_methods_exit_2(tmp_path, capsys, command, doc, key):
+    cfg = write(tmp_path, {"builtin": "banana", "n_steps": 16, **doc})
+    assert main([command, cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: {key}:" in capsys.readouterr().err
 
 
 def test_relative_errors_flag(tmp_path):

@@ -125,7 +125,7 @@ def test_error_series_relative_flag(banana_bdli):
     sys, traj = banana_bdli
     _, abs_e = error_series(sys, traj, "H")
     _, rel_e = error_series(sys, traj, "H", relative=True)
-    H0 = bdli.energy(sys, traj.initial)
+    H0 = bdli.energy(sys, PhaseState.from_vector(traj.states[0]))
     assert rel_e == pytest.approx(abs_e / abs(H0), rel=1e-12)
 
 
@@ -139,7 +139,7 @@ def test_energy_error_per_step_polynomial_field(banana_bdli):
     sys, traj = banana_bdli
     _, e = error_series(sys, traj, "H")
     tol = 1e-14
-    H0 = abs(bdli.energy(sys, traj.initial))
+    H0 = abs(bdli.energy(sys, PhaseState.from_vector(traj.states[0])))
     assert np.abs(np.diff(e)).max() <= 100 * tol * (1 + H0)
 
 

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import bdli
 from bdli import (
     ChargedParticleSystem,
     CylindricalDriftField,
@@ -12,10 +11,8 @@ from bdli import (
     TokamakField,
     UniformField,
     energy,
-    grad_energy,
-    k_matrix,
-    vector_field,
 )
+from oracles import grad_energy, hat, k_matrix, vector_field
 
 
 @pytest.fixture
@@ -83,7 +80,7 @@ def test_k_matrix_blocks():
     K = k_matrix(sys, (0.3, 0.2, 0.1))
     assert np.array_equal(K[:3, 3:], np.eye(3))
     assert np.array_equal(K[3:, :3], -np.eye(3))
-    assert np.array_equal(K[3:, 3:], bdli.hat([0.0, 0.0, 0.1]))
+    assert np.array_equal(K[3:, 3:], hat([0.0, 0.0, 0.1]))
     assert np.array_equal(K[:3, :3], np.zeros((3, 3)))
 
     sys2 = ChargedParticleSystem(2.0, 0.0, UniformField(B=(0.0, 0.0, 0.1)))

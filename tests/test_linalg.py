@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bdli.linalg import as_vec3, hat
+from bdli.fields import as_vec3
+from oracles import hat
 
 
 def test_hat_layout():
