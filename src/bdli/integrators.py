@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +69,7 @@ class SolverOptions:
             raise ValueError("max_iterations must be >= 1")
 
 
-@dataclass(frozen=True)
-class StepReport:
+class StepReport(NamedTuple):
     """Outcome of one implicit step; ``state`` is the next row (6-tuple)."""
 
     state: tuple
@@ -150,7 +150,7 @@ def dli_step(
     fld = sys.field
     e_at, b_at = fld.e_at, fld.b_at
     no_e = fld.zero_electric
-    nodes, weights = rule.nodes, rule.weights
+    w0, pairs = rule.zero_node_split
     s = rule.first_moment
     r = 1.0 - s
     k = h * sys.charge / sys.mass
@@ -164,10 +164,12 @@ def dli_step(
     # successive z-iterates differ in x by h*s times the v difference
     dz_factor = max(1.0, abs(h) * s)
 
-    if no_e:
-        e0x = e0y = e0z = 0.0
-    else:
+    # the c = 0 term of the E sum does not move with the iterate; each
+    # iterate's sum starts from it, in the rule's node order
+    s0x = s0y = s0z = 0.0
+    if w0 is not None and not no_e:
         e0x, e0y, e0z = e_at(x0x, x0y, x0z)
+        s0x, s0y, s0z = s0x + w0 * e0x, s0y + w0 * e0y, s0z + w0 * e0z
 
     vx, vy, vz = v0x, v0y, v0z
     converged = False
@@ -180,13 +182,10 @@ def dli_step(
         avz = r * v0z + s * vz
         dxx, dxy, dxz = h * avx, h * avy, h * avz
 
-        sex = sey = sez = 0.0
+        sex, sey, sez = s0x, s0y, s0z
         if not no_e:
-            for c, w in zip(nodes, weights):
-                if c == 0.0:
-                    ex, ey, ez = e0x, e0y, e0z
-                else:
-                    ex, ey, ez = e_at(x0x + c * dxx, x0y + c * dxy, x0z + c * dxz)
+            for c, w in pairs:
+                ex, ey, ez = e_at(x0x + c * dxx, x0y + c * dxy, x0z + c * dxz)
                 sex += w * ex
                 sey += w * ey
                 sez += w * ez

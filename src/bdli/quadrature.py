@@ -60,6 +60,16 @@ class QuadratureRule:
         once per rule, since every DLI step reads it."""
         return float(sum(w * c for c, w in zip(self.nodes, self.weights)))
 
+    @cached_property
+    def zero_node_split(self) -> tuple[float | None, tuple[tuple[float, float], ...]]:
+        """``(w0, pairs)``: the weight of the node c = 0 (None if the rule
+        has none) and the other ``(c, w)`` pairs in order.  Nodes ascend, so
+        c = 0 can only be first; the DLI step evaluates it once per step."""
+        pairs = tuple(zip(self.nodes, self.weights))
+        if pairs[0][0] == 0.0:
+            return pairs[0][1], pairs[1:]
+        return None, pairs
+
     @property
     def palindromic(self) -> bool:
         """Nodes symmetric about 1/2 and weights the same backwards (to the

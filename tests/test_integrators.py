@@ -130,6 +130,28 @@ def test_step_h_zero_is_identity():
     assert np.array_equal(PhaseState.from_vector(rep.state).as_vector(), z0.as_vector())
 
 
+def test_step_samples_only_the_rules_nodes():
+    # two-point Gauss has no node at c = 0: each iterate evaluates E at its
+    # two nodes, and the step never evaluates E at x0
+    g = math.sqrt(3.0) / 6.0
+    gauss2 = QuadratureRule("gauss2", (0.5 - g, 0.5 + g), (0.5, 0.5), 3)
+    points = []
+
+    class Counted(CylindricalDriftField):
+        def e_at(self, x, y, z):
+            points.append((x, y, z))
+            return super().e_at(x, y, z)
+
+    sys = ChargedParticleSystem(1.0, 1.0, Counted())
+    z0 = (0.0, 1.0, 0.0, 0.1, 0.01, 0.0)
+    for rule, per_iterate, at_x0 in ((gauss2, 2, 0), (BOOLE, 4, 1)):
+        points.clear()
+        rep = dli_step(sys, rule, z0, 0.1, TOL)
+        assert rep.converged
+        assert len(points) == per_iterate * rep.iterations + at_x0
+        assert points.count(z0[:3]) == at_x0
+
+
 def test_step_uniform_field_conserves_speed_and_energy():
     sys = uniform_b_system()
     z = PhaseState((0.0, 0.0, 0.0), (0.7, -0.2, 0.1))
