@@ -28,6 +28,14 @@ to resolve how B and E move along the segment, not the gyration itself.
 The fixed point, and hence the scheme, is the same as for a plain Picard
 iteration of the update.
 
+``integrate`` starts each step's iteration from the quadratic extrapolation
+v_start = 3 (v_k - v_{k-1}) + v_{k-2} of the last three accepted velocities
+(a starting approximation in the sense of Hairer, Lubich and Wanner,
+Geometric Numerical Integration, Sec. VIII.6.1), which leaves one correcting
+and one confirming iterate on fine steps; the first two steps, and any
+``dli_step`` call without a start, begin from v0.  Only the iterate path
+changes: the stopping test and the fixed point are the same.
+
 The step kernels ``dli_step``, ``boris_step`` and ``rk4_step`` map a row
 ``(x, y, z, vx, vy, vz)`` to the next row as a 6-tuple of floats, which
 ``integrate`` stores directly; ``PhaseState`` is only the boundary type.
@@ -135,13 +143,16 @@ def dli_step(
     z0,
     h: float,
     opts: SolverOptions | None = None,
+    v_start: tuple | None = None,
 ) -> StepReport:
     """One implicit DLI step of size h from the row z0 (h may have either sign).
 
     ``z0`` is ``(x, y, z, vx, vy, vz)`` and the report's ``state`` the next
     row as a 6-tuple.  Fixed-point iteration with the exact rotation of
-    the module docstring, from v1 = v0: the first iterate takes B at the
-    half-drifted point x0 + (h/2) v0, as the Boris push does.
+    the module docstring, from ``v_start`` if given, else from v1 = v0 (the
+    first iterate then takes B at the half-drifted point x0 + (h/2) v0, as
+    the Boris push does).  If the iteration from ``v_start`` fails, it is
+    rerun once from v0; ``iterations`` counts the iterates of both runs.
     Non-convergence is reported through the ``converged`` flag, never
     papered over, because the conservation properties are meaningless on
     unconverged steps.
@@ -171,47 +182,59 @@ def dli_step(
         e0x, e0y, e0z = e_at(x0x, x0y, x0z)
         s0x, s0y, s0z = s0x + w0 * e0x, s0y + w0 * e0y, s0z + w0 * e0z
 
-    vx, vy, vz = v0x, v0y, v0z
-    converged = False
-    residual = math.inf
+    # an extrapolated start that fails (no convergence, a non-finite iterate
+    # or a singular field sample) is retried once from v0, so a start can
+    # only remove failures, never add them
+    starts = [(v0x, v0y, v0z)] if v_start is None else [v_start, (v0x, v0y, v0z)]
     iterations = 0
-    for iterations in range(1, opts.max_iterations + 1):
-        # velocity average entering both K blocks and the gradient sum
-        avx = r * v0x + s * vx
-        avy = r * v0y + s * vy
-        avz = r * v0z + s * vz
-        dxx, dxy, dxz = h * avx, h * avy, h * avz
+    for attempt, (vx, vy, vz) in enumerate(starts, 1):
+        converged = False
+        residual = math.inf
+        try:
+            for n in range(1, opts.max_iterations + 1):
+                # velocity average entering both K blocks and the gradient sum
+                avx = r * v0x + s * vx
+                avy = r * v0y + s * vy
+                avz = r * v0z + s * vz
+                dxx, dxy, dxz = h * avx, h * avy, h * avz
 
-        sex, sey, sez = s0x, s0y, s0z
-        if not no_e:
-            for c, w in pairs:
-                ex, ey, ez = e_at(x0x + c * dxx, x0y + c * dxy, x0z + c * dxz)
-                sex += w * ex
-                sey += w * ey
-                sez += w * ez
+                sex, sey, sez = s0x, s0y, s0z
+                if not no_e:
+                    for c, w in pairs:
+                        ex, ey, ez = e_at(
+                            x0x + c * dxx, x0y + c * dxy, x0z + c * dxz)
+                        sex += w * ex
+                        sey += w * ey
+                        sez += w * ez
 
-        bx, by, bz = b_at(x0x + 0.5 * dxx, x0y + 0.5 * dxy, x0z + 0.5 * dxz)
-        # v = a + v x t with a = v0 + k sE + k r v0 x B and t = k s B,
-        # solved exactly: v = (a + a x t + (a.t) t) / (1 + t.t)
-        ax = v0x + k * sex + kr * (v0y * bz - v0z * by)
-        ay = v0y + k * sey + kr * (v0z * bx - v0x * bz)
-        az = v0z + k * sez + kr * (v0x * by - v0y * bx)
-        tx, ty, tz = ks * bx, ks * by, ks * bz
-        at = ax * tx + ay * ty + az * tz
-        d = 1.0 + tx * tx + ty * ty + tz * tz
-        nvx = (ax + (ay * tz - az * ty) + at * tx) / d
-        nvy = (ay + (az * tx - ax * tz) + at * ty) / d
-        nvz = (az + (ax * ty - ay * tx) + at * tz) / d
+                bx, by, bz = b_at(x0x + 0.5 * dxx, x0y + 0.5 * dxy, x0z + 0.5 * dxz)
+                # v = a + v x t with a = v0 + k sE + k r v0 x B and t = k s B,
+                # solved exactly: v = (a + a x t + (a.t) t) / (1 + t.t)
+                ax = v0x + k * sex + kr * (v0y * bz - v0z * by)
+                ay = v0y + k * sey + kr * (v0z * bx - v0x * bz)
+                az = v0z + k * sez + kr * (v0x * by - v0y * bx)
+                tx, ty, tz = ks * bx, ks * by, ks * bz
+                at = ax * tx + ay * ty + az * tz
+                d = 1.0 + tx * tx + ty * ty + tz * tz
+                nvx = (ax + (ay * tz - az * ty) + at * tx) / d
+                nvy = (ay + (az * tx - ax * tz) + at * ty) / d
+                nvz = (az + (ax * ty - ay * tx) + at * tz) / d
 
-        delta = max(abs(nvx - vx), abs(nvy - vy), abs(nvz - vz))
-        if not math.isfinite(delta):
-            # diverged; keep the last finite iterate so the report stays usable
-            residual = math.inf
-            break
-        vx, vy, vz = nvx, nvy, nvz
-        residual = delta * dz_factor
-        if residual <= scale:
-            converged = True
+                delta = max(abs(nvx - vx), abs(nvy - vy), abs(nvz - vz))
+                if not math.isfinite(delta):
+                    # diverged; keep the last finite iterate for the report
+                    residual = math.inf
+                    break
+                vx, vy, vz = nvx, nvy, nvz
+                residual = delta * dz_factor
+                if residual <= scale:
+                    converged = True
+                    break
+        except FieldSingularityError:
+            if attempt == len(starts):
+                raise
+        iterations += n
+        if converged:
             break
 
     avx = r * v0x + s * vx
@@ -346,6 +369,7 @@ def integrate(
     iters = np.zeros(n_steps, dtype=int)
     states[0] = z0.as_vector()
     z = tuple(states[0].tolist())
+    z1 = z2 = None  # the two accepted rows before z, newest first
 
     def partial(k: int) -> Trajectory:
         return Trajectory(h, states[: k + 1].copy(), iters[:k].copy())
@@ -353,13 +377,18 @@ def integrate(
     for k in range(n_steps):
         try:
             if rule is not None:
-                rep = dli_step(sys, rule, z, h, opts)
+                v_start = None
+                if z2 is not None:  # quadratic extrapolation of v
+                    v_start = (3.0 * (z[3] - z1[3]) + z2[3],
+                               3.0 * (z[4] - z1[4]) + z2[4],
+                               3.0 * (z[5] - z1[5]) + z2[5])
+                rep = dli_step(sys, rule, z, h, opts, v_start)
                 if not rep.converged:
                     raise NonConvergenceError(
                         f"{method}: fixed-point solver did not converge at step "
                         f"{k} (residual {rep.residual_norm:.3e} after "
                         f"{rep.iterations} iterations)", k, partial(k))
-                z = rep.state
+                z2, z1, z = z1, z, rep.state
                 iters[k] = rep.iterations
             else:
                 z = step(sys, z, h)

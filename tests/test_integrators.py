@@ -321,6 +321,36 @@ def test_property_speed_preserved_without_E(start, rule, h):
     assert abs(speed1 - speed0) <= 8 * math.ulp(speed0)
 
 
+_offset = st.tuples(_unit, _unit, _unit, st.floats(-12.0, 0.0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_starts(), st.sampled_from(RULES), _h, _offset)
+def test_property_start_does_not_move_the_step(start, rule, h, offset):
+    # a start near the answer (as the extrapolation in integrate gives) or
+    # far from it reaches the same fixed point, and a start whose iteration
+    # overflows falls back to v0 and returns the unstarted step's state
+    sys, z0 = start
+    ref = dli_step(sys, rule, z0, h, TOL)
+    assert ref.converged
+    size = 10.0 ** offset[3]
+    v_start = tuple(v + size * d for v, d in zip(ref.state[3:], offset[:3]))
+    rep = dli_step(sys, rule, z0, h, TOL, v_start)
+    assert rep.converged
+    assert np.abs(np.subtract(rep.state, ref.state)).max() <= 10.0 * _scale(z0)
+    far = dli_step(sys, rule, z0, h, TOL, (1e200, 0.0, 0.0))
+    assert far.converged and far.state == ref.state
+
+
+def test_bdli_drift2d_fine_step_iteration_count():
+    # at h = pi/1280 the extrapolated start leaves ~2.2 iterations per step
+    # (one correction and one confirmation); from v0 it takes ~3.1
+    scn = bdli.builtin_scenario("drift2d")
+    traj = integrate(scn.system(), "bdli", scn.initial_state(), math.pi / 1280,
+                     2000, scn.solver)
+    assert traj.iterations.mean() <= 2.5
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonconvergence_is_reported():
     sys = ChargedParticleSystem(1.0, 1.0, QuarticWellField(strength=50.0))
@@ -504,13 +534,13 @@ def test_integrate_nonfinite_state_aborts_with_partial(method):
 # above are what such a change must keep.
 STATE_DIGESTS = {
     ("banana", "bdli"):
-        "75833727b97449d581d411809b6cdc0dd36494beb6da3c94494fcc88ac2759a3",
+        "69b8b26c0974316694f22e9d4cc6512f2c913559c54c44ffe1d876729853bec8",
     ("banana", "boris"):
         "552502fb8e8944b04639b549718a20f70b9e9ed1381f7fa6a9e0d085774175ee",
     ("banana", "rk4"):
         "88c2bf5bed5feb6e77901c38e444c09b9637b84780058b96f65a9d248d3efdc2",
     ("drift2d", "bdli"):
-        "7072d256f0abd0203fef60d8274df9a4db879ea85a47b3cbcfb16961e84cf558",
+        "1b0671e71474ee8b4e94170d176ca61e4c517f0b9c27fdcae559c9f94d99d997",
 }
 
 
@@ -525,8 +555,8 @@ def test_step_kernels_bitwise_pinned(name, method):
 
 def test_bdli_banana_iteration_count():
     # the exact rotation leaves only the drift of B along the segment to the
-    # iteration: ~3.9 iterations per step, against 13 for a Picard iteration
-    # that treats v x B explicitly
+    # iteration: ~3.6 iterations per step (3.9 without the extrapolated
+    # start), against 13 for a Picard iteration that treats v x B explicitly
     scn = bdli.builtin_scenario("banana")
     traj = integrate(scn.system(), "bdli", scn.initial_state(), scn.h, 500,
                      scn.solver)
