@@ -87,9 +87,20 @@ def _apply_flags(scn: Scenario, args) -> Scenario:
     return replace(scn, **updates) if updates else scn
 
 
+def _refuse_directory(key: str, path: str | None):
+    """An output file path must not name a directory; checked before any
+    integration, so a long run is not lost at the write."""
+    if path and Path(path).is_dir():
+        raise ConfigError(f"{key}: {path!r} is a directory, expected a file path")
+
+
 def _cmd_run(args) -> int:
     scn, _ = _load_scenario(args.scenario)
     scn = _apply_flags(scn, args)
+    if args.out:
+        _refuse_directory("out", args.out)
+    else:
+        _refuse_directory("output", scn.output)
     summary = run_scenario(scn, out=args.out, relative_errors=args.relative_errors)
     sys.stdout.write(summary.as_text())
     sys.stdout.write(f"series written to {summary.series_path}\n")
@@ -99,6 +110,7 @@ def _cmd_run(args) -> int:
 def _cmd_convergence(args) -> int:
     scn, doc = _load_scenario(args.scenario)
     scn = _apply_flags(scn, args)
+    _refuse_directory("out", args.out)
     study = doc.get("study", {})
     if not isinstance(study, dict):
         raise ConfigError(f"study: expected an object, got {study!r}")
@@ -120,7 +132,7 @@ def _cmd_convergence(args) -> int:
     try:
         result = convergence_study(scn, hs, href)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"study: {exc}") from None
     sys.stdout.write(result.as_text())
     if args.out:
         Path(args.out).write_text(result.as_text())

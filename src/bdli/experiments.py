@@ -534,19 +534,25 @@ def convergence_study(
 
     Every h (and the reference) must divide the scenario's total time to
     within round-off; the reference step must be the finest.  The reported
-    slope is the least-squares fit of log(error) against log(h).
+    slope is the least-squares fit of log(error) against log(h).  Errors
+    start with the argument they refer to, ``h_list`` or ``reference_h``.
     """
     T = scn.total_time
     hs = [float(h) for h in h_list]
     if not hs:
-        raise ValueError("h_list must be nonempty")
-    if not reference_h < min(abs(h) for h in hs):
-        raise ValueError("reference_h must be finer than every h in h_list")
+        raise ValueError("h_list: must be nonempty")
+    if not all(hs):
+        raise ValueError(f"h_list: steps must be nonzero, got {hs}")
+    if not 0.0 < abs(reference_h) < min(abs(h) for h in hs):
+        raise ValueError(
+            f"reference_h: {reference_h!r} must be nonzero and finer than "
+            "every h in h_list")
     steps = []
-    for h in [*hs, reference_h]:
+    for key, h in [*(("h_list", h) for h in hs), ("reference_h", reference_h)]:
         n = round(T / h)
         if n < 1 or abs(n * h - T) > 1e-9 * abs(T):
-            raise ValueError(f"step {h!r} does not divide the total time {T!r}")
+            raise ValueError(
+                f"{key}: step {h!r} does not divide the total time {T!r}")
         steps.append(n)
     ref = _endpoint(scn, reference_h, steps[-1])
     rows = []
@@ -587,11 +593,18 @@ def compare_methods(
     """Run several methods on one scenario and collect their summaries.
 
     Each method writes its own series file (method name mangled into the
-    file name); a combined table file is written next to them.
+    file name); a combined table file is written next to them.  Every
+    method is checked before the first one runs; errors start with
+    ``methods``.
     """
     methods = list(methods)
     if len(methods) < 2:
-        raise ValueError("compare_methods needs at least two methods")
+        raise ValueError(f"methods: need at least two methods, got {methods}")
+    for method in methods:
+        try:
+            resolve_method(method, scn.rule)
+        except ValueError as exc:
+            raise ValueError(f"methods: {exc}") from None
     base = Path(out_dir) if out_dir else Path(".")
     base.mkdir(parents=True, exist_ok=True)
     summaries = []

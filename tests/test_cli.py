@@ -287,13 +287,42 @@ def test_compare_rejects_single_method(tmp_path):
     ("compare", {"methods": "bdli"}, "methods"),
     ("compare", {"methods": None}, "methods"),
     ("compare", {"methods": {"bdli": 1, "boris": 2}}, "methods"),
+    ("convergence", {"study": {"h_list": [0]}}, "study: h_list"),
+    ("convergence", {"study": {"reference_h": 0}}, "study: reference_h"),
+    ("compare", {"methods": ["bdli"]}, "methods"),
+    ("compare", {"methods": ["bdli", "gauss"]}, "methods"),
 ], ids=["h_list-int", "h_list-empty", "h_list-null", "reference_h-list",
         "study-list", "study-null", "methods-ints", "methods-string",
-        "methods-null", "methods-object"])
+        "methods-null", "methods-object", "h_list-zero", "reference_h-zero",
+        "methods-one", "methods-unknown"])
 def test_malformed_study_or_methods_exit_2(tmp_path, capsys, command, doc, key):
     cfg = write(tmp_path, {"builtin": "banana", "n_steps": 16, **doc})
     assert main([command, cfg, "--out", str(tmp_path / "out")]) == 2
     assert f"config error: {key}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "convergence"])
+def test_out_directory_refused_before_integrating(tmp_path, capsys, monkeypatch,
+                                                  command):
+    # run and convergence write one file to --out; compare writes a directory
+    import bdli.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrated before checking --out")
+
+    monkeypatch.setattr(bdli.cli, "run_scenario", refuse)
+    monkeypatch.setattr(bdli.cli, "convergence_study", refuse)
+    assert main([command, "banana", "--steps", "16", "--out", str(tmp_path)]) == 2
+    assert "config error: out:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_key_directory_refused(tmp_path, capsys):
+    (tmp_path / "d").mkdir()
+    cfg = write(tmp_path, {"builtin": "banana", "n_steps": 16,
+                           "output": str(tmp_path / "d")})
+    assert main(["run", cfg]) == 2
+    assert "config error: output:" in capsys.readouterr().err
 
 
 def test_relative_errors_flag(tmp_path):
