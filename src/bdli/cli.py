@@ -128,7 +128,7 @@ def _cmd_convergence(args) -> int:
     if "reference_h" in study:
         href = parse_step_size(study["reference_h"], "study: reference_h")[0]
     else:
-        href = min(hs) / 16
+        href = min(hs, key=abs) / 16
     try:
         result = convergence_study(scn, hs, href)
     except ValueError as exc:
@@ -142,6 +142,8 @@ def _cmd_convergence(args) -> int:
 def _cmd_compare(args) -> int:
     scn, doc = _load_scenario(args.scenario)
     scn = _apply_flags(scn, args)
+    if args.out and Path(args.out).exists() and not Path(args.out).is_dir():
+        raise ConfigError(f"out: {args.out!r} is a file, expected a directory")
     methods = doc.get("methods", ["bdli", "boris"])
     if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
         raise ConfigError(f"methods: expected a list of method names, got {methods!r}")

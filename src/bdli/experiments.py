@@ -560,7 +560,8 @@ def convergence_study(
         err = float(np.linalg.norm(_endpoint(scn, h, n) - ref))
         rows.append((h, err))
     slope = float(
-        np.polyfit(np.log([h for h, _ in rows]), np.log([e for _, e in rows]), 1)[0]
+        np.polyfit(np.log([abs(h) for h, _ in rows]),
+                   np.log([e for _, e in rows]), 1)[0]
     )
     return ConvergenceStudy(scn.method, reference_h, tuple(rows), slope)
 

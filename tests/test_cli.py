@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -257,6 +258,14 @@ def test_convergence_default_ladder(capsys):
     assert "slope" in capsys.readouterr().out
 
 
+def test_convergence_default_reference_is_finest_step(tmp_path, capsys):
+    # backward steps: the default reference is the finest step over 16
+    cfg = write(tmp_path, {"builtin": "banana", "h": "-pi/10", "n_steps": 2,
+                           "study": {"h_list": ["-pi/10", "-pi/320"]}})
+    assert main(["convergence", cfg]) == 0
+    assert f"reference_h = {-math.pi / 5120:.17g}" in capsys.readouterr().out
+
+
 def test_compare_subcommand(tmp_path, capsys):
     cfg = write(tmp_path, {
         "builtin": "banana",
@@ -289,12 +298,13 @@ def test_compare_rejects_single_method(tmp_path):
     ("compare", {"methods": {"bdli": 1, "boris": 2}}, "methods"),
     ("convergence", {"study": {"h_list": [0]}}, "study: h_list"),
     ("convergence", {"study": {"reference_h": 0}}, "study: reference_h"),
+    ("convergence", {"study": {"h_list": ["pi/3", 1]}}, "study: h_list"),
     ("compare", {"methods": ["bdli"]}, "methods"),
     ("compare", {"methods": ["bdli", "gauss"]}, "methods"),
 ], ids=["h_list-int", "h_list-empty", "h_list-null", "reference_h-list",
         "study-list", "study-null", "methods-ints", "methods-string",
         "methods-null", "methods-object", "h_list-zero", "reference_h-zero",
-        "methods-one", "methods-unknown"])
+        "h_list-not-dividing", "methods-one", "methods-unknown"])
 def test_malformed_study_or_methods_exit_2(tmp_path, capsys, command, doc, key):
     cfg = write(tmp_path, {"builtin": "banana", "n_steps": 16, **doc})
     assert main([command, cfg, "--out", str(tmp_path / "out")]) == 2
@@ -315,6 +325,15 @@ def test_out_directory_refused_before_integrating(tmp_path, capsys, monkeypatch,
     assert main([command, "banana", "--steps", "16", "--out", str(tmp_path)]) == 2
     assert "config error: out:" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_compare_out_file_refused(tmp_path, capsys):
+    # compare writes a directory of files to --out
+    (tmp_path / "f").write_text("keep")
+    assert main(["compare", "banana", "--steps", "16",
+                 "--out", str(tmp_path / "f")]) == 2
+    assert "config error: out:" in capsys.readouterr().err
+    assert (tmp_path / "f").read_text() == "keep"
 
 
 def test_output_key_directory_refused(tmp_path, capsys):
