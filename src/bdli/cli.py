@@ -134,7 +134,8 @@ def _cmd_convergence(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"study: {exc}") from None
     sys.stdout.write(result.as_text())
-    if args.out:
+    if args.out:  # like run, create the missing parent directories
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_text(result.as_text())
     return EXIT_OK
 

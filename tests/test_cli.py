@@ -253,6 +253,12 @@ def test_convergence_subcommand(tmp_path, capsys):
     assert out.is_file()
 
 
+def test_convergence_out_creates_parent_directory(tmp_path, capsys):
+    out = tmp_path / "new" / "study.txt"
+    assert main(["convergence", "banana", "--steps", "16", "--out", str(out)]) == 0
+    assert out.read_text() == capsys.readouterr().out
+
+
 def test_convergence_default_ladder(capsys):
     assert main(["convergence", "banana", "--steps", "80"]) == 0
     assert "slope" in capsys.readouterr().out
