@@ -87,20 +87,22 @@ def _apply_flags(scn: Scenario, args) -> Scenario:
     return replace(scn, **updates) if updates else scn
 
 
-def _refuse_directory(key: str, path: str | None):
-    """An output file path must not name a directory; checked before any
-    integration, so a long run is not lost at the write."""
-    if path and Path(path).is_dir():
-        raise ConfigError(f"{key}: {path!r} is a directory, expected a file path")
+def _check_out(key: str, path: str | None, directory: bool = False):
+    """Refuse an existing output path of the wrong kind (a directory where
+    a file goes, or the reverse) before any integration, so a long run is
+    not lost at the write."""
+    if path and Path(path).exists() and Path(path).is_dir() != directory:
+        want = "a directory" if directory else "a file path"
+        raise ConfigError(f"{key}: {path!r} exists and is not {want}")
 
 
 def _cmd_run(args) -> int:
     scn, _ = _load_scenario(args.scenario)
     scn = _apply_flags(scn, args)
     if args.out:
-        _refuse_directory("out", args.out)
+        _check_out("out", args.out)
     else:
-        _refuse_directory("output", scn.output)
+        _check_out("output", scn.output)
     summary = run_scenario(scn, out=args.out, relative_errors=args.relative_errors)
     sys.stdout.write(summary.as_text())
     sys.stdout.write(f"series written to {summary.series_path}\n")
@@ -110,7 +112,7 @@ def _cmd_run(args) -> int:
 def _cmd_convergence(args) -> int:
     scn, doc = _load_scenario(args.scenario)
     scn = _apply_flags(scn, args)
-    _refuse_directory("out", args.out)
+    _check_out("out", args.out)
     study = doc.get("study", {})
     if not isinstance(study, dict):
         raise ConfigError(f"study: expected an object, got {study!r}")
@@ -143,8 +145,7 @@ def _cmd_convergence(args) -> int:
 def _cmd_compare(args) -> int:
     scn, doc = _load_scenario(args.scenario)
     scn = _apply_flags(scn, args)
-    if args.out and Path(args.out).exists() and not Path(args.out).is_dir():
-        raise ConfigError(f"out: {args.out!r} is a file, expected a directory")
+    _check_out("out", args.out, directory=True)
     methods = doc.get("methods", ["bdli", "boris"])
     if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
         raise ConfigError(f"methods: expected a list of method names, got {methods!r}")
