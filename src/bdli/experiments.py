@@ -25,8 +25,6 @@ import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
-
 from .diagnostics import quantity_series, series_errors
 from .fields import FieldSingularityError, PotentialUnavailableError, make_field
 from .hamiltonian import ChargedParticleSystem, PhaseState
@@ -432,29 +430,34 @@ class RunSummary:
 
 def _write_series(scn: Scenario, traj: Trajectory, series_path: Path,
                   relative_errors: bool):
-    """Write the series file of ``traj``; returns H, p_xi, mu and the
-    emitted row indices.  p_xi is NaN for a field without a vector
-    potential, and mu is NaN at rows where B = 0."""
+    """Write the series file of ``traj``; returns H, p_xi and mu.  p_xi is
+    NaN for a field without a vector potential, and mu is NaN at rows where
+    B = 0."""
     sys = scn.system()
     H = quantity_series(sys, traj, "H")
     try:
         p = quantity_series(sys, traj, "p_xi")
     except PotentialUnavailableError:
-        p = np.full(len(traj), math.nan)
+        p = [math.nan] * len(traj)
     mu = quantity_series(sys, traj, "mu")
-    errs = [series_errors(series, relative_errors) for series in (H, p, mu)]
+    eH, ep, emu = (series_errors(series, relative_errors) for series in (H, p, mu))
 
-    emitted = list(range(0, len(traj), scn.stride))
-    table = np.column_stack([traj.times, traj.states, H, p, mu, *errs])
-    iters = [0, *traj.iterations.tolist()]
+    h, states, iters = traj.h, traj.states, [0, *traj.iterations]
     row = ",".join(["%.17g"] * 13) + ",%d\n"
     series_path.parent.mkdir(parents=True, exist_ok=True)
     # row by row, so no text copy of the whole series is held in memory
     with series_path.open("w") as f:
         f.write(SERIES_COLUMNS + "\n")
-        for i in emitted:
-            f.write(row % (*table[i].tolist(), iters[i]))
-    return H, p, mu, emitted
+        for i in range(0, len(traj), scn.stride):
+            f.write(row % (h * i, *states[i], H[i], p[i], mu[i],
+                           eH[i], ep[i], emu[i], iters[i]))
+    return H, p, mu
+
+
+def _max_or_nan(values) -> float:
+    """max(values), but NaN if any value is NaN: the builtin max keeps a
+    NaN only when it comes first."""
+    return math.nan if any(map(math.isnan, values)) else max(values)
 
 
 def run_scenario(
@@ -483,23 +486,23 @@ def run_scenario(
         else:
             exc.series_path = str(series_path)
         raise
-    H, p, mu, emitted = _write_series(scn, traj, series_path, relative_errors)
+    H, p, mu = _write_series(scn, traj, series_path, relative_errors)
 
-    abs_errs = {
-        q: np.abs(series_errors(series))[emitted]
+    abs_errs = {  # over the emitted rows
+        q: [abs(e) for e in series_errors(series)[::scn.stride]]
         for q, series in (("H", H), ("p_xi", p), ("mu", mu))
     }
-    mean_iters = float(traj.iterations.mean()) if len(traj.iterations) else 0.0
+    iters = traj.iterations
     summary = RunSummary(
         scenario=scn.name,
         method=scn.method,
-        max_abs_err_H=float(abs_errs["H"].max()),
-        max_abs_err_p_xi=float(abs_errs["p_xi"].max()),
-        max_abs_err_mu=float(abs_errs["mu"].max()),
-        final_abs_err_H=float(abs_errs["H"][-1]),
-        final_abs_err_p_xi=float(abs_errs["p_xi"][-1]),
-        final_abs_err_mu=float(abs_errs["mu"][-1]),
-        mean_iters=mean_iters,
+        max_abs_err_H=_max_or_nan(abs_errs["H"]),
+        max_abs_err_p_xi=_max_or_nan(abs_errs["p_xi"]),
+        max_abs_err_mu=_max_or_nan(abs_errs["mu"]),
+        final_abs_err_H=abs_errs["H"][-1],
+        final_abs_err_p_xi=abs_errs["p_xi"][-1],
+        final_abs_err_mu=abs_errs["mu"][-1],
+        mean_iters=sum(iters) / len(iters) if iters else 0.0,
         series_path=str(series_path),
     )
     summary_path = series_path.with_suffix(".summary.txt")
@@ -523,8 +526,21 @@ class ConvergenceStudy:
         return "\n".join(lines) + "\n"
 
 
-def _endpoint(scn: Scenario, h: float, n: int) -> np.ndarray:
+def _endpoint(scn: Scenario, h: float, n: int) -> tuple:
     return replace(scn, h=h, h_expr=None, n_steps=n).run_trajectory().states[-1]
+
+
+def _loglog_slope(rows) -> float:
+    """Least-squares slope of log(error) against log|h| over ``(h, error)``
+    rows; NaN where it is undefined (an error of 0, or a single step size)."""
+    if not all(e > 0.0 for _, e in rows):
+        return math.nan
+    xs = [math.log(abs(h)) for h, _ in rows]
+    ys = [math.log(e) for _, e in rows]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    sxx = sum((x - mx) ** 2 for x in xs)
+    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    return sxy / sxx if sxx > 0.0 else math.nan
 
 
 def convergence_study(
@@ -555,15 +571,9 @@ def convergence_study(
                 f"{key}: step {h!r} does not divide the total time {T!r}")
         steps.append(n)
     ref = _endpoint(scn, reference_h, steps[-1])
-    rows = []
-    for h, n in zip(hs, steps[:-1]):
-        err = float(np.linalg.norm(_endpoint(scn, h, n) - ref))
-        rows.append((h, err))
-    slope = float(
-        np.polyfit(np.log([abs(h) for h, _ in rows]),
-                   np.log([e for _, e in rows]), 1)[0]
-    )
-    return ConvergenceStudy(scn.method, reference_h, tuple(rows), slope)
+    rows = tuple((h, math.dist(_endpoint(scn, h, n), ref))
+                 for h, n in zip(hs, steps[:-1]))
+    return ConvergenceStudy(scn.method, reference_h, rows, _loglog_slope(rows))
 
 
 @dataclass(frozen=True)
@@ -601,6 +611,9 @@ def compare_methods(
     methods = list(methods)
     if len(methods) < 2:
         raise ValueError(f"methods: need at least two methods, got {methods}")
+    repeated = sorted({m for m in methods if methods.count(m) > 1})
+    if repeated:  # each method's series file is named after it
+        raise ValueError(f"methods: {', '.join(map(repr, repeated))} repeated")
     for method in methods:
         try:
             resolve_method(method, scn.rule)

@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 
-import numpy as np
-
 # Evaluation this close to a model's singular axis is refused outright;
 # the reference scenarios never come near it, and silent garbage from a
 # 1/R blow-up is worse than a hard error.
@@ -37,16 +35,19 @@ class PotentialUnavailableError(ValueError):
     """Raised when a model is asked for a potential it does not provide."""
 
 
-def as_vec3(a) -> np.ndarray:
-    """Coerce to a finite float64 vector of shape (3,).
+def as_vec3(a) -> tuple[float, float, float]:
+    """Coerce to a 3-tuple of finite floats.
 
-    Raises ValueError on wrong shape or non-finite entries; this is the
+    Raises ValueError on a wrong length or non-finite entries; this is the
     gate through which external values enter the numeric kernels.
     """
-    v = np.asarray(a, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    try:
+        v = tuple(map(float, a))
+    except TypeError:
+        raise ValueError(f"expected a 3-vector, got {a!r}") from None
+    if len(v) != 3:
+        raise ValueError(f"expected a 3-vector, got {len(v)} components")
+    if not all(map(math.isfinite, v)):
         raise ValueError(f"non-finite components in 3-vector: {v}")
     return v
 
@@ -192,8 +193,8 @@ class UniformField(FieldModel):
     name = "uniform"
 
     def __init__(self, B=(0.0, 0.0, 1.0), E=(0.0, 0.0, 0.0)):
-        self.B = tuple(float(c) for c in as_vec3(B))
-        self.E = tuple(float(c) for c in as_vec3(E))
+        self.B = as_vec3(B)
+        self.E = as_vec3(E)
         self.zero_electric = self.E == (0.0, 0.0, 0.0)
 
     def b_at(self, x, y, z):
@@ -226,7 +227,7 @@ class QuarticWellField(FieldModel):
     name = "quartic_well"
 
     def __init__(self, B=(0.0, 0.0, 1.0), strength: float = 1.0):
-        self.B = tuple(float(c) for c in as_vec3(B))
+        self.B = as_vec3(B)
         self.strength = float(strength)
         self.zero_electric = self.strength == 0.0
 

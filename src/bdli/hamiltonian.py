@@ -13,14 +13,14 @@ skew-symmetric structure matrix
 
 where B^ is the hat map of B, the skew matrix with B^ v = v x B.  The
 steppers apply K through its blocks and never build it.  Everything here
-is a pure function over immutable inputs.
+is a pure function over immutable inputs; a state is a row
+``(x, y, z, vx, vy, vz)`` of floats, and ``PhaseState`` holds one as two
+3-tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .fields import FieldModel, as_vec3
 
@@ -29,20 +29,19 @@ from .fields import FieldModel, as_vec3
 class PhaseState:
     """Particle state: position x and velocity v."""
 
-    x: np.ndarray
-    v: np.ndarray
+    x: tuple[float, float, float]
+    v: tuple[float, float, float]
 
     def __post_init__(self):
         object.__setattr__(self, "x", as_vec3(self.x))
         object.__setattr__(self, "v", as_vec3(self.v))
 
-    def as_vector(self) -> np.ndarray:
-        """Stacked 6-vector [x; v]."""
-        return np.concatenate([self.x, self.v])
+    def as_vector(self) -> tuple:
+        """The row (x, y, z, vx, vy, vz)."""
+        return (*self.x, *self.v)
 
     @classmethod
     def from_vector(cls, z) -> "PhaseState":
-        z = np.asarray(z, dtype=float)
         return cls(z[:3], z[3:])
 
 
@@ -65,14 +64,14 @@ class ChargedParticleSystem:
             raise ValueError("a field model is required")
 
 
-def energies(sys: ChargedParticleSystem, states) -> np.ndarray:
-    """Total energy H = m v.v / 2 + q phi(x) of every row of an (n, 6) array."""
+def energies(sys: ChargedParticleSystem, states) -> list[float]:
+    """Total energy H = m v.v / 2 + q phi(x) of every row (x, y, z, vx, vy, vz)."""
     phi_at = sys.field.phi_at
-    phi = np.array([phi_at(x, y, z) for x, y, z in states[:, :3].tolist()])
-    v = states[:, 3:]
-    return 0.5 * sys.mass * np.vecdot(v, v) + sys.charge * phi
+    half_m, q = 0.5 * sys.mass, sys.charge
+    return [half_m * (vx * vx + vy * vy + vz * vz) + q * phi_at(x, y, z)
+            for x, y, z, vx, vy, vz in states]
 
 
 def energy(sys: ChargedParticleSystem, z: PhaseState) -> float:
     """Total energy H = m v.v / 2 + q phi(x) of one state."""
-    return float(energies(sys, z.as_vector()[None])[0])
+    return energies(sys, [z.as_vector()])[0]

@@ -38,7 +38,8 @@ changes: the stopping test and the fixed point are the same.
 
 The step kernels ``dli_step``, ``boris_step`` and ``rk4_step`` map a row
 ``(x, y, z, vx, vy, vz)`` to the next row as a 6-tuple of floats, which
-``integrate`` stores directly; ``PhaseState`` is only the boundary type.
+``integrate`` appends to ``Trajectory.states`` as it is; ``PhaseState`` is
+only the boundary type.
 ``dli_step`` is the library's only implementation of the scheme; the tests
 check it against an independent array form written from the update
 equation above (``tests/oracles.py``).
@@ -49,8 +50,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 from .fields import FieldSingularityError
 from .hamiltonian import ChargedParticleSystem, PhaseState
@@ -108,16 +107,17 @@ class SingularityError(IntegrationError):
 class Trajectory:
     """Time series of states plus per-step solver statistics.
 
-    ``states`` has shape (n_steps + 1, 6) with rows [x, v]; ``iterations``
-    has one entry per step (0 for explicit methods).
+    ``states`` is a list of n_steps + 1 rows ``(x, y, z, vx, vy, vz)``, the
+    6-tuples the steppers return; ``iterations`` has one int per step (0
+    for explicit methods).
     """
 
-    def __init__(self, h: float, states: np.ndarray, iterations: np.ndarray):
+    def __init__(self, h: float, states, iterations):
         self.h = float(h)
-        self.states = np.asarray(states, dtype=float)
-        self.iterations = np.asarray(iterations, dtype=int)
-        if self.states.ndim != 2 or self.states.shape[1] != 6:
-            raise ValueError("states must have shape (n+1, 6)")
+        self.states = list(states)
+        self.iterations = [int(n) for n in iterations]
+        if any(len(row) != 6 for row in self.states):
+            raise ValueError("every state must be a row of six numbers")
         if len(self.iterations) != len(self.states) - 1:
             raise ValueError("need exactly one iteration count per step")
 
@@ -125,12 +125,12 @@ class Trajectory:
         return len(self.states)
 
     @property
-    def times(self) -> np.ndarray:
-        return self.h * np.arange(len(self.states))
+    def times(self) -> list[float]:
+        return [self.h * k for k in range(len(self.states))]
 
     @property
-    def positions(self) -> np.ndarray:
-        return self.states[:, :3]
+    def positions(self) -> list[tuple]:
+        return [row[:3] for row in self.states]
 
 
 # ---------------------------------------------------------------------------
@@ -365,14 +365,13 @@ def integrate(
     rule = step if isinstance(step, QuadratureRule) else None
     opts = opts or SolverOptions()
 
-    states = np.empty((n_steps + 1, 6))
-    iters = np.zeros(n_steps, dtype=int)
-    states[0] = z0.as_vector()
-    z = tuple(states[0].tolist())
+    z = z0.as_vector()
+    states = [z]
+    iters = [0] * n_steps
     z1 = z2 = None  # the two accepted rows before z, newest first
 
     def partial(k: int) -> Trajectory:
-        return Trajectory(h, states[: k + 1].copy(), iters[:k].copy())
+        return Trajectory(h, states, iters[:k])
 
     for k in range(n_steps):
         try:
@@ -400,5 +399,5 @@ def integrate(
             raise NonConvergenceError(
                 f"{method}: non-finite state at step {k}", k, partial(k)
             )
-        states[k + 1] = z
+        states.append(z)
     return Trajectory(h, states, iters)

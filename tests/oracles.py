@@ -52,7 +52,7 @@ def grad_energy(sys: ChargedParticleSystem, z: PhaseState) -> np.ndarray:
     """
     out = np.empty(6)
     out[:3] = -sys.charge * np.array(sys.field.e_at(*z.x))
-    out[3:] = sys.mass * z.v
+    out[3:] = sys.mass * np.asarray(z.v)
     return out
 
 
@@ -62,7 +62,7 @@ def k_matrix(sys: ChargedParticleSystem, x) -> np.ndarray:
     Exposed for verification; the integrators apply the sparse blocks
     directly instead of materializing this matrix.
     """
-    x = as_vec3(x)
+    x = np.asarray(as_vec3(x))
     m = sys.mass
     K = np.zeros((6, 6))
     K[:3, 3:] = np.eye(3) / m
@@ -106,8 +106,8 @@ def weighted_gradient(
     linears exactly it collapses to m ((1 - s) v0 + s v1) with s the rule's
     first moment.
     """
-    a0 = z0.as_vector()
-    a1 = z1.as_vector()
+    a0 = np.asarray(z0.as_vector())
+    a1 = np.asarray(z1.as_vector())
     out = np.zeros(6)
     for c, w in zip(rule.nodes, rule.weights):
         zc = PhaseState.from_vector((1.0 - c) * a0 + c * a1)
@@ -128,8 +128,8 @@ def dli_residual(
     zero vector iff z_trial solves the step.  K is applied through its
     blocks rather than as a dense matrix.
     """
-    a0 = z0.as_vector()
-    a1 = z_trial.as_vector()
+    a0 = np.asarray(z0.as_vector())
+    a1 = np.asarray(z_trial.as_vector())
     g = weighted_gradient(sys, rule, z0, z_trial)
     m, q = sys.mass, sys.charge
     mid = 0.5 * (a0[:3] + a1[:3])

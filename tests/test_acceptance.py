@@ -142,7 +142,7 @@ def test_criterion_4_bounded_invariants(drift2d_bdli, drift2d_boris):
 # --------------------------------------------------------------------------
 
 def _poloidal_angle(traj, axis_R=1.0):
-    R, z = bdli.cylindrical_projection(traj)
+    R, z = np.asarray(bdli.cylindrical_projection(traj))
     return R, z, np.unwrap(np.arctan2(z, R - axis_R))
 
 
@@ -160,7 +160,7 @@ def test_criterion_5_banana_topology(banana_bdli):
     test_diagnostics.test_banana_drift_orbit_closes).
     """
     sys, traj = banana_bdli
-    R, z = bdli.cylindrical_projection(traj)
+    R, z = np.asarray(bdli.cylindrical_projection(traj))
     in_band = 0.9 < R.min() and R.max() < 1.2
     d = np.hypot(R - R[0], z - z[0])
     far = d.max() / 2.0
@@ -259,7 +259,8 @@ def test_criterion_7_reversibility():
             fwd = dli_step(sys, boole, z0.as_vector(), math.pi / 10, opts)
             back = dli_step(sys, boole, fwd.state, -math.pi / 10, opts)
             assert fwd.converged and back.converged
-            err = float(np.abs(PhaseState.from_vector(back.state).as_vector() - z0.as_vector()).max())
+            err = float(np.abs(np.asarray(PhaseState.from_vector(back.state).as_vector())
+                               - z0.as_vector()).max())
             scale = opts.tolerance * (1.0 + np.abs(z0.as_vector()).max())
             worst = max(worst, err / scale)
 
@@ -270,7 +271,7 @@ def test_criterion_7_reversibility():
     fwd = integrate(sys, "bdli", z0, scn.h, n, scn.solver)
     back = integrate(sys, "bdli", PhaseState.from_vector(fwd.states[-1]), -scn.h,
                      n, scn.solver)
-    rt_err = float(np.abs(back.states[-1] - z0.as_vector()).max())
+    rt_err = float(np.abs(np.asarray(back.states[-1]) - z0.as_vector()).max())
     rt_bound = n * 100 * scn.solver.tolerance * (
         1.0 + np.abs(z0.as_vector()).max()
     )
@@ -344,7 +345,7 @@ def test_criterion_8_structural_identities():
             assert rep.converged
             z1 = PhaseState.from_vector(rep.state)
             g = weighted_gradient(sys, boole, z, z1)
-            dz = z1.as_vector() - z.as_vector()
+            dz = np.asarray(z1.as_vector()) - z.as_vector()
             scale = float(np.abs(g).sum()) * (1.0 + np.abs(z.as_vector()).max())
             worst_c = max(worst_c, abs(float(g @ dz)) / scale)
             z = z1

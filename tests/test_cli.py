@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bdli
 from bdli.cli import main
 from bdli.experiments import SERIES_COLUMNS
 
@@ -307,10 +312,12 @@ def test_compare_rejects_single_method(tmp_path):
     ("convergence", {"study": {"h_list": ["pi/3", 1]}}, "study: h_list"),
     ("compare", {"methods": ["bdli"]}, "methods"),
     ("compare", {"methods": ["bdli", "gauss"]}, "methods"),
+    ("compare", {"methods": ["bdli", "boris", "bdli"]}, "methods"),
 ], ids=["h_list-int", "h_list-empty", "h_list-null", "reference_h-list",
         "study-list", "study-null", "methods-ints", "methods-string",
         "methods-null", "methods-object", "h_list-zero", "reference_h-zero",
-        "h_list-not-dividing", "methods-one", "methods-unknown"])
+        "h_list-not-dividing", "methods-one", "methods-unknown",
+        "methods-repeated"])
 def test_malformed_study_or_methods_exit_2(tmp_path, capsys, command, doc, key):
     cfg = write(tmp_path, {"builtin": "banana", "n_steps": 16, **doc})
     assert main([command, cfg, "--out", str(tmp_path / "out")]) == 2
@@ -354,3 +361,29 @@ def test_relative_errors_flag(tmp_path):
     rc = main(["run", "banana", "--steps", "30", "--relative-errors",
                "--out", str(tmp_path / "rel.csv")])
     assert rc == 0
+
+
+# The library imports no numpy: with the import blocked before bdli.cli is
+# imported, each command still runs.
+_WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from bdli.cli import main
+for argv in (["run", "banana", "--steps", "20", "--out", "run/s.csv"],
+             ["convergence", "drift2d", "--steps", "4"],
+             ["compare", "banana", "--steps", "20", "--out", "cmp"]):
+    assert main(argv) == 0, argv
+"""
+
+
+def test_cli_runs_without_numpy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(bdli.__file__).parents[1]))
+    blocked = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY], cwd=tmp_path,
+                             env=env, capture_output=True, text=True, timeout=120)
+    assert blocked.returncode == 0, blocked.stderr
+    assert (tmp_path / "cmp" / "banana_compare.txt").is_file()
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, bdli, bdli.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert loaded.stdout.strip() == "False", loaded.stderr

@@ -422,6 +422,26 @@ def test_run_scenario_p_xi_nan_without_vector_potential(monkeypatch, tmp_path):
     assert np.isfinite(rows["H"]).all()
 
 
+def test_run_scenario_max_is_nan_when_b_vanishes_late(monkeypatch, tmp_path):
+    # B vanishes past x = 0.2, so mu is NaN only at the later rows; any NaN
+    # makes the summary maximum NaN, where the builtin max would skip it
+    class Ending(fields.UniformField):
+        name = "uniform_ending"
+
+        def b_at(self, x, y, z):
+            return self.B if x <= 0.2 else (0.0, 0.0, 0.0)
+
+    monkeypatch.setitem(fields.FIELD_MODELS, Ending.name, Ending)
+    scn = Scenario(name="ending", field_name=Ending.name,
+                   field_params={"B": (1.0, 0.0, 0.0)}, x0=(0.0, 0.0, 0.0),
+                   v0=(0.1, 0.0, 0.0), h=0.1, n_steps=40, method="boris",
+                   output=str(tmp_path / "ending.csv"))
+    summary = run_scenario(scn)
+    rows = np.genfromtxt(tmp_path / "ending.csv", delimiter=",", names=True)
+    assert not np.isnan(rows["mu"][:20]).any() and np.isnan(rows["mu"][-1])
+    assert math.isnan(summary.max_abs_err_mu)
+
+
 def test_run_scenario_relative_errors(small_banana, tmp_path):
     run_scenario(small_banana, relative_errors=True)
     rel = np.genfromtxt(tmp_path / "run.csv", delimiter=",", names=True)

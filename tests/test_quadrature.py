@@ -140,7 +140,7 @@ def test_weighted_gradient_velocity_block(quad_sys):
         z1 = PhaseState(rng.normal(size=3), rng.normal(size=3))
         for name in RULES:
             g = weighted_gradient(quad_sys, builtin_rule(name), z0, z1)
-            expect = quad_sys.mass * 0.5 * (z0.v + z1.v)
+            expect = quad_sys.mass * 0.5 * (np.asarray(z0.v) + z1.v)
             assert g[3:] == pytest.approx(expect, rel=1e-14, abs=1e-16)
 
 
@@ -151,7 +151,8 @@ def test_weighted_gradient_exact_for_quadratic_potential(quad_sys):
     for _ in range(20):
         z0 = PhaseState(rng.normal(size=3), rng.normal(size=3))
         z1 = PhaseState(rng.normal(size=3), rng.normal(size=3))
-        expect = np.concatenate([q * (z0.x + z1.x), m * 0.5 * (z0.v + z1.v)])
+        expect = np.concatenate([q * (np.asarray(z0.x) + z1.x),
+                                 m * 0.5 * (np.asarray(z0.v) + z1.v)])
         got = weighted_gradient(quad_sys, builtin_rule("boole"), z0, z1)
         assert np.abs(got - expect).max() <= 1e-14 * max(1.0, np.abs(expect).max())
 
