@@ -26,7 +26,9 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .diagnostics import quantity_series, series_errors
-from .fields import FieldSingularityError, PotentialUnavailableError, make_field
+from .fields import (
+    FieldSingularityError, PotentialUnavailableError, as_vec3, make_field,
+)
 from .hamiltonian import ChargedParticleSystem, PhaseState
 from .integrators import (
     IntegrationError,
@@ -117,10 +119,10 @@ class Scenario:
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"field: {exc}") from None
         for key in ("x0", "v0"):
-            vec = tuple(float(c) for c in getattr(self, key))
-            if len(vec) != 3 or not all(map(math.isfinite, vec)):
-                raise ConfigError(f"{key}: expected three finite numbers, got {vec}")
-            object.__setattr__(self, key, vec)
+            try:
+                object.__setattr__(self, key, as_vec3(getattr(self, key)))
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
         own = self.rule
         if own is not None and not isinstance(own, QuadratureRule):
             raise ConfigError(f"rule: expected a QuadratureRule, got {own!r}")

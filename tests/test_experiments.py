@@ -92,6 +92,14 @@ def test_scenario_invariants():
         replace(builtin_scenario("banana"), rule="simpson")
 
 
+@pytest.mark.parametrize("key", ["x0", "v0"])
+@pytest.mark.parametrize("bad", [5, None, ("a", 0, 0), (1, 2), (math.nan, 0, 0)],
+                         ids=["int", "None", "string", "two", "nan"])
+def test_scenario_start_vector_is_a_config_error(key, bad):
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        replace(builtin_scenario("banana"), **{key: bad})
+
+
 W2 = bdli.QuadratureRule("w2", (0.0, 1.0), (0.5, 0.5), 1)
 
 
