@@ -361,6 +361,12 @@ def test_relative_errors_flag(tmp_path):
     rc = main(["run", "banana", "--steps", "30", "--relative-errors",
                "--out", str(tmp_path / "rel.csv")])
     assert rc == 0
+    assert main(["run", "banana", "--steps", "30",
+                 "--out", str(tmp_path / "abs.csv")]) == 0
+    # the flag changes the error columns only; summary errors stay absolute
+    assert (tmp_path / "rel.summary.txt").read_bytes() == (
+        tmp_path / "abs.summary.txt").read_bytes()
+    assert (tmp_path / "rel.csv").read_bytes() != (tmp_path / "abs.csv").read_bytes()
 
 
 # The library imports no numpy: with the import blocked before bdli.cli is
