@@ -8,15 +8,7 @@ tolerance).  Boris and RK4 steppers are included as references, along
 with conserved-quantity diagnostics and reproducible experiment drivers.
 """
 
-from .diagnostics import (
-    QUANTITIES,
-    ZeroFieldError,
-    cylindrical_projection,
-    error_series,
-    magnetic_moment,
-    quantity_series,
-    toroidal_momentum,
-)
+from .diagnostics import QUANTITIES, error_series, quantity_series
 from .experiments import (
     BUILTIN_SCENARIOS,
     ComparisonReport,
@@ -43,7 +35,7 @@ from .fields import (
     UniformField,
     make_field,
 )
-from .hamiltonian import ChargedParticleSystem, PhaseState, energy
+from .hamiltonian import ChargedParticleSystem, PhaseState
 from .integrators import (
     IntegrationError,
     NonConvergenceError,

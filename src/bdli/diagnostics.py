@@ -1,4 +1,4 @@
-"""Conserved-quantity and orbit diagnostics.
+"""Conserved-quantity diagnostics.
 
 For an axisymmetric field the toroidal component of the conjugate momentum
 p = m v + q A is a constant of the exact motion:
@@ -11,21 +11,18 @@ v_perp^2 / 2R).  Errors are reported as absolute differences
 Q(z_n) - Q(z_0); relative errors are available via a flag.
 
 The series functions take rows ``(x, y, z, vx, vy, vz)``, such as
-``Trajectory.states``, and return one float per row in a list.
+``Trajectory.states``, and return one float per row in a list; there is
+no one-state form, a single state is the one-row case.
 """
 
 from __future__ import annotations
 
 import math
 
-from .hamiltonian import ChargedParticleSystem, PhaseState, energies
+from .hamiltonian import ChargedParticleSystem, energies
 from .integrators import Trajectory
 
 QUANTITIES = ("H", "p_xi", "mu")
-
-
-class ZeroFieldError(ValueError):
-    """Raised when the magnetic moment is requested where |B| = 0."""
 
 
 def toroidal_momenta(sys: ChargedParticleSystem, states) -> list[float]:
@@ -55,20 +52,6 @@ def magnetic_moments(sys: ChargedParticleSystem, states) -> list[float]:
         vperp2 = vx * vx + vy * vy + vz * vz - vpar * vpar
         out.append(vperp2 / (2.0 * bnorm))
     return out
-
-
-def toroidal_momentum(sys: ChargedParticleSystem, z: PhaseState) -> float:
-    """Toroidal canonical momentum m (x v_y - y v_x) + q R A_xi."""
-    return toroidal_momenta(sys, [z.as_vector()])[0]
-
-
-def magnetic_moment(sys: ChargedParticleSystem, z: PhaseState) -> float:
-    """Magnetic moment |v_perp|^2 / (2 |B|) with v_perp orthogonal to B;
-    raises :class:`ZeroFieldError` where B = 0."""
-    mu = magnetic_moments(sys, [z.as_vector()])[0]
-    if math.isnan(mu):
-        raise ZeroFieldError(f"magnetic moment undefined where B = 0 (at {z.x})")
-    return mu
 
 
 _SERIES = {"H": energies, "p_xi": toroidal_momenta, "mu": magnetic_moments}
@@ -112,10 +95,4 @@ def error_series(
     ``relative`` is passed to :func:`series_errors`.
     """
     values = quantity_series(sys, traj, quantity)
-    return traj.times, series_errors(values, relative)
-
-
-def cylindrical_projection(traj: Trajectory) -> tuple[list[float], list[float]]:
-    """(R, z) pairs of the trajectory positions, R = sqrt(x^2 + y^2)."""
-    p = traj.positions
-    return [math.hypot(x, y) for x, y, _ in p], [z for _, _, z in p]
+    return [traj.h * k for k in range(len(traj))], series_errors(values, relative)

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .diagnostics import quantity_series, series_errors
+from .diagnostics import QUANTITIES, quantity_series, series_errors
 from .fields import (
     FieldSingularityError, PotentialUnavailableError, as_vec3, make_field,
 )
@@ -431,18 +431,22 @@ class RunSummary:
 
 
 def _write_series(scn: Scenario, traj: Trajectory, series_path: Path,
-                  relative_errors: bool):
-    """Write the series file of ``traj``; returns H, p_xi and mu.  p_xi is
-    NaN for a field without a vector potential, and mu is NaN at rows where
-    B = 0."""
+                  relative_errors: bool) -> list[list[float]]:
+    """Write the series file of ``traj``; returns the errors Q - Q0 of H,
+    p_xi and mu, absolute whatever ``relative_errors`` is.  p_xi is NaN for
+    a field without a vector potential, and mu is NaN at rows where B = 0."""
     sys = scn.system()
-    H = quantity_series(sys, traj, "H")
-    try:
-        p = quantity_series(sys, traj, "p_xi")
-    except PotentialUnavailableError:
-        p = [math.nan] * len(traj)
-    mu = quantity_series(sys, traj, "mu")
-    eH, ep, emu = (series_errors(series, relative_errors) for series in (H, p, mu))
+    values = []
+    for q in QUANTITIES:
+        try:
+            values.append(quantity_series(sys, traj, q))
+        except PotentialUnavailableError:  # only p_xi needs A
+            values.append([math.nan] * len(traj))
+    errors = [series_errors(v) for v in values]
+    H, p, mu = values
+    eH, ep, emu = (
+        [series_errors(v, relative=True) for v in values] if relative_errors
+        else errors)
 
     h, states, iters = traj.h, traj.states, [0, *traj.iterations]
     row = ",".join(["%.17g"] * 13) + ",%d\n"
@@ -453,7 +457,7 @@ def _write_series(scn: Scenario, traj: Trajectory, series_path: Path,
         for i in range(0, len(traj), scn.stride):
             f.write(row % (h * i, *states[i], H[i], p[i], mu[i],
                            eH[i], ep[i], emu[i], iters[i]))
-    return H, p, mu
+    return errors
 
 
 def _max_or_nan(values) -> float:
@@ -488,22 +492,15 @@ def run_scenario(
         else:
             exc.series_path = str(series_path)
         raise
-    H, p, mu = _write_series(scn, traj, series_path, relative_errors)
+    errors = _write_series(scn, traj, series_path, relative_errors)
 
-    abs_errs = {  # over the emitted rows
-        q: [abs(e) for e in series_errors(series)[::scn.stride]]
-        for q, series in (("H", H), ("p_xi", p), ("mu", mu))
-    }
+    # H, p_xi and mu over the emitted rows; final is the last emitted row
+    abs_errs = [[abs(e) for e in err[::scn.stride]] for err in errors]
     iters = traj.iterations
     summary = RunSummary(
-        scenario=scn.name,
-        method=scn.method,
-        max_abs_err_H=_max_or_nan(abs_errs["H"]),
-        max_abs_err_p_xi=_max_or_nan(abs_errs["p_xi"]),
-        max_abs_err_mu=_max_or_nan(abs_errs["mu"]),
-        final_abs_err_H=abs_errs["H"][-1],
-        final_abs_err_p_xi=abs_errs["p_xi"][-1],
-        final_abs_err_mu=abs_errs["mu"][-1],
+        scn.name, scn.method,
+        *map(_max_or_nan, abs_errs),
+        *(err[-1] for err in abs_errs),
         mean_iters=sum(iters) / len(iters) if iters else 0.0,
         series_path=str(series_path),
     )

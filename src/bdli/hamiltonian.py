@@ -70,8 +70,3 @@ def energies(sys: ChargedParticleSystem, states) -> list[float]:
     half_m, q = 0.5 * sys.mass, sys.charge
     return [half_m * (vx * vx + vy * vy + vz * vz) + q * phi_at(x, y, z)
             for x, y, z, vx, vy, vz in states]
-
-
-def energy(sys: ChargedParticleSystem, z: PhaseState) -> float:
-    """Total energy H = m v.v / 2 + q phi(x) of one state."""
-    return energies(sys, [z.as_vector()])[0]

@@ -124,14 +124,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.states)
 
-    @property
-    def times(self) -> list[float]:
-        return [self.h * k for k in range(len(self.states))]
-
-    @property
-    def positions(self) -> list[tuple]:
-        return [row[:3] for row in self.states]
-
 
 # ---------------------------------------------------------------------------
 # DLI step

@@ -14,7 +14,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import bdli
 from bdli import (
     ChargedParticleSystem,
     CylindricalDriftField,
@@ -27,10 +26,10 @@ from bdli import (
     builtin_scenario,
     convergence_study,
     dli_step,
-    energy,
     error_series,
     integrate,
 )
+from bdli.hamiltonian import energies
 from oracles import grad_energy, k_matrix, vector_field, weighted_gradient
 from test_fields import curl_fd, div_fd, grad_fd, sample_points, ALL_MODELS
 
@@ -68,13 +67,12 @@ def test_criterion_1_banana_energy_exactness():
 
 def test_criterion_2_quartic_exactness(quartic_bdli, quartic_trapezoid):
     sys, traj = quartic_bdli
-    H = np.array([energy(sys, PhaseState.from_vector(row)) for row in traj.states])
+    H = np.array(energies(sys, traj.states))
     bound = 100.0 * TOL * (1.0 + np.abs(H).max())
     worst_step = float(np.abs(np.diff(H)).max())
 
     sys_t, traj_t = quartic_trapezoid
-    Ht = np.array([energy(sys_t, PhaseState.from_vector(row))
-                   for row in traj_t.states])
+    Ht = np.array(energies(sys_t, traj_t.states))
     worst_trap = float(np.abs(np.diff(Ht)).max())
 
     ok = worst_step <= bound and worst_trap > 1e3 * worst_step
@@ -141,8 +139,14 @@ def test_criterion_4_bounded_invariants(drift2d_bdli, drift2d_boris):
 # 5. orbit topology: banana closure, transit winding
 # --------------------------------------------------------------------------
 
+def _rz(traj):
+    """The (R, z) curve of the orbit, R = sqrt(x^2 + y^2)."""
+    s = np.asarray(traj.states)
+    return np.hypot(s[:, 0], s[:, 1]), s[:, 2]
+
+
 def _poloidal_angle(traj, axis_R=1.0):
-    R, z = np.asarray(bdli.cylindrical_projection(traj))
+    R, z = _rz(traj)
     return R, z, np.unwrap(np.arctan2(z, R - axis_R))
 
 
@@ -160,7 +164,7 @@ def test_criterion_5_banana_topology(banana_bdli):
     test_diagnostics.test_banana_drift_orbit_closes).
     """
     sys, traj = banana_bdli
-    R, z = np.asarray(bdli.cylindrical_projection(traj))
+    R, z = _rz(traj)
     in_band = 0.9 < R.min() and R.max() < 1.2
     d = np.hypot(R - R[0], z - z[0])
     far = d.max() / 2.0

@@ -12,15 +12,12 @@ from bdli import (
     QuarticWellField,
     TokamakField,
     UniformField,
-    ZeroFieldError,
-    cylindrical_projection,
-    energy,
     error_series,
     integrate,
-    magnetic_moment,
     quantity_series,
-    toroidal_momentum,
 )
+from bdli.diagnostics import magnetic_moments
+from one_state import energy, magnetic_moment, toroidal_momentum
 
 
 @pytest.fixture
@@ -73,10 +70,10 @@ def test_magnetic_moment_values(drift_sys):
     )
 
 
-def test_magnetic_moment_zero_field_error():
+def test_magnetic_moments_nan_where_b_vanishes():
     sys = ChargedParticleSystem(1.0, 1.0, UniformField(B=(0, 0, 0)))
-    with pytest.raises(ZeroFieldError):
-        magnetic_moment(sys, PhaseState((0, 0, 0), (1, 0, 0)))
+    mu = magnetic_moments(sys, [(0, 0, 0, 1, 0, 0), (1, 2, 3, 0, 0, 0)])
+    assert len(mu) == 2 and all(map(math.isnan, mu))
 
 
 def test_magnetic_moment_invariant_under_gyro_rotation(drift_sys):
@@ -125,7 +122,7 @@ def test_error_series_relative_flag(banana_bdli):
     sys, traj = banana_bdli
     _, abs_e = error_series(sys, traj, "H")
     _, rel_e = error_series(sys, traj, "H", relative=True)
-    H0 = bdli.energy(sys, PhaseState.from_vector(traj.states[0]))
+    H0 = energy(sys, PhaseState.from_vector(traj.states[0]))
     assert rel_e == pytest.approx(np.asarray(abs_e) / abs(H0), rel=1e-12)
 
 
@@ -139,22 +136,8 @@ def test_energy_error_per_step_polynomial_field(banana_bdli):
     sys, traj = banana_bdli
     _, e = error_series(sys, traj, "H")
     tol = 1e-14
-    H0 = abs(bdli.energy(sys, PhaseState.from_vector(traj.states[0])))
+    H0 = abs(energy(sys, PhaseState.from_vector(traj.states[0])))
     assert np.abs(np.diff(e)).max() <= 100 * tol * (1 + H0)
-
-
-def test_cylindrical_projection_values():
-    sys = ChargedParticleSystem(1.0, 1.0, UniformField(B=(0, 0, 1)))
-    states = np.array(
-        [
-            [1.05, 0.0, 0.0, 0, 0, 0],
-            [0.6, 0.8, 0.3, 0, 0, 0],
-        ]
-    )
-    traj = bdli.Trajectory(0.1, states, np.array([0]))
-    R, zc = cylindrical_projection(traj)
-    assert R == pytest.approx([1.05, 1.0], rel=1e-15)
-    assert np.array_equal(zc, [0.0, 0.3])
 
 
 def test_bounded_invariant_errors_on_drift_runs(drift2d_bdli, drift2d_boris):
@@ -208,7 +191,7 @@ def test_quantity_series_matches_row_oracle_bitwise():
         for q in ("H", "p_xi", "mu"):
             assert np.array_equal(quantity_series(sys, traj, q), expect[q]), (
                 fld.name, q)
-        # the one-state functions are the one-row case
+        # one state is the one-row case, to the bit
         z = PhaseState(states[7, :3], states[7, 3:])
         assert energy(sys, z) == expect["H"][7]
         assert toroidal_momentum(sys, z) == expect["p_xi"][7]
@@ -225,7 +208,8 @@ def test_banana_drift_orbit_closes():
     scn = bdli.builtin_scenario("banana")
     sys = scn.system()
     traj = integrate(sys, "bdli", scn.initial_state(), scn.h, 140_000, scn.solver)
-    R, zc = np.asarray(cylindrical_projection(traj))
+    s = np.asarray(traj.states)
+    R, zc = np.hypot(s[:, 0], s[:, 1]), s[:, 2]
     assert R.min() > 0.9 and R.max() < 1.2
     d = np.hypot(R - R[0], zc - zc[0])
     far = d.max() / 2.0

@@ -10,8 +10,8 @@ from bdli import (
     QuarticWellField,
     TokamakField,
     UniformField,
-    energy,
 )
+from one_state import energy
 from oracles import grad_energy, hat, k_matrix, vector_field
 
 

@@ -206,7 +206,8 @@ def test_record_conservation_beyond_degree_four(degree, capsys):
     nu - 1, so exact conservation is expected through nu = 6; recorded
     here (printed, not asserted as a requirement) for nu = 5 and 6.
     """
-    from bdli import ChargedParticleSystem, SolverOptions, dli_step, energy
+    from bdli import ChargedParticleSystem, SolverOptions, dli_step
+    from one_state import energy
 
     sys = ChargedParticleSystem(1.0, 1.0, _PolynomialWell(degree))
     z = PhaseState((0.9, 0.0, 0.0), (0.2, 0.2, 0.1))
