@@ -26,9 +26,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .diagnostics import QUANTITIES, quantity_series, series_errors
-from .fields import (
-    FieldSingularityError, PotentialUnavailableError, as_vec3, make_field,
-)
+from .fields import (FieldSingularityError, PotentialUnavailableError, as_vec3,
+                     make_field)
 from .hamiltonian import ChargedParticleSystem, PhaseState
 from .integrators import (
     IntegrationError,
@@ -494,13 +493,18 @@ def run_scenario(
         raise
     errors = _write_series(scn, traj, series_path, relative_errors)
 
-    # H, p_xi and mu over the emitted rows; final is the last emitted row
-    abs_errs = [[abs(e) for e in err[::scn.stride]] for err in errors]
+    # over the emitted rows, so "final" is the file's last row
+    aH, ap, amu = ([abs(e) for e in err[::scn.stride]] for err in errors)
     iters = traj.iterations
     summary = RunSummary(
-        scn.name, scn.method,
-        *map(_max_or_nan, abs_errs),
-        *(err[-1] for err in abs_errs),
+        scenario=scn.name,
+        method=scn.method,
+        max_abs_err_H=_max_or_nan(aH),
+        max_abs_err_p_xi=_max_or_nan(ap),
+        max_abs_err_mu=_max_or_nan(amu),
+        final_abs_err_H=aH[-1],
+        final_abs_err_p_xi=ap[-1],
+        final_abs_err_mu=amu[-1],
         mean_iters=sum(iters) / len(iters) if iters else 0.0,
         series_path=str(series_path),
     )
