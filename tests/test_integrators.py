@@ -485,6 +485,23 @@ def test_integrate_takes_method_text_or_a_rule():
         integrate(scn.system(), "dli:w3", *args)
 
 
+def test_integrate_calls_dli_step_through_the_module_once_per_step(monkeypatch):
+    # perfbench/tracing.py times and counts DLI steps by rebinding
+    # bdli.integrators.dli_step; a loop that bound the kernel once, or
+    # stepped through a closure, would hide every step from the tracer
+    calls = []
+    step = bdli.integrators.dli_step
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(bdli.integrators, "dli_step", counting)
+    scn = bdli.builtin_scenario("banana")
+    integrate(scn.system(), "bdli", scn.initial_state(), scn.h, 50, scn.solver)
+    assert len(calls) == 50
+
+
 def test_integrate_unknown_method():
     sys = uniform_b_system()
     with pytest.raises(ValueError, match="unknown method"):
