@@ -78,13 +78,12 @@ class FieldModel(ABC):
         )
 
 
-def _checked_R(x: float, y: float, name: str) -> float:
-    R = math.sqrt(x * x + y * y)
-    if R < SINGULAR_RADIUS:
-        raise FieldSingularityError(
-            f"{name} field evaluated on its singular axis (R = {R:.3e})"
-        )
-    return R
+def _on_axis(name: str, R: float) -> FieldSingularityError:
+    """The error for an evaluation at R < SINGULAR_RADIUS; the evaluators
+    make the comparison inline, since they run in the solver's inner loop."""
+    return FieldSingularityError(
+        f"{name} field evaluated on its singular axis (R = {R:.3e})"
+    )
 
 
 class CylindricalDriftField(FieldModel):
@@ -104,20 +103,28 @@ class CylindricalDriftField(FieldModel):
         self.epsilon = float(epsilon)
 
     def b_at(self, x, y, z):
-        R = _checked_R(x, y, self.name)
+        R = math.sqrt(x * x + y * y)
+        if R < SINGULAR_RADIUS:
+            raise _on_axis(self.name, R)
         return (0.0, 0.0, R)
 
     def e_at(self, x, y, z):
-        R = _checked_R(x, y, self.name)
+        R = math.sqrt(x * x + y * y)
+        if R < SINGULAR_RADIUS:
+            raise _on_axis(self.name, R)
         k = self.epsilon / (R * R * R)
         return (k * x, k * y, 0.0)
 
     def phi_at(self, x, y, z):
-        R = _checked_R(x, y, self.name)
+        R = math.sqrt(x * x + y * y)
+        if R < SINGULAR_RADIUS:
+            raise _on_axis(self.name, R)
         return self.epsilon / R
 
     def a_at(self, x, y, z):
-        R = _checked_R(x, y, self.name)
+        R = math.sqrt(x * x + y * y)
+        if R < SINGULAR_RADIUS:
+            raise _on_axis(self.name, R)
         # A_xi = R^2/3 along e_xi = (-y/R, x/R, 0)
         k = R / 3.0
         return (-k * y, k * x, 0.0)
@@ -158,7 +165,9 @@ class TokamakField(FieldModel):
         self.safety_factor = float(safety_factor)
 
     def b_at(self, x, y, z):
-        R = _checked_R(x, y, self.name)
+        R = math.sqrt(x * x + y * y)
+        if R < SINGULAR_RADIUS:
+            raise _on_axis(self.name, R)
         q = self.safety_factor
         k = self.B0 / (q * R * R)
         return (
@@ -174,7 +183,9 @@ class TokamakField(FieldModel):
         return 0.0
 
     def a_at(self, x, y, z):
-        R = _checked_R(x, y, self.name)
+        R = math.sqrt(x * x + y * y)
+        if R < SINGULAR_RADIUS:
+            raise _on_axis(self.name, R)
         q = self.safety_factor
         a_R = self.B0 * z / (q * R)
         a_xi = self.B0 * ((self.R0 - R) ** 2 + z * z) / (2.0 * q * R)

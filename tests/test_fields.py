@@ -237,12 +237,14 @@ def test_symbolic_consistency_of_axis_models():
 @pytest.mark.parametrize("field", [CylindricalDriftField(), TokamakField()],
                          ids=lambda f: f.name)
 def test_singularity_guard(field):
+    # the message names the model, which the CLI passes on to the user
+    message = rf"^{field.name} field evaluated on its singular axis \(R = "
     for evaluate in (field.b_at, field.e_at, field.phi_at, field.a_at):
         if field.zero_electric and evaluate in (field.e_at, field.phi_at):
             continue  # constants, no singular behaviour to guard
-        with pytest.raises(FieldSingularityError):
+        with pytest.raises(FieldSingularityError, match=message):
             evaluate(0.0, 0.0, 0.3)
-        with pytest.raises(FieldSingularityError):
+        with pytest.raises(FieldSingularityError, match=message):
             evaluate(1e-13, 0.0, 0.0)
 
 
