@@ -343,13 +343,47 @@ def test_property_start_does_not_move_the_step(start, rule, h, offset):
     assert far.converged and far.state == ref.state
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_starts(), st.sampled_from(RULES), _h, _offset)
+def test_property_contraction_stop_stays_near_the_strict_state(start, rule, h, offset):
+    # KAPPA = 0 leaves only the strict test; the contraction estimate may
+    # stop earlier, but only on a state within KAPPA of the tolerance of it
+    sys, z0 = start
+    size = 10.0 ** offset[3]
+    ref = dli_step(sys, rule, z0, h, TOL)
+    v_start = tuple(v + size * d for v, d in zip(ref.state[3:], offset[:3]))
+    for start_v in (None, v_start):
+        rep = dli_step(sys, rule, z0, h, TOL, start_v)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bdli.integrators, "KAPPA", 0.0)
+            strict = dli_step(sys, rule, z0, h, TOL, start_v)
+        assert rep.converged and strict.converged
+        assert rep.iterations <= strict.iterations
+        gap = np.abs(np.subtract(rep.state, strict.state)).max()
+        assert gap <= 4.0 * bdli.integrators.KAPPA * _scale(z0)
+
+
+def _mean_iterations(name, h, n_steps):
+    scn = bdli.builtin_scenario(name)
+    traj = integrate(scn.system(), "bdli", scn.initial_state(), h or scn.h,
+                     n_steps, scn.solver)
+    return np.mean(traj.iterations)
+
+
 def test_bdli_drift2d_fine_step_iteration_count():
-    # at h = pi/1280 the extrapolated start leaves ~2.2 iterations per step
-    # (one correction and one confirmation); from v0 it takes ~3.1
-    scn = bdli.builtin_scenario("drift2d")
-    traj = integrate(scn.system(), "bdli", scn.initial_state(), math.pi / 1280,
-                     2000, scn.solver)
-    assert np.mean(traj.iterations) <= 2.5
+    # at h = pi/1280 the extrapolated start leaves ~2.0 iterations per step
+    # (one correction; from v0 it takes ~3.1)
+    assert _mean_iterations("drift2d", math.pi / 1280, 2000) <= 2.5
+
+
+@pytest.mark.parametrize("name,h,n_steps,bound", [
+    # 3.64 and 2.16 with the strict test alone: the contraction estimate
+    # saves the confirming iterate on most steps
+    ("banana", None, 500, 3.2),
+    ("drift2d", math.pi / 1280, 2000, 2.1),
+])
+def test_contraction_stop_saves_the_confirming_iterate(name, h, n_steps, bound):
+    assert _mean_iterations(name, h, n_steps) <= bound
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -553,13 +587,13 @@ def test_integrate_nonfinite_state_aborts_with_partial(method):
 # above are what such a change must keep.
 STATE_DIGESTS = {
     ("banana", "bdli"):
-        "69b8b26c0974316694f22e9d4cc6512f2c913559c54c44ffe1d876729853bec8",
+        "e16931845789b2c2287b29fb78c9b0b73b3d4db807dc4e4e2ab5e3aa6052f0f4",
     ("banana", "boris"):
         "552502fb8e8944b04639b549718a20f70b9e9ed1381f7fa6a9e0d085774175ee",
     ("banana", "rk4"):
         "88c2bf5bed5feb6e77901c38e444c09b9637b84780058b96f65a9d248d3efdc2",
     ("drift2d", "bdli"):
-        "1b0671e71474ee8b4e94170d176ca61e4c517f0b9c27fdcae559c9f94d99d997",
+        "c81355934b5147815c41aaa12531e9d998c5ab2b1e285cb900097a42b305032d",
 }
 
 
@@ -574,12 +608,10 @@ def test_step_kernels_bitwise_pinned(name, method):
 
 def test_bdli_banana_iteration_count():
     # the exact rotation leaves only the drift of B along the segment to the
-    # iteration: ~3.6 iterations per step (3.9 without the extrapolated
-    # start), against 13 for a Picard iteration that treats v x B explicitly
-    scn = bdli.builtin_scenario("banana")
-    traj = integrate(scn.system(), "bdli", scn.initial_state(), scn.h, 500,
-                     scn.solver)
-    assert np.mean(traj.iterations) <= 5.0
+    # iteration: ~3.0 iterations per step (3.6 with the strict stopping test
+    # alone, 3.9 without the extrapolated start either), against 13 for a
+    # Picard iteration that treats v x B explicitly
+    assert _mean_iterations("banana", None, 500) <= 5.0
 
 
 def test_trajectory_validation():

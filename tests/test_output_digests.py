@@ -20,16 +20,16 @@ from bdli.cli import main
 PINNED = {
     "banana": (
         ["banana"],
-        "f240976dec95845b2131dde7fa0560c4517208d9342cc31767e32984411d825a",
-        "7ac216d84e038f949a08f7eead14d1d1edd3d6aa7fe82e1a645ad3bf3957ff1e"),
+        "3b39b7da29926321dc28327387d9f5b07b24b864e09068ae894d23f9392d4470",
+        "787dd5661e0b19507fbbc362d04bd03a0fe6e7fca8927d8933f7eb41da976821"),
     "transit": (
         ["transit"],
-        "5c409a21398e6977dc241e0ac9bfacd5a228835650af17cf5432d27e079b131e",
-        "b576c12e006d6f915533d007eb38c8448897e45bfd5569012cfa26412d0061ac"),
+        "14d0e864d8127a7bc3a3a26db7bae1783e3c03f73a96f80ab27d991487b58137",
+        "7395869b02089be416e995467d0842a75ae17b9984202035d809b0c1a9288b8e"),
     "drift2d": (
         ["drift2d"],
-        "ae18e3ccfd61a34674c76817f7e5b1f52d5bb6dacf4e94c5f87f82602d79b576",
-        "fc3f99f38a5711e41f889ffece8db4e513246bbd9565a786eec65a638ab07281"),
+        "b6b6fc10892e3f98d32705310455d17068c68b710088258e96123708716950bd",
+        "bbcd1c43682f92de084afebf6f194505d45c668be0c7c09fc390cb0de9bc6832"),
     "banana-boris": (
         ["banana", "--method", "boris"],
         "312c0c43228e8a492fa058cfa3512436a8a84ccd1e2eb255c6c2edda451ca0f0",
@@ -41,14 +41,14 @@ PINNED = {
     # the summary errors stay absolute: the same summary as "banana"
     "banana-relative-errors": (
         ["banana", "--relative-errors"],
-        "dc82a6946a1e262e4da88a5306c6c9160ef0928628896874675f3b53c972ca91",
-        "7ac216d84e038f949a08f7eead14d1d1edd3d6aa7fe82e1a645ad3bf3957ff1e"),
+        "929c7ff7e32623e7cc2bcff2c71f5029071c5285c45003aa285eeec3ea9cfc39",
+        "787dd5661e0b19507fbbc362d04bd03a0fe6e7fca8927d8933f7eb41da976821"),
     # a config with stride 7, which does not divide 2000: the summary's
     # final_abs_err_* come from the last emitted row, not the last state
     "banana-stride-7": (
         None,
-        "8125797531d7ebd10511af16e810156e6fd303382be0acc912df8aef0f77c785",
-        "6f12c0ae3c33fc14daa0f328ed70f06e832bd24da1cc47810c89021ebd5c0ace"),
+        "1a3b3024e30a46236ff59700c803e54ecc9c61bee03f0fed755b2d24bd616989",
+        "d2efd779dd6b13d065f867b64b12038d796d04ea84277bdaefaf83ad3c353486"),
 }
 
 
