@@ -103,6 +103,12 @@ class Scenario:
     stride: int = 1
 
     def __post_init__(self):
+        # the parser's coercions, so that a Scenario built directly refuses
+        # a value of the wrong type as a ConfigError naming its key
+        for key in ("mass", "charge", "h"):
+            object.__setattr__(self, key, _coerce(key, float, getattr(self, key)))
+        for key in ("n_steps", "stride"):
+            object.__setattr__(self, key, _count(key, getattr(self, key)))
         if self.n_steps < 1:
             raise ConfigError(f"n_steps: must be >= 1, got {self.n_steps}")
         if self.h == 0.0 or not math.isfinite(self.h):
@@ -214,9 +220,10 @@ def _coerce(key: str, kind, value):
 
 
 def _count(key: str, value) -> int:
-    """An integer config entry: integral floats such as JSON ``1e4`` pass,
-    booleans and fractions such as 1.5 are refused."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """An integer config entry: integral floats such as JSON ``1e4`` pass;
+    booleans, strings and fractions such as 1.5 are refused."""
+    if isinstance(value, (bool, str)) or (
+            isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{key}: expected an integer, got {value!r}")
     return _coerce(key, int, value)
 
@@ -282,9 +289,9 @@ def _scenario_from_dict(doc: dict, source: str) -> Scenario:
             raise ConfigError("field: expected a name or {name, params}")
     if "name" in doc:
         updates["name"] = str(doc["name"])
-    for key in ("mass", "charge"):
+    for key in ("mass", "charge", "n_steps", "stride"):  # Scenario checks them
         if key in doc:
-            updates[key] = _coerce(key, float, doc[key])
+            updates[key] = doc[key]
     for key in ("x0", "v0"):
         if key in doc:
             seq = doc[key]
@@ -293,8 +300,6 @@ def _scenario_from_dict(doc: dict, source: str) -> Scenario:
             updates[key] = tuple(_coerce(key, float, c) for c in seq)
     if "h" in doc:
         updates["h"], updates["h_expr"] = parse_step_size(doc["h"])
-    if "n_steps" in doc:
-        updates["n_steps"] = _count("n_steps", doc["n_steps"])
     if "method" in doc:
         updates["method"] = str(doc["method"])
     if doc.get("rule") is not None:
@@ -327,8 +332,6 @@ def _scenario_from_dict(doc: dict, source: str) -> Scenario:
             raise ConfigError(f"solver: {exc}") from None
     if "output" in doc:
         updates["output"] = str(doc["output"]) if doc["output"] else None
-    if "stride" in doc:
-        updates["stride"] = _count("stride", doc["stride"])
 
     if base is not None:
         return replace(base, **updates)

@@ -140,6 +140,7 @@ def test_broken_json_exit_2(tmp_path, capsys):
     ({"builtin": "banana",
       "rule": {"name": 3, "pairs": [[0, 0.5], [1, 0.5]]}}, "rule"),
     ({"builtin": "banana", "n_steps": 1.5}, "n_steps"),
+    ({"builtin": "banana", "n_steps": "5"}, "n_steps"),
     ({"builtin": "banana", "stride": 2.7}, "stride"),
     ({"builtin": "banana", "stride": True}, "stride"),
     ({"builtin": "banana", "solver": {"max_iterations": 1.5}}, "solver"),
@@ -153,7 +154,7 @@ def test_broken_json_exit_2(tmp_path, capsys):
         "stride-x", "mass-x", "mass-negative", "h-pi/0", "x0-string",
         "field-unknown-param", "field-safety-factor-0", "x0-nan", "v0-inf",
         "charge-nan", "h-401-digits", "field-B0-401-digits", "rule-pairs-int",
-        "rule-name-int", "n_steps-1.5", "stride-2.7", "stride-true",
+        "rule-name-int", "n_steps-1.5", "n_steps-string", "stride-2.7", "stride-true",
         "solver-max_iterations-1.5", "rule-vs-method-boris",
         "rule-not-palindromic", "method-undefined-rule", "rule-unknown-name"])
 def test_invalid_scenario_exit_2(tmp_path, capsys, doc, key):

@@ -100,6 +100,15 @@ def test_scenario_start_vector_is_a_config_error(key, bad):
         replace(builtin_scenario("banana"), **{key: bad})
 
 
+@pytest.mark.parametrize("key,bad", [
+    ("mass", None), ("charge", "x"), ("h", None), ("n_steps", "5"),
+    ("stride", None), ("n_steps", 2.5),
+])
+def test_scenario_value_of_the_wrong_type_is_a_config_error(key, bad):
+    with pytest.raises(ConfigError, match=f"^{key}: expected "):
+        replace(builtin_scenario("banana"), **{key: bad})
+
+
 W2 = bdli.QuadratureRule("w2", (0.0, 1.0), (0.5, 0.5), 1)
 
 
