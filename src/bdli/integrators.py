@@ -248,7 +248,8 @@ def dli_step(
                 if residual <= scale:
                     converged = True
                     break
-                if delta < prev:  # theta = delta / prev < 1
+                # theta = delta / prev, the ratio of the z-differences too
+                if delta < prev:
                     estimate = delta / (prev - delta) * residual
                     if estimate <= near:
                         residual = estimate
