@@ -28,12 +28,20 @@ to resolve how B and E move along the segment, not the gyration itself.
 The fixed point, and hence the scheme, is the same as for a plain Picard
 iteration of the update.
 
-``integrate`` starts each step's iteration from the quadratic extrapolation
-v_start = 3 (v_k - v_{k-1}) + v_{k-2} of the last three accepted velocities
+``integrate`` starts each step's iteration from the degree-6 backward
+extrapolation of the last seven accepted velocities,
+
+    v_start = 7 (v_k - v_{k-5}) - 21 (v_{k-1} - v_{k-4})
+              + 35 (v_{k-2} - v_{k-3}) + v_{k-6}
+
 (a starting approximation in the sense of Hairer, Lubich and Wanner,
-Geometric Numerical Integration, Sec. VIII.6.1); the first two steps, and
-any ``dli_step`` call without a start, begin from v0.  Only the iterate path
-changes, not the fixed point.
+Geometric Numerical Integration, Sec. VIII.6.1); the first six steps, and
+any ``dli_step`` call without a start, begin from v0.  On fine steps the
+start is usually within the tolerance already, and the strict test accepts
+the first iterate.  A higher degree gains little there and loses to
+round-off: the coefficients' absolute sum, 2^(p+1) for degree p, amplifies
+the rounding of the accepted velocities towards the tolerance.  Only the
+iterate path changes, not the fixed point.
 
 The iteration stops in one of two ways.  The strict test accepts the n-th
 iterate once the successive-iterate difference
@@ -43,9 +51,9 @@ simplified Newton iteration, Hairer and Wanner, Solving ODEs II, Sec. IV.8)
 also accepts it when ``theta = delta_n / delta_{n-1} < 1`` and
 ``theta / (1 - theta) delta_n <= KAPPA tol (1 + |z0|_inf)``: the estimated
 distance to the fixed point is then at most a hundredth of the strict bound,
-and the confirming iterate the strict test would need is saved.  On fine
-steps one correcting iterate is then usually enough.  The fixed point and
-the tolerance do not depend on the stop.
+and the confirming iterate the strict test would need is saved.  A step
+whose start is not within the tolerance then usually takes two iterates.
+The fixed point and the tolerance do not depend on the stop.
 
 The step kernels ``dli_step``, ``boris_step`` and ``rk4_step`` map a row
 ``(x, y, z, vx, vy, vz)`` to the next row as a 6-tuple of floats, which
@@ -89,7 +97,11 @@ class SolverOptions:
     def __post_init__(self):
         if not 0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be positive and finite")
-        if self.max_iterations < 1:
+        n = self.max_iterations
+        # an int of any integer type; a float, even 8.0, or a bool is refused
+        if isinstance(n, bool) or not hasattr(n, "__index__"):
+            raise ValueError(f"max_iterations must be an integer, got {n!r}")
+        if n < 1:
             raise ValueError("max_iterations must be >= 1")
 
 
@@ -130,18 +142,23 @@ class Trajectory:
     """Time series of states plus per-step solver statistics.
 
     ``states`` is a list of n_steps + 1 rows ``(x, y, z, vx, vy, vz)``, the
-    6-tuples the steppers return; ``iterations`` has one int per step (0
-    for explicit methods).
+    6-tuples the steppers return; ``iterations`` has one int per step and
+    ``residuals`` each step's ``StepReport.residual_norm`` (0 and 0.0 for
+    explicit methods; ``residuals`` defaults to 0.0 for every step).
     """
 
-    def __init__(self, h: float, states, iterations):
+    def __init__(self, h: float, states, iterations, residuals=None):
         self.h = float(h)
         self.states = list(states)
         self.iterations = [int(n) for n in iterations]
+        self.residuals = ([0.0] * len(self.iterations) if residuals is None
+                          else [float(r) for r in residuals])
         if any(len(row) != 6 for row in self.states):
             raise ValueError("every state must be a row of six numbers")
         if len(self.iterations) != len(self.states) - 1:
             raise ValueError("need exactly one iteration count per step")
+        if len(self.residuals) != len(self.iterations):
+            raise ValueError("need exactly one residual per step")
 
     def __len__(self) -> int:
         return len(self.states)
@@ -394,27 +411,35 @@ def integrate(
     z = z0.as_vector()
     states = [z]
     iters = [0] * n_steps
-    z1 = z2 = None  # the two accepted rows before z, newest first
+    resid = [0.0] * n_steps
+    # the six accepted rows before z, newest first
+    z1 = z2 = z3 = z4 = z5 = z6 = None
 
     def partial(k: int) -> Trajectory:
-        return Trajectory(h, states, iters[:k])
+        return Trajectory(h, states, iters[:k], resid[:k])
 
     for k in range(n_steps):
         try:
             if rule is not None:
                 v_start = None
-                if z2 is not None:  # quadratic extrapolation of v
-                    v_start = (3.0 * (z[3] - z1[3]) + z2[3],
-                               3.0 * (z[4] - z1[4]) + z2[4],
-                               3.0 * (z[5] - z1[5]) + z2[5])
+                if z6 is not None:  # degree-6 extrapolation of v, grouped
+                    # so that each pair of rows shares one coefficient
+                    v_start = (
+                        7.0 * (z[3] - z5[3]) - 21.0 * (z1[3] - z4[3])
+                        + 35.0 * (z2[3] - z3[3]) + z6[3],
+                        7.0 * (z[4] - z5[4]) - 21.0 * (z1[4] - z4[4])
+                        + 35.0 * (z2[4] - z3[4]) + z6[4],
+                        7.0 * (z[5] - z5[5]) - 21.0 * (z1[5] - z4[5])
+                        + 35.0 * (z2[5] - z3[5]) + z6[5])
                 rep = dli_step(sys, rule, z, h, opts, v_start)
                 if not rep.converged:
                     raise NonConvergenceError(
                         f"{method}: fixed-point solver did not converge at step "
                         f"{k} (residual {rep.residual_norm:.3e} after "
                         f"{rep.iterations} iterations)", k, partial(k))
-                z2, z1, z = z1, z, rep.state
+                z6, z5, z4, z3, z2, z1, z = z5, z4, z3, z2, z1, z, rep.state
                 iters[k] = rep.iterations
+                resid[k] = rep.residual_norm
             else:
                 z = step(sys, z, h)
         except FieldSingularityError as exc:
@@ -426,4 +451,4 @@ def integrate(
                 f"{method}: non-finite state at step {k}", k, partial(k)
             )
         states.append(z)
-    return Trajectory(h, states, iters)
+    return Trajectory(h, states, iters, resid)

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 
@@ -48,6 +49,16 @@ def test_solver_options_validation():
         SolverOptions(tolerance=0.0)
     with pytest.raises(ValueError):
         SolverOptions(max_iterations=0)
+
+
+@pytest.mark.parametrize("value", [2.5, math.inf, math.nan, 8.0, True, False, "8"])
+def test_solver_options_max_iterations_must_be_an_integer(value):
+    with pytest.raises(ValueError, match="max_iterations must be an integer"):
+        SolverOptions(max_iterations=value)
+
+
+def test_solver_options_max_iterations_takes_any_integral_type():
+    assert SolverOptions(max_iterations=np.int64(8)).max_iterations == 8
 
 
 def test_step_report_residual_consistent_with_convergence():
@@ -364,27 +375,73 @@ def test_property_contraction_stop_stays_near_the_strict_state(start, rule, h, o
         assert gap <= 4.0 * bdli.integrators.KAPPA * _scale(z0)
 
 
-def _mean_iterations(name, h, n_steps):
+@functools.cache  # several tests read the same runs; none changes them
+def _trajectory(name, h, n_steps, opts=None):
     scn = bdli.builtin_scenario(name)
-    traj = integrate(scn.system(), "bdli", scn.initial_state(), h or scn.h,
-                     n_steps, scn.solver)
-    return np.mean(traj.iterations)
+    return integrate(scn.system(), "bdli", scn.initial_state(), h or scn.h,
+                     n_steps, opts or scn.solver)
+
+
+def _mean_iterations(name, h, n_steps, opts=None):
+    return np.mean(_trajectory(name, h, n_steps, opts).iterations)
 
 
 def test_bdli_drift2d_fine_step_iteration_count():
-    # at h = pi/1280 the extrapolated start leaves ~2.0 iterations per step
-    # (one correction; from v0 it takes ~3.1)
+    # at h = pi/1280 the extrapolated start is usually within the tolerance,
+    # so ~1.1 iterations per step are left (from v0 it takes ~3.1)
     assert _mean_iterations("drift2d", math.pi / 1280, 2000) <= 2.5
 
 
 @pytest.mark.parametrize("name,h,n_steps,bound", [
-    # 3.64 and 2.16 with the strict test alone: the contraction estimate
-    # saves the confirming iterate on most steps
+    # 3.64 and 2.16 with the strict test alone and the quadratic start (3.00
+    # and 2.03 with the contraction estimate); ~2.7 and ~1.1 here
     ("banana", None, 500, 3.2),
     ("drift2d", math.pi / 1280, 2000, 2.1),
 ])
 def test_contraction_stop_saves_the_confirming_iterate(name, h, n_steps, bound):
     assert _mean_iterations(name, h, n_steps) <= bound
+
+
+@pytest.mark.parametrize("name,h,n_steps,bound", [
+    # 2.68 and 1.09 here; 3.00 and 2.03 from the quadratic start
+    ("banana", None, 500, 2.85),
+    ("drift2d", math.pi / 1280, 2000, 1.2),
+])
+def test_degree6_start_saves_the_correcting_iterate(name, h, n_steps, bound):
+    assert _mean_iterations(name, h, n_steps) <= bound
+
+
+def test_degree6_start_is_accepted_on_the_first_iterate():
+    # from step 6 on, the start is the extrapolation; on the fine rung it is
+    # usually already within the tolerance (92% of the steps here)
+    iters = np.array(_trajectory("drift2d", math.pi / 1280, 2000).iterations)
+    assert np.mean(iters[6:] == 1) >= 0.85
+
+
+@pytest.mark.parametrize("tol,bound", [
+    # the round-off in the accepted velocities, amplified by the
+    # extrapolation's coefficients (their absolute sum is 2^(p+1) for degree
+    # p), is near these tolerances.  Over these 2000 steps degree 6 takes
+    # 1.43 and 1.98 iterations; the quadratic start 2.03 and 2.09, degree 7
+    # 1.73 and 2.00, degree 8 1.90 and 2.01.  At 1e-16 the contraction
+    # estimate caps every degree near 2, so 1e-15 is where a start of too
+    # high a degree shows.
+    (1e-15, 1.55),
+    (1e-16, 2.05),
+])
+def test_degree6_start_is_not_swamped_by_round_off(tol, bound):
+    opts = SolverOptions(tolerance=tol)
+    assert _mean_iterations("drift2d", math.pi / 1280, 2000, opts) <= bound
+
+
+def test_integrate_keeps_each_steps_residual():
+    scn = bdli.builtin_scenario("drift2d")
+    traj = _trajectory("drift2d", math.pi / 1280, 2000)
+    assert len(traj.residuals) == len(traj.iterations)
+    bounds = scn.solver.tolerance * (
+        1.0 + np.abs(np.array(traj.states[:-1])).max(axis=1))
+    assert np.all(np.array(traj.residuals) <= bounds)
+    assert max(traj.residuals) > 0.0
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -504,6 +561,7 @@ def test_integrate_monotone_time_and_shapes():
     assert np.asarray(traj.states).shape == (41, 6)
     assert np.asarray(traj.iterations).shape == (40,)
     assert np.all(np.asarray(traj.iterations) == 0)  # explicit method
+    assert traj.residuals == [0.0] * 40
 
 
 def test_integrate_takes_method_text_or_a_rule():
@@ -567,6 +625,28 @@ def test_integrate_nonconvergence_abort_with_partial():
     assert len(info.value.trajectory) == 1
 
 
+def test_integrate_partial_trajectory_keeps_the_accepted_residuals(monkeypatch):
+    scn = bdli.builtin_scenario("banana")
+    args = (scn.system(), "bdli", scn.initial_state(), scn.h, 20, scn.solver)
+    full = integrate(*args)
+    step = bdli.integrators.dli_step
+    calls = []
+
+    def fail_at_step_12(*a):
+        calls.append(None)
+        rep = step(*a)
+        return rep._replace(converged=False) if len(calls) == 13 else rep
+
+    monkeypatch.setattr(bdli.integrators, "dli_step", fail_at_step_12)
+    with pytest.raises(NonConvergenceError) as info:
+        integrate(*args)
+    part = info.value.trajectory
+    assert info.value.step_index == 12
+    assert part.states == full.states[:13]
+    assert part.iterations == full.iterations[:12]
+    assert part.residuals == full.residuals[:12]
+
+
 @pytest.mark.parametrize("method", ["boris", "rk4", "bdli"])
 def test_integrate_nonfinite_state_aborts_with_partial(method):
     # a step this large overflows the first state; the loop must report it
@@ -589,13 +669,13 @@ def test_integrate_nonfinite_state_aborts_with_partial(method):
 # above are what such a change must keep.
 STATE_DIGESTS = {
     ("banana", "bdli"):
-        "e16931845789b2c2287b29fb78c9b0b73b3d4db807dc4e4e2ab5e3aa6052f0f4",
+        "773a42b0e87efc4f79000ff0f9ec759607baeca62161dc7b16905bda6bdfca08",
     ("banana", "boris"):
         "552502fb8e8944b04639b549718a20f70b9e9ed1381f7fa6a9e0d085774175ee",
     ("banana", "rk4"):
         "88c2bf5bed5feb6e77901c38e444c09b9637b84780058b96f65a9d248d3efdc2",
     ("drift2d", "bdli"):
-        "c81355934b5147815c41aaa12531e9d998c5ab2b1e285cb900097a42b305032d",
+        "e471447b9b42c111dc557bccfe72896ddc67db114709c9d973aa511fdc640b48",
 }
 
 
@@ -610,9 +690,9 @@ def test_step_kernels_bitwise_pinned(name, method):
 
 def test_bdli_banana_iteration_count():
     # the exact rotation leaves only the drift of B along the segment to the
-    # iteration: ~3.0 iterations per step (3.6 with the strict stopping test
-    # alone, 3.9 without the extrapolated start either), against 13 for a
-    # Picard iteration that treats v x B explicitly
+    # iteration: ~2.7 iterations per step (3.0 from the quadratic start; with
+    # the strict stopping test alone, 3.6 from it and 3.9 from v0), against
+    # 13 for a Picard iteration that treats v x B explicitly
     assert _mean_iterations("banana", None, 500) <= 5.0
 
 
@@ -621,6 +701,8 @@ def test_trajectory_validation():
         Trajectory(0.1, np.zeros((3, 5)), np.zeros(2))
     with pytest.raises(ValueError):
         Trajectory(0.1, np.zeros((3, 6)), np.zeros(3))
+    with pytest.raises(ValueError):
+        Trajectory(0.1, np.zeros((3, 6)), np.zeros(2), np.zeros(3))
 
 
 # --- conservation and symmetry ---------------------------------------------

@@ -20,16 +20,16 @@ from bdli.cli import main
 PINNED = {
     "banana": (
         ["banana"],
-        "3b39b7da29926321dc28327387d9f5b07b24b864e09068ae894d23f9392d4470",
-        "787dd5661e0b19507fbbc362d04bd03a0fe6e7fca8927d8933f7eb41da976821"),
+        "a5b0fd9b7703b7a531bb13b805b909a2a7155bbe9eb1338e681b7125a7a31ad3",
+        "a8cc426598e57685220c8fe059b59efc787af6010db337002a7de8e43f77d9c7"),
     "transit": (
         ["transit"],
-        "14d0e864d8127a7bc3a3a26db7bae1783e3c03f73a96f80ab27d991487b58137",
-        "7395869b02089be416e995467d0842a75ae17b9984202035d809b0c1a9288b8e"),
+        "7ac680e9cb2285be3808f69f54df5703f9d5e6fabf5605ce3e2aefc384f9083f",
+        "458ce58f2548de17c9e673dfe0f632ff2f9eb514b9b857cb658aa1d3e05e2f5e"),
     "drift2d": (
         ["drift2d"],
-        "b6b6fc10892e3f98d32705310455d17068c68b710088258e96123708716950bd",
-        "bbcd1c43682f92de084afebf6f194505d45c668be0c7c09fc390cb0de9bc6832"),
+        "da4c57012c3024dbca7d354ad42759dbf3f1727c8ee0187b7986b9e2724c2667",
+        "031e89a17c02da955b707696e1c7118a5161719f63cd7205875f378d1f06f27d"),
     "banana-boris": (
         ["banana", "--method", "boris"],
         "312c0c43228e8a492fa058cfa3512436a8a84ccd1e2eb255c6c2edda451ca0f0",
@@ -41,14 +41,14 @@ PINNED = {
     # the summary errors stay absolute: the same summary as "banana"
     "banana-relative-errors": (
         ["banana", "--relative-errors"],
-        "929c7ff7e32623e7cc2bcff2c71f5029071c5285c45003aa285eeec3ea9cfc39",
-        "787dd5661e0b19507fbbc362d04bd03a0fe6e7fca8927d8933f7eb41da976821"),
+        "910554c5dfaeaeed30dbc10ac81413fac902a4f7f31e5376f3ac70f3d9fb59d3",
+        "a8cc426598e57685220c8fe059b59efc787af6010db337002a7de8e43f77d9c7"),
     # a config with stride 7, which does not divide 2000: the summary's
     # final_abs_err_* come from the last emitted row, not the last state
     "banana-stride-7": (
         None,
-        "1a3b3024e30a46236ff59700c803e54ecc9c61bee03f0fed755b2d24bd616989",
-        "d2efd779dd6b13d065f867b64b12038d796d04ea84277bdaefaf83ad3c353486"),
+        "fa177a879c7f01f1f9bf44ab1066a342d84b331d97b3efd2ec96c373cb89fc95",
+        "86c3e32423e7890ee77105026ce5a63029bdc6ebed6e9510de996141e4782d6d"),
 }
 
 
