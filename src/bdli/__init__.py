@@ -37,6 +37,7 @@ from .fields import (
 )
 from .hamiltonian import ChargedParticleSystem, PhaseState
 from .integrators import (
+    DLIKernel,
     IntegrationError,
     NonConvergenceError,
     SingularityError,
@@ -44,6 +45,7 @@ from .integrators import (
     StepReport,
     Trajectory,
     boris_step,
+    dli_kernel,
     dli_step,
     integrate,
     resolve_method,

@@ -211,18 +211,21 @@ _SOLVER_KEYS = {"tolerance", "max_iterations"}
 
 
 def _coerce(key: str, kind, value):
-    """``kind(value)`` for a config entry, as a ConfigError naming the key."""
+    """``kind(value)`` for a config entry, as a ConfigError naming the key;
+    a boolean is not a number."""
+    what = "an integer" if kind is int else "a number"
+    if isinstance(value, bool):
+        raise ConfigError(f"{key}: expected {what}, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError):
-        what = "an integer" if kind is int else "a number"
         raise ConfigError(f"{key}: expected {what}, got {value!r}") from None
 
 
 def _count(key: str, value) -> int:
     """An integer config entry: integral floats such as JSON ``1e4`` pass;
     booleans, strings and fractions such as 1.5 are refused."""
-    if isinstance(value, (bool, str)) or (
+    if isinstance(value, str) or (
             isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{key}: expected an integer, got {value!r}")
     return _coerce(key, int, value)

@@ -58,7 +58,12 @@ The fixed point and the tolerance do not depend on the stop.
 The step kernels ``dli_step``, ``boris_step`` and ``rk4_step`` map a row
 ``(x, y, z, vx, vy, vz)`` to the next row as a 6-tuple of floats, which
 ``integrate`` appends to ``Trajectory.states`` as it is; ``PhaseState`` is
-only the boundary type.
+only the boundary type.  The DLI step has two parts: ``dli_kernel(sys,
+rule, h, opts)`` builds what all steps of a trajectory share (the bound
+field evaluators, the rule's nodes split at c = 0, k = h q/m and the solver
+limits) once, and ``dli_step(kernel, z0, v_start)`` runs the iteration
+from one row.  ``integrate`` builds one kernel per trajectory and calls
+``dli_step`` through this module on every step.
 ``dli_step`` is the library's only implementation of the scheme; the tests
 check it against an independent array form written from the update
 equation above (``tests/oracles.py``).
@@ -67,8 +72,9 @@ equation above (``tests/oracles.py``).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import NamedTuple
+from numbers import Real
 
 from .fields import FieldSingularityError
 from .hamiltonian import ChargedParticleSystem, PhaseState
@@ -83,11 +89,9 @@ KAPPA = 0.01
 class SolverOptions:
     """Fixed-point solver controls for the implicit DLI step.
 
-    The iteration stops when the successive-iterate infinity norm drops
-    below ``tolerance * (1 + |z0|_inf)``, or when the contraction estimate
-    puts the iterate within ``KAPPA`` times that bound of the fixed point
-    (see the module docstring); states in the reference scenarios span
-    magnitudes from 1e-4 to 1, so the mixed absolute/relative scaling
+    ``tolerance`` (a float) scales the stopping tests of the module
+    docstring, ``tol (1 + |z0|_inf)``: states in the reference scenarios
+    span magnitudes from 1e-4 to 1, so the mixed absolute/relative scaling
     matters.
     """
 
@@ -95,8 +99,12 @@ class SolverOptions:
     max_iterations: int = 200
 
     def __post_init__(self):
-        if not 0 < self.tolerance < math.inf:
+        tol = self.tolerance  # a real number of any type; a bool is refused
+        if isinstance(tol, bool) or not isinstance(tol, Real):
+            raise ValueError(f"tolerance must be a real number, got {tol!r}")
+        if not 0 < tol < math.inf:
             raise ValueError("tolerance must be positive and finite")
+        object.__setattr__(self, "tolerance", float(tol))
         n = self.max_iterations
         # an int of any integer type; a float, even 8.0, or a bool is refused
         if isinstance(n, bool) or not hasattr(n, "__index__"):
@@ -105,18 +113,11 @@ class SolverOptions:
             raise ValueError("max_iterations must be >= 1")
 
 
-class StepReport(NamedTuple):
-    """Outcome of one implicit step; ``state`` is the next row (6-tuple).
-
-    ``residual_norm`` is what the step was accepted on: the last
-    successive-iterate difference or, when the contraction estimate stopped
-    the iteration, that estimate of the distance to the fixed point.
-    """
-
-    state: tuple
-    iterations: int
-    residual_norm: float
-    converged: bool
+# The outcome of one implicit step: ``state`` is the next row (6-tuple) and
+# ``residual_norm`` what the step was accepted on, the last successive-iterate
+# difference or, when the contraction estimate stopped the iteration, that
+# estimate of the distance to the fixed point.
+StepReport = namedtuple("StepReport", "state iterations residual_norm converged")
 
 
 class IntegrationError(RuntimeError):
@@ -168,65 +169,65 @@ class Trajectory:
 # DLI step
 # ---------------------------------------------------------------------------
 
-def dli_step(
-    sys: ChargedParticleSystem,
-    rule: QuadratureRule,
-    z0,
-    h: float,
-    opts: SolverOptions | None = None,
-    v_start: tuple | None = None,
-) -> StepReport:
-    """One implicit DLI step of size h from the row z0 (h may have either sign).
+# What every DLI step of one trajectory shares, built once by dli_kernel: the
+# field's bound e_at and b_at; the rule's weight w0 of the node c = 0 (None
+# if it has none) and its other (c, w) pairs, (None, ()) for a field without
+# E, so that no step samples E; the rule's moments r = 1 - s and s; h;
+# k = h q/m, k r and k s; the tolerance; dz_factor, since z-iterates differ
+# in x by h s times the v difference; and the iterate numbers to try.
+DLIKernel = namedtuple("DLIKernel", "e_at b_at w0 pairs r s h k kr ks "
+                       "tolerance dz_factor iterates")
 
-    ``z0`` is ``(x, y, z, vx, vy, vz)`` and the report's ``state`` the next
-    row as a 6-tuple.  Fixed-point iteration with the exact rotation of
-    the module docstring, from ``v_start`` if given, else from v1 = v0 (the
-    first iterate then takes B at the half-drifted point x0 + (h/2) v0, as
-    the Boris push does).  It stops on the strict test or, from the second
-    iterate on, on the contraction estimate of the module docstring.  If
-    the iteration from ``v_start`` fails, it is rerun once from v0;
-    ``iterations`` counts the iterates of both runs.
-    Non-convergence is reported through the ``converged`` flag, never
-    papered over, because the conservation properties are meaningless on
-    unconverged steps.
-    """
+
+def dli_kernel(sys: ChargedParticleSystem, rule: QuadratureRule, h: float,
+               opts: SolverOptions | None = None) -> DLIKernel:
+    """The kernel of the DLI steps of size h (either sign) with ``rule`` on
+    ``sys``: build it once per trajectory and pass it to every ``dli_step``."""
     opts = opts or SolverOptions()
     fld = sys.field
-    e_at, b_at = fld.e_at, fld.b_at
-    no_e = fld.zero_electric
-    w0, pairs = rule.zero_node_split
+    w0, pairs = (None, ()) if fld.zero_electric else rule.zero_node_split
     s = rule.first_moment
     r = 1.0 - s
     k = h * sys.charge / sys.mass
-    kr, ks = k * r, k * s
+    return DLIKernel(fld.e_at, fld.b_at, w0, pairs, r, s, h, k, k * r, k * s,
+                     opts.tolerance, max(1.0, abs(h) * s),
+                     range(1, opts.max_iterations + 1))
 
+
+def dli_step(kernel: DLIKernel, z0, v_start: tuple | None = None) -> StepReport:
+    """One implicit DLI step from the row z0 with the kernel's h and rule.
+
+    ``z0`` and the report's ``state`` are rows ``(x, y, z, vx, vy, vz)``.
+    The iteration and its stop are those of the module docstring, from
+    ``v_start`` if given, else from v1 = v0 (the first iterate then takes B
+    at x0 + (h/2) v0, as the Boris push does).  If it fails from
+    ``v_start``, it is rerun once from v0; ``iterations`` counts both runs.
+    Non-convergence is reported through ``converged``, never papered over:
+    the conservation properties are meaningless on unconverged steps.
+    """
+    e_at, b_at, w0, pairs, r, s, h, k, kr, ks, tol, dz_factor, iterates = kernel
     x0x, x0y, x0z, v0x, v0y, v0z = z0
 
-    scale = opts.tolerance * (
-        1.0 + max(abs(x0x), abs(x0y), abs(x0z), abs(v0x), abs(v0y), abs(v0z))
-    )
-    near = KAPPA * scale
-    # successive z-iterates differ in x by h*s times the v difference
-    dz_factor = max(1.0, abs(h) * s)
+    scale = tol * (1.0 + max(map(abs, z0)))
 
     # the c = 0 term of the E sum does not move with the iterate; each
     # iterate's sum starts from it, in the rule's node order
     s0x = s0y = s0z = 0.0
-    if w0 is not None and not no_e:
+    if w0 is not None:
         e0x, e0y, e0z = e_at(x0x, x0y, x0z)
         s0x, s0y, s0z = s0x + w0 * e0x, s0y + w0 * e0y, s0z + w0 * e0z
 
     # an extrapolated start that fails (no convergence, a non-finite iterate
     # or a singular field sample) is retried once from v0, so a start can
     # only remove failures, never add them
-    starts = [(v0x, v0y, v0z)] if v_start is None else [v_start, (v0x, v0y, v0z)]
+    vx, vy, vz = z0[3:] if v_start is None else v_start
     iterations = 0
-    for attempt, (vx, vy, vz) in enumerate(starts, 1):
+    while True:
         converged = False
         residual = math.inf
         prev = 0.0  # the previous iterate's delta; 0 before the second
         try:
-            for n in range(1, opts.max_iterations + 1):
+            for n in iterates:
                 # velocity average entering both K blocks and the gradient sum
                 avx = r * v0x + s * vx
                 avy = r * v0y + s * vy
@@ -234,13 +235,11 @@ def dli_step(
                 dxx, dxy, dxz = h * avx, h * avy, h * avz
 
                 sex, sey, sez = s0x, s0y, s0z
-                if not no_e:
-                    for c, w in pairs:
-                        ex, ey, ez = e_at(
-                            x0x + c * dxx, x0y + c * dxy, x0z + c * dxz)
-                        sex += w * ex
-                        sey += w * ey
-                        sez += w * ez
+                for c, w in pairs:
+                    ex, ey, ez = e_at(x0x + c * dxx, x0y + c * dxy, x0z + c * dxz)
+                    sex += w * ex
+                    sey += w * ey
+                    sez += w * ez
 
                 bx, by, bz = b_at(x0x + 0.5 * dxx, x0y + 0.5 * dxy, x0z + 0.5 * dxz)
                 # v = a + v x t with a = v0 + k sE + k r v0 x B and t = k s B,
@@ -268,23 +267,25 @@ def dli_step(
                 # theta = delta / prev, the ratio of the z-differences too
                 if delta < prev:
                     estimate = delta / (prev - delta) * residual
-                    if estimate <= near:
+                    if estimate <= KAPPA * scale:
                         residual = estimate
                         converged = True
                         break
                 prev = delta
         except FieldSingularityError:
-            if attempt == len(starts):
+            if v_start is None:
                 raise
         iterations += n
-        if converged:
+        if converged or v_start is None:
             break
+        (vx, vy, vz), v_start = z0[3:], None
 
     avx = r * v0x + s * vx
     avy = r * v0y + s * vy
     avz = r * v0z + s * vz
     state = (x0x + h * avx, x0y + h * avy, x0z + h * avz, vx, vy, vz)
-    return StepReport(state, iterations, residual, converged)
+    # tuple.__new__ skips the named tuple's Python-level __new__
+    return tuple.__new__(StepReport, (state, iterations, residual, converged))
 
 
 # ---------------------------------------------------------------------------
@@ -382,14 +383,9 @@ def resolve_method(method: str, own: QuadratureRule | None = None):
         raise
 
 
-def integrate(
-    sys: ChargedParticleSystem,
-    method: str | QuadratureRule,
-    z0: PhaseState,
-    h: float,
-    n_steps: int,
-    opts: SolverOptions | None = None,
-) -> Trajectory:
+def integrate(sys: ChargedParticleSystem, method: str | QuadratureRule,
+              z0: PhaseState, h: float, n_steps: int,
+              opts: SolverOptions | None = None) -> Trajectory:
     """Apply a one-step method n_steps times from z0.
 
     ``method`` is method text (see :func:`resolve_method`) or a
@@ -405,8 +401,9 @@ def integrate(
         step, method = method, f"dli:{method.name}"  # the label in errors
     else:
         step = resolve_method(method)
-    rule = step if isinstance(step, QuadratureRule) else None
-    opts = opts or SolverOptions()
+    # one kernel for the trajectory, passed to dli_step on every step
+    kernel = (dli_kernel(sys, step, h, opts)
+              if isinstance(step, QuadratureRule) else None)
 
     z = z0.as_vector()
     states = [z]
@@ -420,7 +417,7 @@ def integrate(
 
     for k in range(n_steps):
         try:
-            if rule is not None:
+            if kernel is not None:
                 v_start = None
                 if z6 is not None:  # degree-6 extrapolation of v, grouped
                     # so that each pair of rows shares one coefficient
@@ -431,15 +428,15 @@ def integrate(
                         + 35.0 * (z2[4] - z3[4]) + z6[4],
                         7.0 * (z[5] - z5[5]) - 21.0 * (z1[5] - z4[5])
                         + 35.0 * (z2[5] - z3[5]) + z6[5])
-                rep = dli_step(sys, rule, z, h, opts, v_start)
-                if not rep.converged:
+                state, n, residual, converged = dli_step(kernel, z, v_start)
+                if not converged:
                     raise NonConvergenceError(
                         f"{method}: fixed-point solver did not converge at step "
-                        f"{k} (residual {rep.residual_norm:.3e} after "
-                        f"{rep.iterations} iterations)", k, partial(k))
-                z6, z5, z4, z3, z2, z1, z = z5, z4, z3, z2, z1, z, rep.state
-                iters[k] = rep.iterations
-                resid[k] = rep.residual_norm
+                        f"{k} (residual {residual:.3e} after {n} iterations)",
+                        k, partial(k))
+                z6, z5, z4, z3, z2, z1, z = z5, z4, z3, z2, z1, z, state
+                iters[k] = n
+                resid[k] = residual
             else:
                 z = step(sys, z, h)
         except FieldSingularityError as exc:

@@ -25,6 +25,7 @@ from bdli import (
     builtin_rule,
     builtin_scenario,
     convergence_study,
+    dli_kernel,
     dli_step,
     error_series,
     integrate,
@@ -260,8 +261,8 @@ def test_criterion_7_reversibility():
                 (R * math.cos(ang), R * math.sin(ang), rng.uniform(-0.3, 0.3)),
                 rng.normal(0.0, 0.1, 3),
             )
-            fwd = dli_step(sys, boole, z0.as_vector(), math.pi / 10, opts)
-            back = dli_step(sys, boole, fwd.state, -math.pi / 10, opts)
+            fwd = dli_step(dli_kernel(sys, boole, math.pi / 10, opts), z0.as_vector())
+            back = dli_step(dli_kernel(sys, boole, -math.pi / 10, opts), fwd.state)
             assert fwd.converged and back.converged
             err = float(np.abs(np.asarray(PhaseState.from_vector(back.state).as_vector())
                                - z0.as_vector()).max())
@@ -345,7 +346,7 @@ def test_criterion_8_structural_identities():
     ]:
         z = start
         for _ in range(100):
-            rep = dli_step(sys, boole, z.as_vector(), math.pi / 10, opts)
+            rep = dli_step(dli_kernel(sys, boole, math.pi / 10, opts), z.as_vector())
             assert rep.converged
             z1 = PhaseState.from_vector(rep.state)
             g = weighted_gradient(sys, boole, z, z1)

@@ -162,6 +162,20 @@ def test_invalid_scenario_exit_2(tmp_path, capsys, doc, key):
     assert f"config error: {key}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc,key", [
+    ({"builtin": "banana", "solver": {"tolerance": True}}, "solver: tolerance"),
+    ({"builtin": "banana", "mass": True}, "mass"),
+    ({"builtin": "banana", "charge": False}, "charge"),
+    ({"builtin": "banana", "x0": [True, 0, 0]}, "x0"),
+    ({"builtin": "banana", "h": True}, "h"),
+], ids=["tolerance", "mass", "charge", "x0", "h"])
+def test_boolean_for_a_number_exit_2(tmp_path, capsys, doc, key):
+    # JSON true is not the number 1: it used to run (tolerance true as 1.0)
+    assert main(["run", write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {key}: expected a number" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_h_flag_division_by_zero_exit_2(capsys):
     assert main(["run", "banana", "--h", "pi/0", "--steps", "5"]) == 2
     assert "config error: h:" in capsys.readouterr().err

@@ -1,6 +1,8 @@
 import functools
 import hashlib
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from bdli import (
     UniformField,
     boris_step,
     builtin_rule,
+    dli_kernel,
     dli_step,
     integrate,
     rk4_step,
@@ -57,6 +60,19 @@ def test_solver_options_max_iterations_must_be_an_integer(value):
         SolverOptions(max_iterations=value)
 
 
+@pytest.mark.parametrize("value", [True, False, "1e-14", Decimal("1e-14"), 1e-14j,
+                                   None], ids=repr)
+def test_solver_options_tolerance_must_be_a_real_number(value):
+    with pytest.raises(ValueError, match="tolerance must be a real number"):
+        SolverOptions(tolerance=value)
+
+
+@pytest.mark.parametrize("value", [np.float32(0.5), Fraction(1, 4), 1])
+def test_solver_options_tolerance_is_stored_as_a_float(value):
+    tol = SolverOptions(tolerance=value).tolerance
+    assert type(tol) is float and tol == float(value)
+
+
 def test_solver_options_max_iterations_takes_any_integral_type():
     assert SolverOptions(max_iterations=np.int64(8)).max_iterations == 8
 
@@ -64,7 +80,7 @@ def test_solver_options_max_iterations_takes_any_integral_type():
 def test_step_report_residual_consistent_with_convergence():
     sys = uniform_b_system()
     z0 = PhaseState((0.3, 0.0, 0.0), (0.2, 0.1, 0.05))
-    rep = dli_step(sys, BOOLE, z0.as_vector(), 0.1, TOL)
+    rep = dli_step(dli_kernel(sys, BOOLE, 0.1, TOL), z0.as_vector())
     assert rep.converged
     scale = TOL.tolerance * (1.0 + np.abs(z0.as_vector()).max())
     assert rep.residual_norm <= scale
@@ -114,7 +130,7 @@ def test_step_satisfies_residual_postcondition():
         PhaseState((1.0, 0.0, 0.0), (0.2, 0.2, 0.1)),
     ]
     for sys, z0 in zip(scn_fields, starts):
-        rep = dli_step(sys, BOOLE, z0.as_vector(), math.pi / 10, TOL)
+        rep = dli_step(dli_kernel(sys, BOOLE, math.pi / 10, TOL), z0.as_vector())
         assert rep.converged
         z1 = PhaseState.from_vector(rep.state)
         res = dli_residual(sys, BOOLE, z0, z1, math.pi / 10)
@@ -127,7 +143,7 @@ def test_step_satisfies_residual_postcondition():
 def test_step_zero_fields_free_streaming():
     sys = free_system()
     z0 = PhaseState((0.0, 1.0, 2.0), (0.3, -0.1, 0.2))
-    rep = dli_step(sys, BOOLE, z0.as_vector(), 0.25, TOL)
+    rep = dli_step(dli_kernel(sys, BOOLE, 0.25, TOL), z0.as_vector())
     assert rep.converged
     z1 = PhaseState.from_vector(rep.state)
     assert z1.x == pytest.approx(np.asarray(z0.x) + 0.25 * np.asarray(z0.v), rel=1e-15)
@@ -137,7 +153,7 @@ def test_step_zero_fields_free_streaming():
 def test_step_h_zero_is_identity():
     sys = uniform_b_system()
     z0 = PhaseState((0.3, 0.0, 0.0), (0.2, 0.1, 0.05))
-    rep = dli_step(sys, BOOLE, z0.as_vector(), 0.0, TOL)
+    rep = dli_step(dli_kernel(sys, BOOLE, 0.0, TOL), z0.as_vector())
     assert rep.converged and rep.iterations == 1
     assert np.array_equal(PhaseState.from_vector(rep.state).as_vector(), z0.as_vector())
 
@@ -158,7 +174,7 @@ def test_step_samples_only_the_rules_nodes():
     z0 = (0.0, 1.0, 0.0, 0.1, 0.01, 0.0)
     for rule, per_iterate, at_x0 in ((gauss2, 2, 0), (BOOLE, 4, 1)):
         points.clear()
-        rep = dli_step(sys, rule, z0, 0.1, TOL)
+        rep = dli_step(dli_kernel(sys, rule, 0.1, TOL), z0)
         assert rep.converged
         assert len(points) == per_iterate * rep.iterations + at_x0
         assert points.count(z0[:3]) == at_x0
@@ -171,7 +187,7 @@ def test_step_uniform_field_conserves_speed_and_energy():
     v0 = np.linalg.norm(z.v)
     Hp = H0
     for _ in range(100):
-        rep = dli_step(sys, BOOLE, z.as_vector(), 0.1, TOL)
+        rep = dli_step(dli_kernel(sys, BOOLE, 0.1, TOL), z.as_vector())
         assert rep.converged
         z = PhaseState.from_vector(rep.state)
         H = energy(sys, z)
@@ -194,7 +210,7 @@ def test_step_energy_change_equals_quadrature_defect():
     sys = ChargedParticleSystem(1.0, 1.0, CylindricalDriftField())
     z0 = PhaseState((0.0, 0.1, 0.0), (0.1, 0.01, 0.0))
     h = math.pi / 10
-    rep = dli_step(sys, BOOLE, z0.as_vector(), h, TOL)
+    rep = dli_step(dli_kernel(sys, BOOLE, h, TOL), z0.as_vector())
     assert rep.converged
     z1 = PhaseState.from_vector(rep.state)
 
@@ -231,7 +247,7 @@ def test_discrete_line_integral_orthogonality():
     ]
     for sys, z in systems:
         for _ in range(50):
-            rep = dli_step(sys, BOOLE, z.as_vector(), 0.1, TOL)
+            rep = dli_step(dli_kernel(sys, BOOLE, 0.1, TOL), z.as_vector())
             assert rep.converged
             z1 = PhaseState.from_vector(rep.state)
             g = weighted_gradient(sys, BOOLE, z, z1)
@@ -283,7 +299,7 @@ def _scale(z0):
 @given(_starts(), st.sampled_from(RULES + [SKEWED]), _h)
 def test_property_step_solves_the_scheme(start, rule, h):
     sys, z0 = start
-    rep = dli_step(sys, rule, z0, h, TOL)
+    rep = dli_step(dli_kernel(sys, rule, h, TOL), z0)
     assert rep.converged
     res = dli_residual(sys, rule, PhaseState.from_vector(z0),
                        PhaseState.from_vector(rep.state), h)
@@ -301,7 +317,7 @@ def test_property_quartic_energy_boole_exact_trapezoid_not(B, x0, v0, k, h):
     bound = 10.0 * _scale(z0.as_vector()) * (1.0 + np.abs(grad_energy(sys, z0)).sum())
     z1 = {}
     for name in ("trapezoid", "boole"):
-        rep = dli_step(sys, builtin_rule(name), z0.as_vector(), h, TOL)
+        rep = dli_step(dli_kernel(sys, builtin_rule(name), h, TOL), z0.as_vector())
         assert rep.converged
         z1[name] = PhaseState.from_vector(rep.state)
     assert abs(energy(sys, z1["boole"]) - H0) <= bound
@@ -315,8 +331,8 @@ def test_property_quartic_energy_boole_exact_trapezoid_not(B, x0, v0, k, h):
 @given(_starts(), st.sampled_from(RULES), _h)
 def test_property_step_is_time_symmetric(start, rule, h):
     sys, z0 = start
-    fwd = dli_step(sys, rule, z0, h, TOL)
-    back = dli_step(sys, rule, fwd.state, -h, TOL)
+    fwd = dli_step(dli_kernel(sys, rule, h, TOL), z0)
+    back = dli_step(dli_kernel(sys, rule, -h, TOL), fwd.state)
     assert fwd.converged and back.converged
     assert np.abs(np.subtract(back.state, z0)).max() <= 10.0 * _scale(z0)
 
@@ -326,7 +342,7 @@ def test_property_step_is_time_symmetric(start, rule, h):
 def test_property_speed_preserved_without_E(start, rule, h):
     # with s = 1/2 each iterate is an exact rotation of v0
     sys, z0 = start
-    rep = dli_step(sys, rule, z0, h, TOL)
+    rep = dli_step(dli_kernel(sys, rule, h, TOL), z0)
     assert rep.converged
     speed0 = math.sqrt(sum(c * c for c in z0[3:]))
     speed1 = math.sqrt(sum(c * c for c in rep.state[3:]))
@@ -343,14 +359,14 @@ def test_property_start_does_not_move_the_step(start, rule, h, offset):
     # far from it reaches the same fixed point, and a start whose iteration
     # overflows falls back to v0 and returns the unstarted step's state
     sys, z0 = start
-    ref = dli_step(sys, rule, z0, h, TOL)
+    ref = dli_step(dli_kernel(sys, rule, h, TOL), z0)
     assert ref.converged
     size = 10.0 ** offset[3]
     v_start = tuple(v + size * d for v, d in zip(ref.state[3:], offset[:3]))
-    rep = dli_step(sys, rule, z0, h, TOL, v_start)
+    rep = dli_step(dli_kernel(sys, rule, h, TOL), z0, v_start)
     assert rep.converged
     assert np.abs(np.subtract(rep.state, ref.state)).max() <= 10.0 * _scale(z0)
-    far = dli_step(sys, rule, z0, h, TOL, (1e200, 0.0, 0.0))
+    far = dli_step(dli_kernel(sys, rule, h, TOL), z0, (1e200, 0.0, 0.0))
     assert far.converged and far.state == ref.state
 
 
@@ -362,17 +378,43 @@ def test_property_contraction_stop_stays_near_the_strict_state(start, rule, h, o
     # KAPPA tol (1 + |z0|) of the strict one
     sys, z0 = start
     size = 10.0 ** offset[3]
-    ref = dli_step(sys, rule, z0, h, TOL)
+    ref = dli_step(dli_kernel(sys, rule, h, TOL), z0)
     v_start = tuple(v + size * d for v, d in zip(ref.state[3:], offset[:3]))
     for start_v in (None, v_start):
-        rep = dli_step(sys, rule, z0, h, TOL, start_v)
+        rep = dli_step(dli_kernel(sys, rule, h, TOL), z0, start_v)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bdli.integrators, "KAPPA", 0.0)
-            strict = dli_step(sys, rule, z0, h, TOL, start_v)
+            strict = dli_step(dli_kernel(sys, rule, h, TOL), z0, start_v)
         assert rep.converged and strict.converged
         assert rep.iterations <= strict.iterations
         gap = np.abs(np.subtract(rep.state, strict.state)).max()
         assert gap <= 4.0 * bdli.integrators.KAPPA * _scale(z0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_starts(), st.sampled_from(RULES + [SKEWED]), _h)
+def test_property_kernel_holds_no_per_step_state(start, rule, h):
+    # integrate steps every row with one kernel; a fresh kernel per row,
+    # from the same row and the same degree-6 start, gives the same step bit
+    # for bit, so nothing of one step carries over to the next
+    sys, z0 = start
+    try:
+        traj = integrate(sys, rule, PhaseState.from_vector(z0), h, 30, TOL)
+    except bdli.IntegrationError:
+        assume(False)
+    states = traj.states
+    for k in range(30):
+        v_start = None
+        if k >= 6:  # the extrapolation of the module docstring, as grouped
+            v_start = tuple(
+                7.0 * (states[k][i] - states[k - 5][i])
+                - 21.0 * (states[k - 1][i] - states[k - 4][i])
+                + 35.0 * (states[k - 2][i] - states[k - 3][i]) + states[k - 6][i]
+                for i in (3, 4, 5))
+        rep = dli_step(dli_kernel(sys, rule, h, TOL), states[k], v_start)
+        assert rep.state == states[k + 1]
+        assert rep.iterations == traj.iterations[k]
+        assert rep.residual_norm == traj.residuals[k]
 
 
 @functools.cache  # several tests read the same runs; none changes them
@@ -448,7 +490,8 @@ def test_integrate_keeps_each_steps_residual():
 def test_nonconvergence_is_reported():
     sys = ChargedParticleSystem(1.0, 1.0, QuarticWellField(strength=50.0))
     z0 = PhaseState((2.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-    rep = dli_step(sys, BOOLE, z0.as_vector(), 1.0, SolverOptions(max_iterations=10))
+    kernel = dli_kernel(sys, BOOLE, 1.0, SolverOptions(max_iterations=10))
+    rep = dli_step(kernel, z0.as_vector())
     assert not rep.converged
     assert rep.iterations == 10 or rep.residual_norm == math.inf
 
@@ -458,7 +501,8 @@ def test_fixed_point_independent_of_solver_tolerance():
     z0 = PhaseState((0.0, 1.0, 0.0), (0.1, 0.01, 0.0))
     reps = {}
     for tol in (1e-12, 1e-15):
-        rep = dli_step(sys, BOOLE, z0.as_vector(), 0.1, SolverOptions(tolerance=tol))
+        kernel = dli_kernel(sys, BOOLE, 0.1, SolverOptions(tolerance=tol))
+        rep = dli_step(kernel, z0.as_vector())
         assert rep.converged
         z1 = PhaseState.from_vector(rep.state)
         r = dli_residual(sys, BOOLE, z0, z1, 0.1)
@@ -580,8 +624,10 @@ def test_integrate_takes_method_text_or_a_rule():
 
 def test_integrate_calls_dli_step_through_the_module_once_per_step(monkeypatch):
     # perfbench/tracing.py times and counts DLI steps by rebinding
-    # bdli.integrators.dli_step; a loop that bound the kernel once, or
-    # stepped through a closure, would hide every step from the tracer
+    # bdli.integrators.dli_step; integrate builds the trajectory's kernel
+    # once but must pass it to that name on every step: a loop that bound
+    # the step function once, or stepped through a closure over the kernel,
+    # would hide every step from the tracer
     calls = 0
     step = bdli.integrators.dli_step
 
@@ -594,6 +640,39 @@ def test_integrate_calls_dli_step_through_the_module_once_per_step(monkeypatch):
     scn = bdli.builtin_scenario("banana")
     integrate(scn.system(), "bdli", scn.initial_state(), scn.h, 50, scn.solver)
     assert calls == 50
+
+
+def test_integrate_builds_one_kernel_per_trajectory(monkeypatch):
+    calls = []
+    build = bdli.integrators.dli_kernel
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(bdli.integrators, "dli_kernel", counting)
+    scn = bdli.builtin_scenario("drift2d")
+    for method in ("bdli", "dli:simpson", "boris", "rk4"):
+        integrate(scn.system(), method, scn.initial_state(), scn.h, 40, scn.solver)
+    assert [args[1].name for args in calls] == ["boole", "simpson"]
+    assert all(args[2] == scn.h and args[3] is scn.solver for args in calls)
+
+
+def test_dli_run_without_E_never_samples_E(monkeypatch):
+    # the tokamak has E = 0: its kernel has no E nodes, so no step calls e_at
+    counts = {"e_at": 0, "b_at": 0}
+    for name in counts:
+        original = getattr(TokamakField, name)
+
+        def counted(self, x, y, z, name=name, original=original):
+            counts[name] += 1
+            return original(self, x, y, z)
+
+        monkeypatch.setattr(TokamakField, name, counted)
+    scn = bdli.builtin_scenario("banana")
+    traj = integrate(scn.system(), "bdli", scn.initial_state(), scn.h, 50, scn.solver)
+    assert counts["e_at"] == 0
+    assert counts["b_at"] == sum(traj.iterations) > 0
 
 
 def test_integrate_unknown_method():
@@ -740,8 +819,8 @@ def test_single_step_symmetry_random_states():
                 (R * math.cos(ang), R * math.sin(ang), rng.uniform(-0.3, 0.3)),
                 rng.normal(0, 0.1, 3),
             )
-            fwd = dli_step(sys, BOOLE, z0.as_vector(), math.pi / 10, TOL)
-            back = dli_step(sys, BOOLE, fwd.state, -math.pi / 10, TOL)
+            fwd = dli_step(dli_kernel(sys, BOOLE, math.pi / 10, TOL), z0.as_vector())
+            back = dli_step(dli_kernel(sys, BOOLE, -math.pi / 10, TOL), fwd.state)
             assert fwd.converged and back.converged
             err = np.abs(np.asarray(PhaseState.from_vector(back.state).as_vector())
                          - z0.as_vector()).max()

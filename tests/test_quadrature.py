@@ -206,7 +206,7 @@ def test_record_conservation_beyond_degree_four(degree, capsys):
     nu - 1, so exact conservation is expected through nu = 6; recorded
     here (printed, not asserted as a requirement) for nu = 5 and 6.
     """
-    from bdli import ChargedParticleSystem, SolverOptions, dli_step
+    from bdli import ChargedParticleSystem, SolverOptions, dli_kernel, dli_step
     from one_state import energy
 
     sys = ChargedParticleSystem(1.0, 1.0, _PolynomialWell(degree))
@@ -218,7 +218,7 @@ def test_record_conservation_beyond_degree_four(degree, capsys):
         zz, drift = z, 0.0
         Hp = energy(sys, zz)
         for _ in range(200):
-            rep = dli_step(sys, rule, zz.as_vector(), 0.05, opts)
+            rep = dli_step(dli_kernel(sys, rule, 0.05, opts), zz.as_vector())
             assert rep.converged
             zz = PhaseState.from_vector(rep.state)
             H = energy(sys, zz)
