@@ -3,7 +3,7 @@
     bdli run <config-or-builtin> [--method M] [--rule R] [--steps N]
              [--h H] [--tol T] [--out PATH] [--relative-errors]
     bdli convergence <config-or-builtin> [flags]
-    bdli compare <config-or-builtin> [flags]
+    bdli compare <config-or-builtin> [flags except --method, --rule]
     bdli list-builtins
 
 Exit codes: 0 success, 2 configuration error, 3 solver non-convergence or
@@ -40,11 +40,14 @@ EXIT_NONCONVERGENCE = 3
 EXIT_SINGULARITY = 4
 
 
-def _add_common_flags(p: argparse.ArgumentParser):
+def _add_common_flags(p: argparse.ArgumentParser, method_flags: bool = True):
     p.add_argument("scenario", help="config file path or builtin scenario name")
-    p.add_argument("--method", help="integrator: bdli, dli:<rule>, boris, rk4")
-    p.add_argument("--rule", help="quadrature rule: alone it means "
-                   "--method dli:<rule>; with --method, the same rule")
+    if method_flags:  # compare runs the config's "methods" list instead
+        p.add_argument("--method", help="integrator: bdli, dli:<rule>, boris, rk4")
+        p.add_argument("--rule", help="quadrature rule: alone it means "
+                       "--method dli:<rule>; with --method, the same rule")
+    else:
+        p.set_defaults(method=None, rule=None)
     p.add_argument("--steps", type=int, help="number of time steps")
     p.add_argument("--h", dest="h", help="step size (number or e.g. 'pi/20')")
     p.add_argument("--tol", type=float, help="fixed-point solver tolerance")
@@ -57,16 +60,18 @@ def _add_common_flags(p: argparse.ArgumentParser):
 
 
 def _load_scenario(arg: str) -> tuple[Scenario, dict]:
-    """Scenario plus the raw config document (empty for builtins)."""
+    """Scenario plus the config document it was parsed from, which for a
+    builtin name is ``{"builtin": name}``."""
     if Path(arg).is_file():
         doc = _load_document(arg)
-        return _scenario_from_dict(doc, arg), doc
-    if arg in BUILTIN_SCENARIOS:
-        return builtin_scenario(arg), {}
-    raise ConfigError(
-        f"{arg!r} is neither a config file nor a builtin scenario "
-        f"(builtins: {', '.join(BUILTIN_SCENARIOS)})"
-    )
+    elif arg in BUILTIN_SCENARIOS:
+        doc = {"builtin": arg}
+    else:
+        raise ConfigError(
+            f"{arg!r} is neither a config file nor a builtin scenario "
+            f"(builtins: {', '.join(BUILTIN_SCENARIOS)})"
+        )
+    return _scenario_from_dict(doc, arg), doc
 
 
 def _apply_flags(scn: Scenario, args) -> Scenario:
@@ -186,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.set_defaults(func=_cmd_convergence)
 
     p_cmp = sub.add_parser("compare", help="run several methods side by side")
-    _add_common_flags(p_cmp)
+    _add_common_flags(p_cmp, method_flags=False)
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_list = sub.add_parser("list-builtins", help="list builtin scenarios")

@@ -7,11 +7,16 @@ Step sizes tied to the gyro-period are stored as exact expressions such as
 ``"pi/10"`` and expanded to float at load time, so configs round-trip
 without precision loss.
 
-Built-in scenarios:
+Built-in scenarios, each itself a config document (``_BUILTIN_DOCS``):
 
     drift2d   gyration plus slow drift in the cylindrical_drift field
     banana    trapped (bouncing) orbit in the tokamak field
     transit   passing orbit in the tokamak field (doubled toroidal kick)
+
+A config document with ``"builtin": <name>`` lays its keys over that
+document.  The parser only maps keys to :class:`Scenario` fields, and
+``Scenario`` checks every value, so a scenario read from a config and one
+built directly pass the same checks.
 
 Output: a comma-separated series file (one row per recorded state) plus a
 key-value summary file; both are deterministic for identical scenarios.
@@ -22,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import reprlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -41,7 +47,22 @@ from .quadrature import BUILTIN_RULES, QuadratureRule
 SERIES_COLUMNS = (
     "t,x,y,z,vx,vy,vz,H,p_xi,mu,err_H,err_p_xi,err_mu,iters"
 )
-BUILTIN_SCENARIOS = ("drift2d", "banana", "transit")
+_BANANA = {
+    "name": "banana", "h": "pi/10", "n_steps": 50_000,
+    "field": {"name": "tokamak",
+              "params": {"B0": 1.0, "R0": 1.0, "safety_factor": 2.0}},
+    "x0": [1.05, 0.0, 0.0], "v0": [0.0, 4.816e-4, 2.059e-3],
+}
+_BUILTIN_DOCS = {
+    "drift2d": {
+        "name": "drift2d", "h": "pi/10", "n_steps": 50_000,
+        "field": {"name": "cylindrical_drift", "params": {"epsilon": 1e-2}},
+        "x0": [0.0, 0.1, 0.0], "v0": [0.1, 0.01, 0.0],
+    },
+    "banana": _BANANA,
+    "transit": {**_BANANA, "name": "transit", "v0": [0.0, 2 * 4.816e-4, 2.059e-3]},
+}
+BUILTIN_SCENARIOS = tuple(_BUILTIN_DOCS)
 
 
 class ConfigError(ValueError):
@@ -103,8 +124,7 @@ class Scenario:
     stride: int = 1
 
     def __post_init__(self):
-        # the parser's coercions, so that a Scenario built directly refuses
-        # a value of the wrong type as a ConfigError naming its key
+        # every check of a value, from a config or not: a ConfigError names its key
         for key in ("mass", "charge", "h"):
             object.__setattr__(self, key, _coerce(key, float, getattr(self, key)))
         for key in ("n_steps", "stride"):
@@ -119,8 +139,16 @@ class Scenario:
             raise ConfigError(f"charge: must be finite, got {self.charge}")
         if self.stride < 1:
             raise ConfigError(f"stride: must be >= 1, got {self.stride}")
+        params = self.field_params
+        if not isinstance(params, dict):
+            raise ConfigError(f"field: params must be an object, got {params!r}")
+        object.__setattr__(self, "field_params", dict(params))  # not the caller's
+        for name, value in params.items():  # a list is a vector: as_vec3 checks it
+            if not (isinstance(value, (list, tuple))
+                    or math.isfinite(_coerce(f"field: {name}", float, value))):
+                raise ConfigError(f"field: {name}: must be finite, got {value!r}")
         try:  # unknown model names and bad parameters alike
-            make_field(self.field_name, **self.field_params)
+            make_field(self.field_name, **params)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"field: {exc}") from None
         for key in ("x0", "v0"):
@@ -167,35 +195,7 @@ class Scenario:
 
 def builtin_scenario(name: str) -> Scenario:
     """One of the reference scenarios: drift2d, banana or transit."""
-    h, h_expr = parse_step_size("pi/10")
-    if name == "drift2d":
-        return Scenario(
-            name="drift2d",
-            field_name="cylindrical_drift",
-            field_params={"epsilon": 1e-2},
-            x0=(0.0, 0.1, 0.0),
-            v0=(0.1, 0.01, 0.0),
-            h=h,
-            h_expr=h_expr,
-            n_steps=50_000,
-        )
-    if name == "banana":
-        return Scenario(
-            name="banana",
-            field_name="tokamak",
-            field_params={"B0": 1.0, "R0": 1.0, "safety_factor": 2.0},
-            x0=(1.05, 0.0, 0.0),
-            v0=(0.0, 4.816e-4, 2.059e-3),
-            h=h,
-            h_expr=h_expr,
-            n_steps=50_000,
-        )
-    if name == "transit":
-        return replace(builtin_scenario("banana"), name="transit",
-                       v0=(0.0, 2 * 4.816e-4, 2.059e-3))
-    raise ConfigError(
-        f"unknown builtin scenario {name!r} (known: {', '.join(BUILTIN_SCENARIOS)})"
-    )
+    return _scenario_from_dict({"builtin": name}, "builtin")
 
 
 # ---------------------------------------------------------------------------
@@ -211,22 +211,21 @@ _SOLVER_KEYS = {"tolerance", "max_iterations"}
 
 
 def _coerce(key: str, kind, value):
-    """``kind(value)`` for a config entry, as a ConfigError naming the key;
-    a boolean is not a number."""
+    """``kind(value)`` for a config entry, as a ConfigError naming the key
+    and a shortened value; a boolean or a string is not a number."""
     what = "an integer" if kind is int else "a number"
-    if isinstance(value, bool):
-        raise ConfigError(f"{key}: expected {what}, got {value!r}")
+    if isinstance(value, (bool, str)):
+        raise ConfigError(f"{key}: expected {what}, got {reprlib.repr(value)}")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key}: expected {what}, got {value!r}") from None
+        raise ConfigError(f"{key}: expected {what}, got {reprlib.repr(value)}") from None
 
 
 def _count(key: str, value) -> int:
     """An integer config entry: integral floats such as JSON ``1e4`` pass;
     booleans, strings and fractions such as 1.5 are refused."""
-    if isinstance(value, str) or (
-            isinstance(value, float) and not value.is_integer()):
+    if isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{key}: expected an integer, got {value!r}")
     return _coerce(key, int, value)
 
@@ -256,8 +255,9 @@ def _inline_rule(spec: dict) -> QuadratureRule:
     if not isinstance(name, str):
         raise ConfigError(f"rule: name must be a string, got {name!r}")
     degree = _count("rule: degree", spec.get("degree", 0))
-    try:
-        nodes, weights = zip(*((float(c), float(w)) for c, w in spec["pairs"]))
+    try:  # a ConfigError is a ValueError too: "rule: pairs: expected a number"
+        nodes, weights = zip(*((_coerce("pairs", float, c), _coerce("pairs", float, w))
+                               for c, w in spec["pairs"]))
         return QuadratureRule(name, nodes, weights, degree)
     except KeyError as exc:
         raise ConfigError(f"rule: missing key {exc}") from None
@@ -266,43 +266,37 @@ def _inline_rule(spec: dict) -> QuadratureRule:
 
 
 def _scenario_from_dict(doc: dict, source: str) -> Scenario:
+    """The scenario of a config document, which ``"builtin": <name>`` lays
+    over that builtin's document.  Only maps keys: Scenario checks values."""
     unknown = set(doc) - _SCENARIO_KEYS - _RESERVED_KEYS
     if unknown:
         raise ConfigError(
             f"{source}: unknown key(s) {', '.join(sorted(unknown))!s}"
         )
+    if "builtin" in doc:
+        if doc["builtin"] not in BUILTIN_SCENARIOS:  # a tuple: [1] is no TypeError
+            raise ConfigError(
+                f"builtin: unknown builtin scenario {doc['builtin']!r} "
+                f"(known: {', '.join(BUILTIN_SCENARIOS)})")
+        doc = {**_BUILTIN_DOCS[doc["builtin"]], **doc}
+    for key in ("name", "field", "x0", "v0", "h", "n_steps"):
+        if key not in doc:
+            raise ConfigError(f"{key}: required unless 'builtin' is given")
 
-    base = builtin_scenario(doc["builtin"]) if "builtin" in doc else None
-    updates: dict = {}
-
-    if "field" in doc:
-        fspec = doc["field"]
-        if isinstance(fspec, str):
-            updates["field_name"], updates["field_params"] = fspec, {}
-        elif isinstance(fspec, dict):
-            extra = set(fspec) - {"name", "params"}
-            if extra:
-                raise ConfigError(f"field: unknown key(s) {sorted(extra)}")
-            params = fspec.get("params", {})
-            if not isinstance(params, dict):
-                raise ConfigError("field: params must be an object")
-            updates["field_name"] = fspec.get("name")
-            updates["field_params"] = dict(params)
-        else:
-            raise ConfigError("field: expected a name or {name, params}")
-    if "name" in doc:
-        updates["name"] = str(doc["name"])
-    for key in ("mass", "charge", "n_steps", "stride"):  # Scenario checks them
+    fspec = doc["field"]
+    if isinstance(fspec, str):
+        fspec = {"name": fspec}
+    elif not isinstance(fspec, dict):
+        raise ConfigError("field: expected a name or {name, params}")
+    extra = set(fspec) - {"name", "params"}
+    if extra:
+        raise ConfigError(f"field: unknown key(s) {sorted(extra)}")
+    updates = {"name": str(doc["name"]), "field_name": fspec.get("name"),
+               "field_params": fspec.get("params", {})}
+    for key in ("mass", "charge", "x0", "v0", "n_steps", "stride"):
         if key in doc:
             updates[key] = doc[key]
-    for key in ("x0", "v0"):
-        if key in doc:
-            seq = doc[key]
-            if not isinstance(seq, (list, tuple)) or len(seq) != 3:
-                raise ConfigError(f"{key}: expected a list of three numbers")
-            updates[key] = tuple(_coerce(key, float, c) for c in seq)
-    if "h" in doc:
-        updates["h"], updates["h_expr"] = parse_step_size(doc["h"])
+    updates["h"], updates["h_expr"] = parse_step_size(doc["h"])
     if "method" in doc:
         updates["method"] = str(doc["method"])
     if doc.get("rule") is not None:
@@ -321,7 +315,6 @@ def _scenario_from_dict(doc: dict, source: str) -> Scenario:
         extra = set(sspec) - _SOLVER_KEYS
         if extra:
             raise ConfigError(f"solver: unknown key(s) {sorted(extra)}")
-        defaults = base.solver if base is not None else SolverOptions()
         sspec = dict(sspec)
         if "tolerance" in sspec:
             sspec["tolerance"] = _coerce("solver: tolerance", float, sspec["tolerance"])
@@ -330,21 +323,11 @@ def _scenario_from_dict(doc: dict, source: str) -> Scenario:
                 "solver: max_iterations", sspec["max_iterations"]
             )
         try:
-            updates["solver"] = replace(defaults, **sspec)
+            updates["solver"] = SolverOptions(**sspec)
         except ValueError as exc:
             raise ConfigError(f"solver: {exc}") from None
     if "output" in doc:
         updates["output"] = str(doc["output"]) if doc["output"] else None
-
-    if base is not None:
-        return replace(base, **updates)
-    required = {
-        "name": "name", "field_name": "field", "x0": "x0", "v0": "v0",
-        "h": "h", "n_steps": "n_steps",
-    }
-    for attr, key in required.items():
-        if attr not in updates:
-            raise ConfigError(f"{key}: required unless 'builtin' is given")
     return Scenario(**updates)
 
 

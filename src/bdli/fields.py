@@ -38,11 +38,16 @@ class PotentialUnavailableError(ValueError):
 def as_vec3(a) -> tuple[float, float, float]:
     """Coerce to a 3-tuple of finite floats.
 
-    Raises ValueError on a wrong length or non-finite entries; this is the
-    gate through which external values enter the numeric kernels.
+    Raises ValueError on a wrong length, a bool or string component (which
+    ``float`` would read) or non-finite entries; this is the gate through
+    which external values enter the numeric kernels.
     """
     try:
-        v = tuple(map(float, a))
+        v = tuple(a)
+        for c in v:
+            if isinstance(c, (bool, str)):
+                raise ValueError(f"expected a number, got {c!r} in {a!r}")
+        v = tuple(map(float, v))
     except TypeError:
         raise ValueError(f"expected a 3-vector, got {a!r}") from None
     if len(v) != 3:

@@ -150,13 +150,30 @@ def test_broken_json_exit_2(tmp_path, capsys):
      "rule"),
     ({"builtin": "banana", "method": "dli:w2"}, "method"),
     ({"builtin": "banana", "rule": "gauss"}, "rule"),
+    ({"builtin": [1]}, "builtin"),
+    ({"builtin": "banana",
+      "field": {"name": "tokamak", "params": {"B0": True}}}, "field"),
+    ({"builtin": "drift2d",
+      "field": {"name": "cylindrical_drift", "params": {"epsilon": "0.01"}}},
+     "field"),
+    ({"builtin": "banana", "field": {"name": "uniform", "params": {"B": "001"}}},
+     "field"),
+    ({"builtin": "banana",
+      "field": {"name": "tokamak", "params": {"B0": float("inf")}}}, "field"),
+    ({"builtin": "drift2d",
+      "field": {"name": "cylindrical_drift", "params": {"epsilon": float("nan")}}},
+     "field"),
+    ({"builtin": "banana", "rule": {"name": "w2", "pairs": [["0", 0.5], [True, "0.5"]],
+                                    "degree": 1}}, "rule"),
 ], ids=["n_steps-0", "solver-3", "solver-predictor", "n_steps-abc",
         "stride-x", "mass-x", "mass-negative", "h-pi/0", "x0-string",
         "field-unknown-param", "field-safety-factor-0", "x0-nan", "v0-inf",
         "charge-nan", "h-401-digits", "field-B0-401-digits", "rule-pairs-int",
         "rule-name-int", "n_steps-1.5", "n_steps-string", "stride-2.7", "stride-true",
         "solver-max_iterations-1.5", "rule-vs-method-boris",
-        "rule-not-palindromic", "method-undefined-rule", "rule-unknown-name"])
+        "rule-not-palindromic", "method-undefined-rule", "rule-unknown-name",
+        "builtin-list", "field-B0-true", "field-epsilon-string", "field-B-string",
+        "field-B0-inf", "field-epsilon-nan", "rule-pairs-strings-and-true"])
 def test_invalid_scenario_exit_2(tmp_path, capsys, doc, key):
     assert main(["run", write(tmp_path, doc)]) == 2
     assert f"config error: {key}:" in capsys.readouterr().err
@@ -168,12 +185,29 @@ def test_invalid_scenario_exit_2(tmp_path, capsys, doc, key):
     ({"builtin": "banana", "charge": False}, "charge"),
     ({"builtin": "banana", "x0": [True, 0, 0]}, "x0"),
     ({"builtin": "banana", "h": True}, "h"),
-], ids=["tolerance", "mass", "charge", "x0", "h"])
+    ({"builtin": "banana", "solver": {"tolerance": "1e-12"}}, "solver: tolerance"),
+    ({"builtin": "banana", "mass": "2"}, "mass"),
+    ({"builtin": "banana", "charge": "1"}, "charge"),
+    ({"builtin": "banana", "x0": ["1.05", 0, 0]}, "x0"),
+], ids=["tolerance", "mass", "charge", "x0", "h", "tolerance-string",
+        "mass-string", "charge-string", "x0-string"])
 def test_boolean_for_a_number_exit_2(tmp_path, capsys, doc, key):
-    # JSON true is not the number 1: it used to run (tolerance true as 1.0)
+    # JSON true is not the number 1, nor is "2" the number 2: both used to
+    # run (tolerance true as 1.0, mass "2" as 2.0); only h reads a string
     assert main(["run", write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
     assert f"config error: {key}: expected a number" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag", [["--method", "rk4"], ["--rule", "simpson"]])
+def test_compare_refuses_method_flags(tmp_path, capsys, flag):
+    # compare runs the config's "methods" list; these flags used to be ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "banana", "--steps", "5", *flag,
+              "--out", str(tmp_path / "cmp")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not (tmp_path / "cmp").exists()
 
 
 def test_h_flag_division_by_zero_exit_2(capsys):

@@ -48,6 +48,13 @@ def test_builtin_banana_and_transit():
     assert t.x0 == b.x0 and t.h == b.h and t.n_steps == b.n_steps
 
 
+def test_builtin_scenarios_do_not_share_params():
+    # banana and transit are one document apart; each scenario owns its dict
+    builtin_scenario("banana").field_params["B0"] = 5.0
+    assert builtin_scenario("transit").field_params["B0"] == 1.0
+    assert builtin_scenario("banana").field_params["B0"] == 1.0
+
+
 def test_builtin_unknown():
     with pytest.raises(ConfigError, match="unknown builtin"):
         builtin_scenario("spiral")
@@ -93,8 +100,9 @@ def test_scenario_invariants():
 
 
 @pytest.mark.parametrize("key", ["x0", "v0"])
-@pytest.mark.parametrize("bad", [5, None, ("a", 0, 0), (1, 2), (math.nan, 0, 0)],
-                         ids=["int", "None", "string", "two", "nan"])
+@pytest.mark.parametrize("bad", [5, None, ("a", 0, 0), (1, 2), (math.nan, 0, 0),
+                                 "105", (True, 0, 0)],
+                         ids=["int", "None", "string", "two", "nan", "text", "bool"])
 def test_scenario_start_vector_is_a_config_error(key, bad):
     with pytest.raises(ConfigError, match=f"^{key}: "):
         replace(builtin_scenario("banana"), **{key: bad})
@@ -107,6 +115,14 @@ def test_scenario_start_vector_is_a_config_error(key, bad):
 def test_scenario_value_of_the_wrong_type_is_a_config_error(key, bad):
     with pytest.raises(ConfigError, match=f"^{key}: expected "):
         replace(builtin_scenario("banana"), **{key: bad})
+
+
+@pytest.mark.parametrize("key,bad", [("mass", 10**400), ("field_params", {"B0": 10**400})])
+def test_refused_value_is_shown_shortened(key, bad):
+    # a 401-digit JSON integer used to fill a 400-character error line
+    with pytest.raises(ConfigError, match=r"expected a number, got 10+\.\.\.0+$") as exc:
+        replace(builtin_scenario("banana"), **{key: bad})
+    assert len(str(exc.value)) < 80
 
 
 W2 = bdli.QuadratureRule("w2", (0.0, 1.0), (0.5, 0.5), 1)

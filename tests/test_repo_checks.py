@@ -1,6 +1,7 @@
 """Checks on what the repository ships next to the library: the README's
-library example and the benchmark's self-test."""
+library example, the benchmark's self-test and the library's imports."""
 
+import ast
 import contextlib
 import io
 import re
@@ -28,3 +29,23 @@ def test_perfbench_selftest_passes():
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.rstrip().endswith("0 failure(s)")
+
+
+def test_src_has_no_unused_imports():
+    """Every name a library module imports is used in it; ``__init__.py``
+    is skipped, since it imports names to re-export them."""
+    unused = []
+    for path in sorted((ROOT / "src" / "bdli").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and (
+                    getattr(node, "module", None) != "__future__"):
+                for alias in node.names:  # "import a.b" binds a
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.name}:{line}: {name}"
+                   for name, line in imported.items() if name not in used]
+    assert not unused, unused
