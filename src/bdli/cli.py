@@ -40,14 +40,8 @@ EXIT_NONCONVERGENCE = 3
 EXIT_SINGULARITY = 4
 
 
-def _add_common_flags(p: argparse.ArgumentParser, method_flags: bool = True):
+def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("scenario", help="config file path or builtin scenario name")
-    if method_flags:  # compare runs the config's "methods" list instead
-        p.add_argument("--method", help="integrator: bdli, dli:<rule>, boris, rk4")
-        p.add_argument("--rule", help="quadrature rule: alone it means "
-                       "--method dli:<rule>; with --method, the same rule")
-    else:
-        p.set_defaults(method=None, rule=None)
     p.add_argument("--steps", type=int, help="number of time steps")
     p.add_argument("--h", dest="h", help="step size (number or e.g. 'pi/20')")
     p.add_argument("--tol", type=float, help="fixed-point solver tolerance")
@@ -190,9 +184,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p_conv)
     p_conv.set_defaults(func=_cmd_convergence)
 
+    for p in (p_run, p_conv):  # compare runs the config's "methods" list instead
+        p.add_argument("--method", help="integrator: bdli, dli:<rule>, boris, rk4")
+        p.add_argument("--rule", help="quadrature rule: alone it means "
+                       "--method dli:<rule>; with --method, the same rule")
+
     p_cmp = sub.add_parser("compare", help="run several methods side by side")
-    _add_common_flags(p_cmp, method_flags=False)
-    p_cmp.set_defaults(func=_cmd_compare)
+    _add_common_flags(p_cmp)
+    p_cmp.set_defaults(func=_cmd_compare, method=None, rule=None)
 
     p_list = sub.add_parser("list-builtins", help="list builtin scenarios")
     p_list.set_defaults(func=_cmd_list_builtins)

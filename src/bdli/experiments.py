@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import re
-import reprlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -143,9 +143,9 @@ class Scenario:
         if not isinstance(params, dict):
             raise ConfigError(f"field: params must be an object, got {params!r}")
         object.__setattr__(self, "field_params", dict(params))  # not the caller's
-        for name, value in params.items():  # a list is a vector: as_vec3 checks it
-            if not (isinstance(value, (list, tuple))
-                    or math.isfinite(_coerce(f"field: {name}", float, value))):
+        for name, value in params.items():  # scalars; make_field checks the rest
+            if (isinstance(value, (str, numbers.Real))
+                    and not math.isfinite(_coerce(f"field: {name}", float, value))):
                 raise ConfigError(f"field: {name}: must be finite, got {value!r}")
         try:  # unknown model names and bad parameters alike
             make_field(self.field_name, **params)
@@ -211,15 +211,15 @@ _SOLVER_KEYS = {"tolerance", "max_iterations"}
 
 
 def _coerce(key: str, kind, value):
-    """``kind(value)`` for a config entry, as a ConfigError naming the key
-    and a shortened value; a boolean or a string is not a number."""
+    """``kind(value)`` for a config entry, as a ConfigError naming the key;
+    a boolean or a string is not a number."""
     what = "an integer" if kind is int else "a number"
     if isinstance(value, (bool, str)):
-        raise ConfigError(f"{key}: expected {what}, got {reprlib.repr(value)}")
+        raise ConfigError(f"{key}: expected {what}, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key}: expected {what}, got {reprlib.repr(value)}") from None
+        raise ConfigError(f"{key}: expected {what}, got {value!r}") from None
 
 
 def _count(key: str, value) -> int:

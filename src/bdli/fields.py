@@ -39,7 +39,8 @@ def as_vec3(a) -> tuple[float, float, float]:
     """Coerce to a 3-tuple of finite floats.
 
     Raises ValueError on a wrong length, a bool or string component (which
-    ``float`` would read) or non-finite entries; this is the gate through
+    ``float`` would read), an integer beyond the float range or non-finite
+    entries; this is the gate through
     which external values enter the numeric kernels.
     """
     try:
@@ -50,6 +51,8 @@ def as_vec3(a) -> tuple[float, float, float]:
         v = tuple(map(float, v))
     except TypeError:
         raise ValueError(f"expected a 3-vector, got {a!r}") from None
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"expected a number, got {a!r}") from None
     if len(v) != 3:
         raise ValueError(f"expected a 3-vector, got {len(v)} components")
     if not all(map(math.isfinite, v)):

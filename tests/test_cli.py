@@ -165,6 +165,7 @@ def test_broken_json_exit_2(tmp_path, capsys):
      "field"),
     ({"builtin": "banana", "rule": {"name": "w2", "pairs": [["0", 0.5], [True, "0.5"]],
                                     "degree": 1}}, "rule"),
+    ({"builtin": "banana", "x0": [HUGE, 0, 0]}, "x0"),
 ], ids=["n_steps-0", "solver-3", "solver-predictor", "n_steps-abc",
         "stride-x", "mass-x", "mass-negative", "h-pi/0", "x0-string",
         "field-unknown-param", "field-safety-factor-0", "x0-nan", "v0-inf",
@@ -173,7 +174,8 @@ def test_broken_json_exit_2(tmp_path, capsys):
         "solver-max_iterations-1.5", "rule-vs-method-boris",
         "rule-not-palindromic", "method-undefined-rule", "rule-unknown-name",
         "builtin-list", "field-B0-true", "field-epsilon-string", "field-B-string",
-        "field-B0-inf", "field-epsilon-nan", "rule-pairs-strings-and-true"])
+        "field-B0-inf", "field-epsilon-nan", "rule-pairs-strings-and-true",
+        "x0-401-digits"])
 def test_invalid_scenario_exit_2(tmp_path, capsys, doc, key):
     assert main(["run", write(tmp_path, doc)]) == 2
     assert f"config error: {key}:" in capsys.readouterr().err

@@ -41,7 +41,7 @@ def test_hat_is_exactly_skew():
 
 @pytest.mark.parametrize("bad", [(1, 2), (1, 2, 3, 4), np.array([1.0, np.nan, 0.0]),
                                  np.array([1.0, np.inf, 0.0]), "105", (True, 0, 0),
-                                 (1, "0", 0)])
+                                 (1, "0", 0), (10**400, 0, 0)])
 def test_as_vec3_rejects_bad_input(bad):
     with pytest.raises(ValueError):
         as_vec3(bad)
