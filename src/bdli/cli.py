@@ -27,9 +27,11 @@ from .experiments import (
     convergence_study,
     parse_step_size,
     run_scenario,
+    _BUILTIN_DOCS,
     _load_document,
     _method_for_rule,
     _scenario_from_dict,
+    _study_and_methods,
 )
 from .fields import FieldSingularityError
 from .integrators import NonConvergenceError, SingularityError
@@ -53,9 +55,9 @@ def _add_common_flags(p: argparse.ArgumentParser):
     )
 
 
-def _load_scenario(arg: str) -> tuple[Scenario, dict]:
-    """Scenario plus the config document it was parsed from, which for a
-    builtin name is ``{"builtin": name}``."""
+def _load_scenario(arg: str) -> tuple[Scenario, list | None, float | None, list]:
+    """The scenario of a config file or builtin name, then the document's
+    ``study`` step sizes and ``methods`` (see ``_study_and_methods``)."""
     if Path(arg).is_file():
         doc = _load_document(arg)
     elif arg in BUILTIN_SCENARIOS:
@@ -65,7 +67,7 @@ def _load_scenario(arg: str) -> tuple[Scenario, dict]:
             f"{arg!r} is neither a config file nor a builtin scenario "
             f"(builtins: {', '.join(BUILTIN_SCENARIOS)})"
         )
-    return _scenario_from_dict(doc, arg), doc
+    return (_scenario_from_dict(doc, arg), *_study_and_methods(doc))
 
 
 def _apply_flags(scn: Scenario, args) -> Scenario:
@@ -77,7 +79,7 @@ def _apply_flags(scn: Scenario, args) -> Scenario:
     if args.steps is not None:
         updates["n_steps"] = args.steps
     if args.h is not None:
-        updates["h"], updates["h_expr"] = parse_step_size(args.h)
+        updates["h"] = parse_step_size(args.h)
     if args.tol is not None:
         try:
             updates["solver"] = replace(scn.solver, tolerance=args.tol)
@@ -96,8 +98,7 @@ def _check_out(key: str, path: str | None, directory: bool = False):
 
 
 def _cmd_run(args) -> int:
-    scn, _ = _load_scenario(args.scenario)
-    scn = _apply_flags(scn, args)
+    scn = _apply_flags(_load_scenario(args.scenario)[0], args)
     if args.out:
         _check_out("out", args.out)
     else:
@@ -109,26 +110,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    scn, doc = _load_scenario(args.scenario)
+    scn, hs, href, _ = _load_scenario(args.scenario)
     scn = _apply_flags(scn, args)
     _check_out("out", args.out)
-    study = doc.get("study", {})
-    if not isinstance(study, dict):
-        raise ConfigError(f"study: expected an object, got {study!r}")
-    unknown = set(study) - {"h_list", "reference_h"}
-    if unknown:
-        raise ConfigError(f"study: unknown key(s) {sorted(unknown)}")
-    if "h_list" in study:
-        h_list = study["h_list"]
-        if not isinstance(h_list, list) or not h_list:
-            raise ConfigError(
-                f"study: h_list: expected a nonempty list, got {h_list!r}")
-        hs = [parse_step_size(h, "study: h_list")[0] for h in h_list]
-    else:
+    if hs is None:
         hs = [scn.h / 2**k for k in range(4)]
-    if "reference_h" in study:
-        href = parse_step_size(study["reference_h"], "study: reference_h")[0]
-    else:
+    if href is None:
         href = min(hs, key=abs) / 16
     try:
         result = convergence_study(scn, hs, href)
@@ -142,12 +129,9 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    scn, doc = _load_scenario(args.scenario)
+    scn, _, _, methods = _load_scenario(args.scenario)
     scn = _apply_flags(scn, args)
     _check_out("out", args.out, directory=True)
-    methods = doc.get("methods", ["bdli", "boris"])
-    if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
-        raise ConfigError(f"methods: expected a list of method names, got {methods!r}")
     try:
         report = compare_methods(
             scn, methods, out_dir=args.out, relative_errors=args.relative_errors
@@ -162,7 +146,7 @@ def _cmd_list_builtins(_args) -> int:
     for name in BUILTIN_SCENARIOS:
         scn = builtin_scenario(name)
         print(
-            f"{name:<10} field={scn.field_name:<18} h={scn.h_expr} "
+            f"{name:<10} field={scn.field_name:<18} h={_BUILTIN_DOCS[name]['h']} "
             f"n_steps={scn.n_steps} x0={scn.x0} v0={scn.v0}"
         )
     return EXIT_OK

@@ -3,9 +3,8 @@
 A :class:`Scenario` pins down everything needed to reproduce a run: the
 field model, particle parameters, initial state, step size, step count,
 method, the scenario's own quadrature rule if any, and solver options.
-Step sizes tied to the gyro-period are stored as exact expressions such as
-``"pi/10"`` and expanded to float at load time, so configs round-trip
-without precision loss.
+A config may give a step size as an expression such as ``"pi/10"``; it is
+expanded to a float at load time, and a float round-trips exactly.
 
 Built-in scenarios, each itself a config document (``_BUILTIN_DOCS``):
 
@@ -74,14 +73,11 @@ _PI_EXPR = re.compile(
 )
 
 
-def parse_step_size(value, key: str = "h") -> tuple[float, str | None]:
+def parse_step_size(value, key: str = "h") -> float:
     """Expand a step size that may be a number or an expression like "pi/10".
-
-    Returns the float value and the original expression (None when the
-    input was already numeric).  Errors name the config entry ``key``.
-    """
+    Errors name the config entry ``key``."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return _coerce(key, float, value), None
+        return _coerce(key, float, value)
     if isinstance(value, str):
         s = value.strip().lower().replace(" ", "")
         m = _PI_EXPR.fullmatch(s)
@@ -91,9 +87,9 @@ def parse_step_size(value, key: str = "h") -> tuple[float, str | None]:
             den = float(m.group(3)) if m.group(3) else 1.0
             if den == 0.0:
                 raise ConfigError(f"{key}: division by zero in {value!r}")
-            return sign * num * math.pi / den, value
+            return sign * num * math.pi / den
         try:
-            return float(s), value
+            return float(s)
         except ValueError:
             pass
     raise ConfigError(
@@ -115,7 +111,6 @@ class Scenario:
     x0: tuple[float, float, float] = (0.0, 0.0, 0.0)
     v0: tuple[float, float, float] = (0.0, 0.0, 0.0)
     h: float = 0.1
-    h_expr: str | None = None
     n_steps: int = 1
     method: str = "bdli"
     rule: QuadratureRule | None = None
@@ -296,7 +291,7 @@ def _scenario_from_dict(doc: dict, source: str) -> Scenario:
     for key in ("mass", "charge", "x0", "v0", "n_steps", "stride"):
         if key in doc:
             updates[key] = doc[key]
-    updates["h"], updates["h_expr"] = parse_step_size(doc["h"])
+    updates["h"] = parse_step_size(doc["h"])
     if "method" in doc:
         updates["method"] = str(doc["method"])
     if doc.get("rule") is not None:
@@ -329,6 +324,32 @@ def _scenario_from_dict(doc: dict, source: str) -> Scenario:
     if "output" in doc:
         updates["output"] = str(doc["output"]) if doc["output"] else None
     return Scenario(**updates)
+
+
+def _study_and_methods(doc: dict) -> tuple[list | None, float | None, list]:
+    """A config document's ``study`` step sizes ``h_list`` and
+    ``reference_h`` (None where not given) and its ``methods`` list.  Only
+    their shapes are checked: convergence_study and compare_methods check
+    them against the run."""
+    study = doc.get("study", {})
+    if not isinstance(study, dict):
+        raise ConfigError(f"study: expected an object, got {study!r}")
+    unknown = set(study) - {"h_list", "reference_h"}
+    if unknown:
+        raise ConfigError(f"study: unknown key(s) {sorted(unknown)}")
+    hs = href = None
+    if "h_list" in study:
+        hs = study["h_list"]
+        if not isinstance(hs, list) or not hs:
+            raise ConfigError(
+                f"study: h_list: expected a nonempty list, got {hs!r}")
+        hs = [parse_step_size(h, "study: h_list") for h in hs]
+    if "reference_h" in study:
+        href = parse_step_size(study["reference_h"], "study: reference_h")
+    methods = doc.get("methods", ["bdli", "boris"])
+    if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
+        raise ConfigError(f"methods: expected a list of method names, got {methods!r}")
+    return hs, href, methods
 
 
 def _load_document(path) -> dict:
@@ -364,7 +385,7 @@ def scenario_to_config(scn: Scenario) -> dict:
         "charge": scn.charge,
         "x0": list(scn.x0),
         "v0": list(scn.v0),
-        "h": scn.h_expr if scn.h_expr is not None else scn.h,
+        "h": scn.h,
         "n_steps": scn.n_steps,
         "method": scn.method,
         "solver": {
@@ -519,7 +540,7 @@ class ConvergenceStudy:
 
 
 def _endpoint(scn: Scenario, h: float, n: int) -> tuple:
-    return replace(scn, h=h, h_expr=None, n_steps=n).run_trajectory().states[-1]
+    return replace(scn, h=h, n_steps=n).run_trajectory().states[-1]
 
 
 def _loglog_slope(rows) -> float:

@@ -250,8 +250,9 @@ class QuarticWellField(FieldModel):
         self.strength = float(strength)
         self.zero_electric = self.strength == 0.0
 
-    def b_at(self, x, y, z):
-        return self.B
+    # a constant B and its symmetric-gauge A, as in UniformField
+    b_at = UniformField.b_at
+    a_at = UniformField.a_at
 
     def e_at(self, x, y, z):
         k = -4.0 * self.strength * (x * x + y * y + z * z)
@@ -260,14 +261,6 @@ class QuarticWellField(FieldModel):
     def phi_at(self, x, y, z):
         r2 = x * x + y * y + z * z
         return self.strength * r2 * r2
-
-    def a_at(self, x, y, z):
-        bx, by, bz = self.B
-        return (
-            0.5 * (by * z - bz * y),
-            0.5 * (bz * x - bx * z),
-            0.5 * (bx * y - by * x),
-        )
 
 
 FIELD_MODELS: dict[str, type[FieldModel]] = {

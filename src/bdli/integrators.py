@@ -140,26 +140,20 @@ class SingularityError(IntegrationError):
 
 
 class Trajectory:
-    """Time series of states plus per-step solver statistics.
+    """Time series of states plus per-step solver statistics, kept as given.
 
     ``states`` is a list of n_steps + 1 rows ``(x, y, z, vx, vy, vz)``, the
     6-tuples the steppers return; ``iterations`` has one int per step and
     ``residuals`` each step's ``StepReport.residual_norm`` (0 and 0.0 for
-    explicit methods; ``residuals`` defaults to 0.0 for every step).
+    explicit methods).  Only :func:`integrate` builds one in the library,
+    so the arguments are kept as they are, unchecked and uncopied.
     """
 
-    def __init__(self, h: float, states, iterations, residuals=None):
-        self.h = float(h)
-        self.states = list(states)
-        self.iterations = [int(n) for n in iterations]
-        self.residuals = ([0.0] * len(self.iterations) if residuals is None
-                          else [float(r) for r in residuals])
-        if any(len(row) != 6 for row in self.states):
-            raise ValueError("every state must be a row of six numbers")
-        if len(self.iterations) != len(self.states) - 1:
-            raise ValueError("need exactly one iteration count per step")
-        if len(self.residuals) != len(self.iterations):
-            raise ValueError("need exactly one residual per step")
+    def __init__(self, h: float, states, iterations, residuals):
+        self.h = h
+        self.states = states
+        self.iterations = iterations
+        self.residuals = residuals
 
     def __len__(self) -> int:
         return len(self.states)

@@ -25,6 +25,7 @@ def test_list_builtins(capsys):
     out = capsys.readouterr().out
     for name in ("drift2d", "banana", "transit"):
         assert name in out
+    assert "h=pi/10" in out  # as the builtin's config document writes it
 
 
 def test_run_builtin_with_flags(tmp_path, capsys):
@@ -177,7 +178,8 @@ def test_broken_json_exit_2(tmp_path, capsys):
         "field-B0-inf", "field-epsilon-nan", "rule-pairs-strings-and-true",
         "x0-401-digits"])
 def test_invalid_scenario_exit_2(tmp_path, capsys, doc, key):
-    assert main(["run", write(tmp_path, doc)]) == 2
+    # --out keeps a wrongly accepted run's series out of the working directory
+    assert main(["run", write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
     assert f"config error: {key}:" in capsys.readouterr().err
 
 
@@ -364,11 +366,18 @@ def test_compare_rejects_single_method(tmp_path):
     ("compare", {"methods": ["bdli"]}, "methods"),
     ("compare", {"methods": ["bdli", "gauss"]}, "methods"),
     ("compare", {"methods": ["bdli", "boris", "bdli"]}, "methods"),
+    # run reads the same document, so it refuses the same shapes
+    ("run", {"study": [1]}, "study"),
+    ("run", {"study": None}, "study"),
+    ("run", {"study": {"h_list": 5}}, "study"),
+    ("run", {"methods": "bdli"}, "methods"),
+    ("run", {"methods": [1, 2]}, "methods"),
 ], ids=["h_list-int", "h_list-empty", "h_list-null", "reference_h-list",
         "study-list", "study-null", "methods-ints", "methods-string",
         "methods-null", "methods-object", "h_list-zero", "reference_h-zero",
         "h_list-not-dividing", "methods-one", "methods-unknown",
-        "methods-repeated"])
+        "methods-repeated", "run-study-list", "run-study-null", "run-h_list-int",
+        "run-methods-string", "run-methods-ints"])
 def test_malformed_study_or_methods_exit_2(tmp_path, capsys, command, doc, key):
     cfg = write(tmp_path, {"builtin": "banana", "n_steps": 16, **doc})
     assert main([command, cfg, "--out", str(tmp_path / "out")]) == 2

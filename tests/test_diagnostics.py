@@ -178,7 +178,7 @@ def test_quantity_series_matches_row_oracle_bitwise():
         R * np.cos(ang), R * np.sin(ang), rng.uniform(-0.3, 0.3, n),
         rng.normal(0, 0.3, (n, 3)),
     ])
-    traj = bdli.Trajectory(0.1, states, np.zeros(n - 1, dtype=int))
+    traj = bdli.Trajectory(0.1, states, np.zeros(n - 1, dtype=int), np.zeros(n - 1))
     fields = (
         CylindricalDriftField(epsilon=1e-2),
         TokamakField(),

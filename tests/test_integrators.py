@@ -20,7 +20,6 @@ from bdli import (
     SingularityError,
     SolverOptions,
     TokamakField,
-    Trajectory,
     UniformField,
     boris_step,
     builtin_rule,
@@ -773,15 +772,6 @@ def test_bdli_banana_iteration_count():
     # the strict stopping test alone, 3.6 from it and 3.9 from v0), against
     # 13 for a Picard iteration that treats v x B explicitly
     assert _mean_iterations("banana", None, 500) <= 5.0
-
-
-def test_trajectory_validation():
-    with pytest.raises(ValueError):
-        Trajectory(0.1, np.zeros((3, 5)), np.zeros(2))
-    with pytest.raises(ValueError):
-        Trajectory(0.1, np.zeros((3, 6)), np.zeros(3))
-    with pytest.raises(ValueError):
-        Trajectory(0.1, np.zeros((3, 6)), np.zeros(2), np.zeros(3))
 
 
 # --- conservation and symmetry ---------------------------------------------

@@ -1,5 +1,6 @@
 """Checks on what the repository ships next to the library: the README's
-library example, the benchmark's self-test and the library's imports."""
+library example and configs, the benchmark's self-test and the library's
+imports."""
 
 import ast
 import contextlib
@@ -19,6 +20,21 @@ def test_readme_library_example_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(block, "README.md", "exec"), {})
     assert 0.0 <= float(out.getvalue()) <= 1e-12  # max |dH| of the banana run
+
+
+def test_readme_config_examples_load(tmp_path):
+    """Every JSON config in the README loads as a scenario, and through the
+    CLI's loader also with its ``study`` and ``methods`` keys."""
+    from bdli import load_config
+    from bdli.cli import _load_scenario
+
+    blocks = re.findall(r"```json\n(.*?)```", (ROOT / "README.md").read_text(),
+                        flags=re.S)
+    assert blocks
+    for i, block in enumerate(blocks):
+        path = tmp_path / f"readme_{i}.json"
+        path.write_text(block)
+        assert _load_scenario(str(path))[0] == load_config(path)
 
 
 def test_perfbench_selftest_passes():
