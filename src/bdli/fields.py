@@ -159,7 +159,8 @@ class TokamakField(FieldModel):
         A_xi = B0 ((R0 - R)^2 + z^2) / (2 q R)
         A_z  = -B0 (q R0 - 1) ln(R) / q.
 
-    Singular at R = 0; E and phi vanish identically.
+    Singular at R = 0; E and phi vanish identically.  The parameters are
+    fixed at construction, which also stores q R0, 2 q and -B0 (q R0 - 1).
     """
 
     name = "tokamak"
@@ -170,19 +171,19 @@ class TokamakField(FieldModel):
             raise ValueError("safety_factor must be nonzero")
         self.B0 = float(B0)
         self.R0 = float(R0)
-        self.safety_factor = float(safety_factor)
+        self.safety_factor = q = float(safety_factor)
+        self._qR0 = q * self.R0
+        self._2q = 2.0 * q
+        self._a_z = -self.B0 * (self._qR0 - 1.0)
 
     def b_at(self, x, y, z):
         R = math.sqrt(x * x + y * y)
         if R < SINGULAR_RADIUS:
             raise _on_axis(self.name, R)
-        q = self.safety_factor
-        k = self.B0 / (q * R * R)
-        return (
-            -k * (q * self.R0 * y + x * z),
-            k * (q * self.R0 * x - y * z),
-            self.B0 * (R - self.R0) / (q * R),
-        )
+        qR = self.safety_factor * R
+        k = self.B0 / (qR * R)
+        return (-k * (self._qR0 * y + x * z), k * (self._qR0 * x - y * z),
+                self.B0 * (R - self.R0) / qR)
 
     def e_at(self, x, y, z):
         return (0.0, 0.0, 0.0)
@@ -196,8 +197,8 @@ class TokamakField(FieldModel):
             raise _on_axis(self.name, R)
         q = self.safety_factor
         a_R = self.B0 * z / (q * R)
-        a_xi = self.B0 * ((self.R0 - R) ** 2 + z * z) / (2.0 * q * R)
-        a_z = -self.B0 * (q * self.R0 - 1.0) * math.log(R) / q
+        a_xi = self.B0 * ((self.R0 - R) ** 2 + z * z) / (self._2q * R)
+        a_z = self._a_z * math.log(R) / q
         # e_R = (x/R, y/R, 0), e_xi = (-y/R, x/R, 0)
         return ((a_R * x - a_xi * y) / R, (a_R * y + a_xi * x) / R, a_z)
 

@@ -63,7 +63,7 @@ rule, h, opts)`` builds what all steps of a trajectory share (the bound
 field evaluators, the rule's nodes split at c = 0, k = h q/m and the solver
 limits) once, and ``dli_step(kernel, z0, v_start)`` runs the iteration
 from one row.  ``integrate`` builds one kernel per trajectory and calls
-``dli_step`` through this module on every step.
+its stepper through this module, once per step.
 ``dli_step`` is the library's only implementation of the scheme; the tests
 check it against an independent array form written from the update
 equation above (``tests/oracles.py``).
@@ -318,37 +318,55 @@ def boris_step(sys: ChargedParticleSystem, z0, h: float) -> tuple:
 
 
 def rk4_step(sys: ChargedParticleSystem, z0, h: float) -> tuple:
-    """Classical 4-stage Runge-Kutta step on the Lorentz vector field."""
-    fld = sys.field
+    """Classical 4-stage Runge-Kutta step on the Lorentz vector field.
+
+    With a(x, v) = (q/m) (E(x) + v x B(x)), a_i = a(x_i, v_i) and z0 = (x1, v1),
+
+        x2 = x1 + (h/2) v1,   v2 = v1 + (h/2) a1,
+        x3 = x1 + (h/2) v2,   v3 = v1 + (h/2) a2,
+        x4 = x1 + h v3,       v4 = v1 + h a3,
+
+    and the step is (x1 + (h/6) (v1 + 2 v2 + 2 v3 + v4), v1 + (h/6) (a1 + 2 a2
+    + 2 a3 + a4)).  Each stage calls e_at, then b_at, also where E = 0.
+    """
+    e_at, b_at = sys.field.e_at, sys.field.b_at
     qm = sys.charge / sys.mass
-
-    def accel(x, y, z, vx, vy, vz):
-        ex, ey, ez = fld.e_at(x, y, z)
-        bx, by, bz = fld.b_at(x, y, z)
-        return (
-            qm * (ex + vy * bz - vz * by),
-            qm * (ey + vz * bx - vx * bz),
-            qm * (ez + vx * by - vy * bx),
-        )
-
+    hh = 0.5 * h
     x1, y1, z1, vx, vy, vz = z0
-    a1 = accel(x1, y1, z1, vx, vy, vz)
-    k2v = (vx + 0.5 * h * a1[0], vy + 0.5 * h * a1[1], vz + 0.5 * h * a1[2])
-    a2 = accel(x1 + 0.5 * h * vx, y1 + 0.5 * h * vy, z1 + 0.5 * h * vz, *k2v)
-    k3v = (vx + 0.5 * h * a2[0], vy + 0.5 * h * a2[1], vz + 0.5 * h * a2[2])
-    a3 = accel(
-        x1 + 0.5 * h * k2v[0], y1 + 0.5 * h * k2v[1], z1 + 0.5 * h * k2v[2], *k3v
-    )
-    k4v = (vx + h * a3[0], vy + h * a3[1], vz + h * a3[2])
-    a4 = accel(x1 + h * k3v[0], y1 + h * k3v[1], z1 + h * k3v[2], *k4v)
+    ex, ey, ez = e_at(x1, y1, z1)
+    bx, by, bz = b_at(x1, y1, z1)
+    a1x = qm * (ex + vy * bz - vz * by)
+    a1y = qm * (ey + vz * bx - vx * bz)
+    a1z = qm * (ez + vx * by - vy * bx)
+    v2x, v2y, v2z = vx + hh * a1x, vy + hh * a1y, vz + hh * a1z
+    px, py, pz = x1 + hh * vx, y1 + hh * vy, z1 + hh * vz
+    ex, ey, ez = e_at(px, py, pz)
+    bx, by, bz = b_at(px, py, pz)
+    a2x = qm * (ex + v2y * bz - v2z * by)
+    a2y = qm * (ey + v2z * bx - v2x * bz)
+    a2z = qm * (ez + v2x * by - v2y * bx)
+    v3x, v3y, v3z = vx + hh * a2x, vy + hh * a2y, vz + hh * a2z
+    px, py, pz = x1 + hh * v2x, y1 + hh * v2y, z1 + hh * v2z
+    ex, ey, ez = e_at(px, py, pz)
+    bx, by, bz = b_at(px, py, pz)
+    a3x = qm * (ex + v3y * bz - v3z * by)
+    a3y = qm * (ey + v3z * bx - v3x * bz)
+    a3z = qm * (ez + v3x * by - v3y * bx)
+    v4x, v4y, v4z = vx + h * a3x, vy + h * a3y, vz + h * a3z
+    px, py, pz = x1 + h * v3x, y1 + h * v3y, z1 + h * v3z
+    ex, ey, ez = e_at(px, py, pz)
+    bx, by, bz = b_at(px, py, pz)
+    a4x = qm * (ex + v4y * bz - v4z * by)
+    a4y = qm * (ey + v4z * bx - v4x * bz)
+    a4z = qm * (ez + v4x * by - v4y * bx)
     six = h / 6.0
     return (
-        x1 + six * (vx + 2.0 * k2v[0] + 2.0 * k3v[0] + k4v[0]),
-        y1 + six * (vy + 2.0 * k2v[1] + 2.0 * k3v[1] + k4v[1]),
-        z1 + six * (vz + 2.0 * k2v[2] + 2.0 * k3v[2] + k4v[2]),
-        vx + six * (a1[0] + 2.0 * a2[0] + 2.0 * a3[0] + a4[0]),
-        vy + six * (a1[1] + 2.0 * a2[1] + 2.0 * a3[1] + a4[1]),
-        vz + six * (a1[2] + 2.0 * a2[2] + 2.0 * a3[2] + a4[2]),
+        x1 + six * (vx + 2.0 * v2x + 2.0 * v3x + v4x),
+        y1 + six * (vy + 2.0 * v2y + 2.0 * v3y + v4y),
+        z1 + six * (vz + 2.0 * v2z + 2.0 * v3z + v4z),
+        vx + six * (a1x + 2.0 * a2x + 2.0 * a3x + a4x),
+        vy + six * (a1y + 2.0 * a2y + 2.0 * a3y + a4y),
+        vz + six * (a1z + 2.0 * a2z + 2.0 * a3z + a4z),
     )
 
 

@@ -13,9 +13,17 @@ with K the non-canonical structure matrix
 
 and B^ the hat map of B.  Tests check the kernel against it, so it must
 not import ``bdli.integrators``.
+
+It also keeps the reference forms of the written-out evaluators:
+``rk4_step_reference`` is the RK4 step with one ``accel`` call per stage,
+and ``tokamak_b_reference``/``tokamak_a_reference`` are the tokamak field's
+B and A with every constant computed from the parameters on each call.
+The library's forms must equal them bit for bit.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -146,3 +154,63 @@ def dli_residual(
         ]
     )
     return a1 - a0 - h * rhs
+
+
+def rk4_step_reference(sys: ChargedParticleSystem, z0, h: float) -> tuple:
+    """Classical 4-stage Runge-Kutta step on the Lorentz vector field, with
+    the acceleration as a closure called once per stage."""
+    fld = sys.field
+    qm = sys.charge / sys.mass
+
+    def accel(x, y, z, vx, vy, vz):
+        ex, ey, ez = fld.e_at(x, y, z)
+        bx, by, bz = fld.b_at(x, y, z)
+        return (
+            qm * (ex + vy * bz - vz * by),
+            qm * (ey + vz * bx - vx * bz),
+            qm * (ez + vx * by - vy * bx),
+        )
+
+    x1, y1, z1, vx, vy, vz = z0
+    a1 = accel(x1, y1, z1, vx, vy, vz)
+    k2v = (vx + 0.5 * h * a1[0], vy + 0.5 * h * a1[1], vz + 0.5 * h * a1[2])
+    a2 = accel(x1 + 0.5 * h * vx, y1 + 0.5 * h * vy, z1 + 0.5 * h * vz, *k2v)
+    k3v = (vx + 0.5 * h * a2[0], vy + 0.5 * h * a2[1], vz + 0.5 * h * a2[2])
+    a3 = accel(
+        x1 + 0.5 * h * k2v[0], y1 + 0.5 * h * k2v[1], z1 + 0.5 * h * k2v[2], *k3v
+    )
+    k4v = (vx + h * a3[0], vy + h * a3[1], vz + h * a3[2])
+    a4 = accel(x1 + h * k3v[0], y1 + h * k3v[1], z1 + h * k3v[2], *k4v)
+    six = h / 6.0
+    return (
+        x1 + six * (vx + 2.0 * k2v[0] + 2.0 * k3v[0] + k4v[0]),
+        y1 + six * (vy + 2.0 * k2v[1] + 2.0 * k3v[1] + k4v[1]),
+        z1 + six * (vz + 2.0 * k2v[2] + 2.0 * k3v[2] + k4v[2]),
+        vx + six * (a1[0] + 2.0 * a2[0] + 2.0 * a3[0] + a4[0]),
+        vy + six * (a1[1] + 2.0 * a2[1] + 2.0 * a3[1] + a4[1]),
+        vz + six * (a1[2] + 2.0 * a2[2] + 2.0 * a3[2] + a4[2]),
+    )
+
+
+def tokamak_b_reference(fld, x, y, z) -> tuple:
+    """``TokamakField.b_at`` with q R0 and q R recomputed on each call
+    (no singularity check)."""
+    R = math.sqrt(x * x + y * y)
+    q = fld.safety_factor
+    k = fld.B0 / (q * R * R)
+    return (
+        -k * (q * fld.R0 * y + x * z),
+        k * (q * fld.R0 * x - y * z),
+        fld.B0 * (R - fld.R0) / (q * R),
+    )
+
+
+def tokamak_a_reference(fld, x, y, z) -> tuple:
+    """``TokamakField.a_at`` with 2 q and -B0 (q R0 - 1) recomputed on each
+    call (no singularity check)."""
+    R = math.sqrt(x * x + y * y)
+    q = fld.safety_factor
+    a_R = fld.B0 * z / (q * R)
+    a_xi = fld.B0 * ((fld.R0 - R) ** 2 + z * z) / (2.0 * q * R)
+    a_z = -fld.B0 * (q * fld.R0 - 1.0) * math.log(R) / q
+    return ((a_R * x - a_xi * y) / R, (a_R * y + a_xi * x) / R, a_z)

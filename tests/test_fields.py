@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdli.fields import (
     FIELD_MODELS,
@@ -14,6 +16,7 @@ from bdli.fields import (
     UniformField,
     make_field,
 )
+from oracles import tokamak_a_reference, tokamak_b_reference
 
 FD_STEP = 1e-5
 FD_TOL = 1e-6
@@ -135,6 +138,24 @@ def test_tokamak_matches_toroidal_form():
         e_theta = -sin_t * e_R + cos_t * e_z
         B_oracle = (r / (2.0 * R)) * e_theta + (1.0 / R) * e_xi
         assert f.b_at(*p) == pytest.approx(B_oracle, rel=1e-12, abs=1e-14)
+
+
+_signed = lambda a, b: st.floats(a, b).flatmap(  # noqa: E731
+    lambda v: st.sampled_from((v, -v)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_signed(0.01, 10.0), st.floats(0.1, 10.0), _signed(0.1, 10.0),
+       st.floats(1e-6, 5.0), st.floats(0.0, 2 * math.pi), st.floats(-2.0, 2.0))
+def test_property_tokamak_constants_keep_the_bits(B0, R0, q, R, angle, z):
+    # b_at and a_at use q R0, 2 q and -B0 (q R0 - 1) stored at construction
+    # and one q R per call; each value is the product the per-call form
+    # computes, so the results match it bit for bit
+    f = TokamakField(B0=B0, R0=R0, safety_factor=q)
+    x, y = R * math.cos(angle), R * math.sin(angle)
+    bits = lambda v: tuple(map(float.hex, v))  # noqa: E731
+    assert bits(f.b_at(x, y, z)) == bits(tokamak_b_reference(f, x, y, z))
+    assert bits(f.a_at(x, y, z)) == bits(tokamak_a_reference(f, x, y, z))
 
 
 def test_uniform_point_values():

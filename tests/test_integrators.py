@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import bdli
 from bdli import (
+    FIELD_MODELS,
     ChargedParticleSystem,
     CylindricalDriftField,
     NonConvergenceError,
@@ -30,7 +31,7 @@ from bdli import (
 )
 from bdli.hamiltonian import energies
 from one_state import energy
-from oracles import dli_residual, grad_energy, weighted_gradient
+from oracles import dli_residual, grad_energy, rk4_step_reference, weighted_gradient
 
 BOOLE = builtin_rule("boole")
 TOL = SolverOptions()
@@ -270,7 +271,9 @@ SKEWED = QuadratureRule("skewed", (0.0, 1.0), (0.25, 0.75), 0)
 
 _unit = st.floats(-1.0, 1.0)
 _vec = st.tuples(_unit, _unit, _unit)
-_h = st.floats(0.02, 0.2).flatmap(lambda a: st.sampled_from((a, -a)))
+_signed = lambda a, b: st.floats(a, b).flatmap(  # noqa: E731
+    lambda v: st.sampled_from((v, -v)))
+_h = _signed(0.02, 0.2)
 
 
 @st.composite
@@ -585,6 +588,58 @@ def test_rk4_local_order_five():
         assert 4.8 <= s <= 5.2
 
 
+def _bits(row):
+    """The row's floats as hex strings, which also tell -0.0 from 0.0."""
+    return tuple(map(float.hex, row))
+
+
+_off_axis = st.tuples(st.floats(0.5, 2.0), st.floats(0.0, 2 * math.pi),
+                      st.floats(-0.5, 0.5)).map(
+    lambda p: (p[0] * math.cos(p[1]), p[0] * math.sin(p[1]), p[2]))
+# one strategy per registered field model: (field, start position)
+_MODEL_STARTS = {
+    "cylindrical_drift": st.builds(CylindricalDriftField, _signed(0.0, 0.1))
+    .flatmap(lambda f: st.tuples(st.just(f), _off_axis)),
+    "tokamak": st.builds(TokamakField, _signed(0.1, 2.0), st.floats(0.5, 2.0),
+                         _signed(0.5, 4.0))
+    .flatmap(lambda f: st.tuples(st.just(f), _off_axis)),
+    "uniform": st.tuples(st.builds(UniformField, _vec, _vec), _vec),
+    "quartic_well": st.tuples(
+        st.builds(QuarticWellField, _vec, st.floats(0.0, 1.0)), _vec),
+}
+
+
+def test_model_starts_cover_every_field_model():
+    assert sorted(_MODEL_STARTS) == sorted(FIELD_MODELS)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_MODEL_STARTS)).flatmap(_MODEL_STARTS.get),
+       _vec, _h, st.sampled_from((1.0, -1.0, 0.5)))
+def test_property_rk4_step_equals_the_closure_form(start, v0, h, charge):
+    # the written-out stages keep every expression and its association, so
+    # they match the one-accel-call-per-stage form bit for bit, also in the
+    # sign of a zero velocity component on a zero-E field; ten steps, so
+    # that a rounding difference in any stage carries into a compared row
+    fld, x0 = start
+    sys = ChargedParticleSystem(1.0, charge, fld)
+    z = z_ref = tuple(x0) + tuple(v0)
+    for _ in range(10):
+        z, z_ref = rk4_step(sys, z, h), rk4_step_reference(sys, z_ref, h)
+        assert _bits(z) == _bits(z_ref)
+
+
+def test_rk4_step_keeps_the_sign_of_a_zero_velocity():
+    # with B = 0 and vy < 0, vy bz is -0.0; the E term 0.0 added before it
+    # makes the x acceleration +0.0, so vx = -0.0 + (h/6) (+0.0) ends +0.0,
+    # as in the closure form; a step that left out E would keep -0.0
+    sys = ChargedParticleSystem(1.0, 1.0, UniformField(B=(0, 0, 0)))
+    z0 = (0.0, 0.0, 0.0, -0.0, -1.0, 0.0)
+    got = rk4_step(sys, z0, 0.1)
+    assert _bits(got) == _bits(rk4_step_reference(sys, z0, 0.1))
+    assert math.copysign(1.0, got[3]) == 1.0
+
+
 # --- integrate ----------------------------------------------------------------
 
 def test_integrate_zero_steps():
@@ -639,6 +694,26 @@ def test_integrate_calls_dli_step_through_the_module_once_per_step(monkeypatch):
     scn = bdli.builtin_scenario("banana")
     integrate(scn.system(), "bdli", scn.initial_state(), scn.h, 50, scn.solver)
     assert calls == 50
+
+
+@pytest.mark.parametrize("method", ["boris", "rk4"])
+def test_integrate_calls_reference_steppers_through_the_module(monkeypatch, method):
+    # perfbench/tracing.py counts Boris and RK4 steps (integrators.steps) by
+    # rebinding bdli.integrators.boris_step and rk4_step: integrate must look
+    # the stepper up in the module and call it once per step
+    calls = 0
+    step = getattr(bdli.integrators, f"{method}_step")
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(bdli.integrators, f"{method}_step", counting)
+    scn = bdli.builtin_scenario("banana")
+    traj = integrate(scn.system(), method, scn.initial_state(), scn.h, 50)
+    assert calls == 50
+    assert len(traj) == 51
 
 
 def test_integrate_builds_one_kernel_per_trajectory(monkeypatch):
@@ -754,6 +829,11 @@ STATE_DIGESTS = {
         "88c2bf5bed5feb6e77901c38e444c09b9637b84780058b96f65a9d248d3efdc2",
     ("drift2d", "bdli"):
         "e471447b9b42c111dc557bccfe72896ddc67db114709c9d973aa511fdc640b48",
+    # drift2d has E != 0, so these two also pin the order of the E terms
+    ("drift2d", "boris"):
+        "083f3cca12982cca089f8b8f504e1095a38458146332f78faa2d80eeae2eb524",
+    ("drift2d", "rk4"):
+        "6582e44b8f27d704e7721e0997ab2d835d3839f19108bef9eec47934f9bd7686",
 }
 
 
