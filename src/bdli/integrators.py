@@ -67,6 +67,13 @@ its stepper through this module, once per step.
 ``dli_step`` is the library's only implementation of the scheme; the tests
 check it against an independent array form written from the update
 equation above (``tests/oracles.py``).
+
+Both run once per step and call no builtin reduction: ``|z0|_inf`` and
+``delta_n`` are compare chains with the builtin ``max``'s semantics (only
+a strictly greater item replaces the running value, so a tie keeps the
+first item and a NaN counts only in first place), and ``integrate`` tests
+each row with six chained ``isfinite`` calls; ``max(map(abs, z0))`` alone
+cost ~0.9 us of a ~14 us step.
 """
 
 from __future__ import annotations
@@ -202,7 +209,24 @@ def dli_step(kernel: DLIKernel, z0, v_start: tuple | None = None) -> StepReport:
     e_at, b_at, w0, pairs, r, s, h, k, kr, ks, tol, dz_factor, iterates = kernel
     x0x, x0y, x0z, v0x, v0y, v0z = z0
 
-    scale = tol * (1.0 + max(map(abs, z0)))
+    # |z0|_inf as a compare chain, like the iterate's delta below
+    m = abs(x0x)
+    a = abs(x0y)
+    if a > m:
+        m = a
+    a = abs(x0z)
+    if a > m:
+        m = a
+    a = abs(v0x)
+    if a > m:
+        m = a
+    a = abs(v0y)
+    if a > m:
+        m = a
+    a = abs(v0z)
+    if a > m:
+        m = a
+    scale = tol * (1.0 + m)
 
     # the c = 0 term of the E sum does not move with the iterate; each
     # iterate's sum starts from it, in the rule's node order
@@ -248,7 +272,13 @@ def dli_step(kernel: DLIKernel, z0, v_start: tuple | None = None) -> StepReport:
                 nvy = (ay + (az * tx - ax * tz) + at * ty) / d
                 nvz = (az + (ax * ty - ay * tx) + at * tz) / d
 
-                delta = max(abs(nvx - vx), abs(nvy - vy), abs(nvz - vz))
+                delta = abs(nvx - vx)
+                a = abs(nvy - vy)
+                if a > delta:
+                    delta = a
+                a = abs(nvz - vz)
+                if a > delta:
+                    delta = a
                 if not math.isfinite(delta):
                     # diverged; keep the last finite iterate for the report
                     residual = math.inf
@@ -421,6 +451,7 @@ def integrate(sys: ChargedParticleSystem, method: str | QuadratureRule,
     states = [z]
     iters = [0] * n_steps
     resid = [0.0] * n_steps
+    isfinite = math.isfinite
     # the six accepted rows before z, newest first
     z1 = z2 = z3 = z4 = z5 = z6 = None
 
@@ -455,7 +486,8 @@ def integrate(sys: ChargedParticleSystem, method: str | QuadratureRule,
             raise SingularityError(
                 f"{method}: {exc} at step {k}", k, partial(k)
             ) from exc
-        if not all(map(math.isfinite, z)):
+        if not (isfinite(z[0]) and isfinite(z[1]) and isfinite(z[2])
+                and isfinite(z[3]) and isfinite(z[4]) and isfinite(z[5])):
             raise NonConvergenceError(
                 f"{method}: non-finite state at step {k}", k, partial(k)
             )

@@ -15,10 +15,12 @@ and B^ the hat map of B.  Tests check the kernel against it, so it must
 not import ``bdli.integrators``.
 
 It also keeps the reference forms of the written-out evaluators:
-``rk4_step_reference`` is the RK4 step with one ``accel`` call per stage,
-and ``tokamak_b_reference``/``tokamak_a_reference`` are the tokamak field's
-B and A with every constant computed from the parameters on each call.
-The library's forms must equal them bit for bit.
+``dli_step_reference`` is the scalar DLI step with the builtin ``max`` for
+its stop scale and its iterate differences, ``rk4_step_reference`` is the
+RK4 step with one ``accel`` call per stage, and
+``tokamak_b_reference``/``tokamak_a_reference`` are the tokamak field's B
+and A with every constant computed from the parameters on each call.  The
+library's forms must equal them bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import math
 
 import numpy as np
 
-from bdli.fields import as_vec3
+from bdli.fields import FieldSingularityError, as_vec3
 from bdli.hamiltonian import ChargedParticleSystem, PhaseState
 from bdli.quadrature import QuadratureRule
 
@@ -154,6 +156,84 @@ def dli_residual(
         ]
     )
     return a1 - a0 - h * rhs
+
+
+def dli_step_reference(kernel, z0, v_start, kappa: float) -> tuple:
+    """``bdli.integrators.dli_step`` with the builtin reductions: the stop
+    scale from ``max(map(abs, z0))`` and each iterate's delta from a
+    three-argument ``max``.  ``kernel`` is a ``DLIKernel`` and ``kappa`` the
+    library's ``KAPPA``; returns the ``StepReport`` fields as a plain tuple
+    ``(state, iterations, residual_norm, converged)``."""
+    e_at, b_at, w0, pairs, r, s, h, k, kr, ks, tol, dz_factor, iterates = kernel
+    x0x, x0y, x0z, v0x, v0y, v0z = z0
+
+    scale = tol * (1.0 + max(map(abs, z0)))
+
+    s0x = s0y = s0z = 0.0
+    if w0 is not None:
+        e0x, e0y, e0z = e_at(x0x, x0y, x0z)
+        s0x, s0y, s0z = s0x + w0 * e0x, s0y + w0 * e0y, s0z + w0 * e0z
+
+    vx, vy, vz = z0[3:] if v_start is None else v_start
+    iterations = 0
+    while True:
+        converged = False
+        residual = math.inf
+        prev = 0.0
+        try:
+            for n in iterates:
+                avx = r * v0x + s * vx
+                avy = r * v0y + s * vy
+                avz = r * v0z + s * vz
+                dxx, dxy, dxz = h * avx, h * avy, h * avz
+
+                sex, sey, sez = s0x, s0y, s0z
+                for c, w in pairs:
+                    ex, ey, ez = e_at(x0x + c * dxx, x0y + c * dxy, x0z + c * dxz)
+                    sex += w * ex
+                    sey += w * ey
+                    sez += w * ez
+
+                bx, by, bz = b_at(x0x + 0.5 * dxx, x0y + 0.5 * dxy, x0z + 0.5 * dxz)
+                ax = v0x + k * sex + kr * (v0y * bz - v0z * by)
+                ay = v0y + k * sey + kr * (v0z * bx - v0x * bz)
+                az = v0z + k * sez + kr * (v0x * by - v0y * bx)
+                tx, ty, tz = ks * bx, ks * by, ks * bz
+                at = ax * tx + ay * ty + az * tz
+                d = 1.0 + tx * tx + ty * ty + tz * tz
+                nvx = (ax + (ay * tz - az * ty) + at * tx) / d
+                nvy = (ay + (az * tx - ax * tz) + at * ty) / d
+                nvz = (az + (ax * ty - ay * tx) + at * tz) / d
+
+                delta = max(abs(nvx - vx), abs(nvy - vy), abs(nvz - vz))
+                if not math.isfinite(delta):
+                    residual = math.inf
+                    break
+                vx, vy, vz = nvx, nvy, nvz
+                residual = delta * dz_factor
+                if residual <= scale:
+                    converged = True
+                    break
+                if delta < prev:
+                    estimate = delta / (prev - delta) * residual
+                    if estimate <= kappa * scale:
+                        residual = estimate
+                        converged = True
+                        break
+                prev = delta
+        except FieldSingularityError:
+            if v_start is None:
+                raise
+        iterations += n
+        if converged or v_start is None:
+            break
+        (vx, vy, vz), v_start = z0[3:], None
+
+    avx = r * v0x + s * vx
+    avy = r * v0y + s * vy
+    avz = r * v0z + s * vz
+    state = (x0x + h * avx, x0y + h * avy, x0z + h * avz, vx, vy, vz)
+    return state, iterations, residual, converged
 
 
 def rk4_step_reference(sys: ChargedParticleSystem, z0, h: float) -> tuple:

@@ -31,7 +31,13 @@ from bdli import (
 )
 from bdli.hamiltonian import energies
 from one_state import energy
-from oracles import dli_residual, grad_energy, rk4_step_reference, weighted_gradient
+from oracles import (
+    dli_residual,
+    dli_step_reference,
+    grad_energy,
+    rk4_step_reference,
+    weighted_gradient,
+)
 
 BOOLE = builtin_rule("boole")
 TOL = SolverOptions()
@@ -629,6 +635,74 @@ def test_property_rk4_step_equals_the_closure_form(start, v0, h, charge):
         assert _bits(z) == _bits(z_ref)
 
 
+# signed zeros, subnormals and non-finite values for the rows below
+_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, math.inf, -math.inf,
+            math.nan)
+
+
+@st.composite
+def _tie_rows(draw):
+    """(field, row) on any field model, with components replaced by a
+    special value or by another component's magnitude with either sign, so
+    that |z0|_inf and the iterate differences meet ties, signed zeros and
+    NaN in every position."""
+    fld, x0 = draw(st.sampled_from(sorted(_MODEL_STARTS)).flatmap(_MODEL_STARTS.get))
+    row = list(x0) + list(draw(_vec))
+    for i in range(6):
+        how = draw(st.sampled_from(("keep", "special", "tie")))
+        if how == "special":
+            row[i] = draw(st.sampled_from(_SPECIAL))
+        elif how == "tie":
+            row[i] = math.copysign(row[draw(st.integers(0, 5))],
+                                   draw(st.sampled_from((1.0, -1.0))))
+    return fld, tuple(row)
+
+
+def _dli_outcome(step, *args):
+    """What a DLI step gives: its fields in hex, or the error it raises."""
+    try:
+        state, n, residual, converged = step(*args)
+    except (ArithmeticError, ValueError) as exc:  # a singular or overflowing sample
+        return type(exc), str(exc)
+    return _bits(state), n, residual.hex(), converged
+
+
+_v_starts = st.one_of(
+    st.none(), st.tuples(*[st.one_of(_unit, st.sampled_from(_SPECIAL))] * 3))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_tie_rows(), _v_starts, st.sampled_from(RULES + [SKEWED]),
+       _h, st.sampled_from((1.0, -1.0)), st.sampled_from((TOL, SolverOptions(1e-10, 3))))
+def test_property_dli_step_equals_the_builtin_max_form(start, v_start, rule, h,
+                                                       charge, opts):
+    # the compare chains keep the builtin max's choice among ties and NaN,
+    # so the step equals the max(map(abs, z0)) form bit for bit, also in
+    # its iteration count, residual and convergence flag; a start with NaN
+    # after its first component leaves a uniform field's first iterate
+    # finite, so only a delta that skips a late NaN keeps iterating
+    fld, z0 = start
+    kernel = dli_kernel(ChargedParticleSystem(1.0, charge, fld), rule, h, opts)
+    assert _dli_outcome(dli_step, kernel, z0, v_start) == _dli_outcome(
+        dli_step_reference, kernel, z0, v_start, bdli.integrators.KAPPA)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_tie_rows(), st.integers(0, 5), st.integers(0, 2), st.floats(1e-12, 1e-6),
+       st.sampled_from((1.0 - 2.0**-8, 1.0 + 2.0**-8)), _h)
+def test_property_dli_stop_scale_is_the_builtin_max(start, i, j, tol, edge, h):
+    # without a field the first iterate is v0 itself, so one iterate from
+    # v0 + gap e_j is accepted iff gap <= tol (1 + |z0|_inf): a gap just
+    # inside or outside the edge set by |z0_i| shows which maximum was taken
+    _, z0 = start
+    sys = ChargedParticleSystem(1.0, 1.0, UniformField(B=(0.0, 0.0, 0.0)))
+    kernel = dli_kernel(sys, BOOLE, h, SolverOptions(tol, 1))
+    v_start = list(z0[3:])
+    v_start[j] += edge * tol * (1.0 + abs(z0[i]))
+    assert _dli_outcome(dli_step, kernel, z0, tuple(v_start)) == _dli_outcome(
+        dli_step_reference, kernel, z0, tuple(v_start), bdli.integrators.KAPPA)
+
+
 def test_rk4_step_keeps_the_sign_of_a_zero_velocity():
     # with B = 0 and vy < 0, vy bz is -0.0; the E term 0.0 added before it
     # makes the x acceleration +0.0, so vx = -0.0 + (h/6) (+0.0) ends +0.0,
@@ -814,6 +888,30 @@ def test_integrate_nonfinite_state_aborts_with_partial(method):
     assert np.array_equal(err.trajectory.states[0], z0.as_vector())
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("j", range(6))
+def test_integrate_nonfinite_check_reads_every_component(monkeypatch, j, bad):
+    # the finite check tests the six components one by one; a row that is
+    # non-finite in component j alone must abort the run at that step
+    step = bdli.integrators.boris_step
+    calls = []
+
+    def bad_at_step_3(sys, z, h):
+        calls.append(None)
+        row = step(sys, z, h)
+        return row[:j] + (bad,) + row[j + 1:] if len(calls) == 4 else row
+
+    monkeypatch.setattr(bdli.integrators, "boris_step", bad_at_step_3)
+    scn = bdli.builtin_scenario("banana")
+    z0 = scn.initial_state()
+    with pytest.raises(NonConvergenceError, match="non-finite state at step 3") as info:
+        integrate(scn.system(), "boris", z0, scn.h, 6)
+    err = info.value
+    assert err.step_index == 3
+    assert len(err.trajectory) == 4
+    assert all(map(math.isfinite, np.ravel(err.trajectory.states)))
+
+
 # sha256 of np.array(integrate(...).states).tobytes() for 500 steps from the builtin
 # start.  Any change to a kernel's arithmetic or its order changes them; the
 # kernels use only + - * / and sqrt (correctly rounded in IEEE 754), so the
@@ -844,6 +942,30 @@ def test_step_kernels_bitwise_pinned(name, method):
                      scn.solver)
     digest = hashlib.sha256(np.array(traj.states).tobytes()).hexdigest()
     assert digest == STATE_DIGESTS[name, method]
+
+
+# sha256 of the int64 iteration counts and the float64 residuals of the same
+# 500-step bdli runs.  The stop scale tol (1 + |z0|_inf) and each iterate's
+# delta decide every accept; these pin the decisions and the residuals they
+# report, next to the states they lead to.
+SOLVER_DIGESTS = {
+    "banana": (
+        "53d4ff6f81236366ca33779e6eabf0f29bf88e6900dd90e931b4ed3a69f0ec00",
+        "afa51380ec10eccbc75482416e836eda51b18a3606520e947614b684dfeb2c57"),
+    "drift2d": (
+        "f62a41bb045c517203dfa456c2bd7d0adbe1babc29c853d57ef25d3201571a9d",
+        "3701c1b1d6a731e5fa509bebedf9e66fcf600374ca2e4cf1158f52757fa25628"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVER_DIGESTS))
+def test_solver_iterations_and_residuals_bitwise_pinned(name):
+    scn = bdli.builtin_scenario(name)
+    traj = integrate(scn.system(), "bdli", scn.initial_state(), scn.h, 500,
+                     scn.solver)
+    got = (np.array(traj.iterations, dtype=np.int64), np.array(traj.residuals))
+    assert tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                 for a in got) == SOLVER_DIGESTS[name]
 
 
 def test_bdli_banana_iteration_count():
