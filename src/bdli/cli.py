@@ -100,10 +100,9 @@ def _check_out(key: str, path: str | None, directory: bool = False):
 def _cmd_run(args) -> int:
     scn = _apply_flags(_load_scenario(args.scenario)[0], args)
     if args.out:
-        _check_out("out", args.out)
-    else:
-        _check_out("output", scn.output)
-    summary = run_scenario(scn, out=args.out, relative_errors=args.relative_errors)
+        scn = replace(scn, output=args.out)
+    _check_out("out" if args.out else "output", scn.output)
+    summary = run_scenario(scn, relative_errors=args.relative_errors)
     sys.stdout.write(summary.as_text())
     sys.stdout.write(f"series written to {summary.series_path}\n")
     return EXIT_OK

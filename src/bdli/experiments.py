@@ -159,6 +159,10 @@ class Scenario:
         if own is not None and not own.palindromic:
             raise ConfigError(f"rule: {own.name!r} is not palindromic, so the "
                               "step would not be time-symmetric")
+        if not isinstance(self.method, str):
+            raise ConfigError(f"method: expected a string, got {self.method!r}")
+        if not isinstance(self.solver, SolverOptions):
+            raise ConfigError(f"solver: expected a SolverOptions, got {self.solver!r}")
         try:
             self.stepper  # validates the method text
         except ValueError as exc:
@@ -475,21 +479,17 @@ def _max_or_nan(values) -> float:
     return math.nan if any(map(math.isnan, values)) else max(values)
 
 
-def run_scenario(
-    scn: Scenario,
-    out=None,
-    relative_errors: bool = False,
-) -> RunSummary:
+def run_scenario(scn: Scenario, relative_errors: bool = False) -> RunSummary:
     """Integrate a scenario, write its series and summary files.
 
-    ``out`` overrides the scenario's output path; by default the files are
-    ``<name>_series.csv`` and ``<name>_series.summary.txt`` in the current
-    directory.  The run is deterministic: identical scenarios produce
+    The series goes to ``scn.output``, by default ``<name>_series.csv`` in
+    the current directory, and the summary next to it with the suffix
+    ``.summary.txt``.  The run is deterministic: identical scenarios produce
     byte-identical series and summary files.  When the integration fails,
     the series of the states reached so far is written to the same path
     (recorded as the error's ``series_path``) before the error propagates.
     """
-    series_path = Path(out) if out else Path(scn.output or f"{scn.name}_series.csv")
+    series_path = Path(scn.output or f"{scn.name}_series.csv")
     try:
         traj = scn.run_trajectory()
     except IntegrationError as exc:
@@ -636,11 +636,9 @@ def compare_methods(
     base.mkdir(parents=True, exist_ok=True)
     summaries = []
     for method in methods:
-        sub = replace(scn, method=method, output=None)
         fname = f"{scn.name}_{method.replace(':', '-')}_series.csv"
-        summaries.append(
-            run_scenario(sub, out=base / fname, relative_errors=relative_errors)
-        )
+        sub = replace(scn, method=method, output=str(base / fname))
+        summaries.append(run_scenario(sub, relative_errors=relative_errors))
     report = ComparisonReport(scn.name, tuple(summaries))
     (base / f"{scn.name}_compare.txt").write_text(report.as_text())
     return report

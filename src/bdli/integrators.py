@@ -186,8 +186,12 @@ def dli_kernel(sys: ChargedParticleSystem, rule: QuadratureRule, h: float,
     ``sys``: build it once per trajectory and pass it to every ``dli_step``."""
     opts = opts or SolverOptions()
     fld = sys.field
-    w0, pairs = (None, ()) if fld.zero_electric else rule.zero_node_split
-    s = rule.first_moment
+    # nodes ascend, so the node c = 0 can only come first
+    pairs = () if fld.zero_electric else tuple(zip(rule.nodes, rule.weights))
+    w0 = None
+    if pairs and pairs[0][0] == 0.0:
+        w0, pairs = pairs[0][1], pairs[1:]
+    s = rule.integrate_monomial(1)
     r = 1.0 - s
     k = h * sys.charge / sys.mass
     return DLIKernel(fld.e_at, fld.b_at, w0, pairs, r, s, h, k, k * r, k * s,

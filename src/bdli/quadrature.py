@@ -16,7 +16,6 @@ same invariants; there is no rule registry, a scenario holds its own rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 _WEIGHT_SUM_TOL = 1e-15
 _EXACTNESS_TOL = 1e-14
@@ -53,22 +52,6 @@ class QuadratureRule:
                     f"rule {self.name!r} misses monomial c^{k} by {err:.2e}; "
                     f"declared degree of exactness {self.degree_of_exactness} is wrong"
                 )
-
-    @cached_property
-    def first_moment(self) -> float:
-        """Sum of w_i * c_i; equals 1/2 for node-symmetric rules.  Summed
-        once per rule, since every DLI step reads it."""
-        return float(sum(w * c for c, w in zip(self.nodes, self.weights)))
-
-    @cached_property
-    def zero_node_split(self) -> tuple[float | None, tuple[tuple[float, float], ...]]:
-        """``(w0, pairs)``: the weight of the node c = 0 (None if the rule
-        has none) and the other ``(c, w)`` pairs in order.  Nodes ascend, so
-        c = 0 can only be first; the DLI step evaluates it once per step."""
-        pairs = tuple(zip(self.nodes, self.weights))
-        if pairs[0][0] == 0.0:
-            return pairs[0][1], pairs[1:]
-        return None, pairs
 
     @property
     def palindromic(self) -> bool:

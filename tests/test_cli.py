@@ -117,6 +117,13 @@ def test_broken_json_exit_2(tmp_path, capsys):
     assert main(["run", str(p)]) == 2
 
 
+def test_top_level_list_exit_2(tmp_path, capsys):
+    cfg = write(tmp_path, [1])
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {cfg}: top-level value must be an object" in \
+        capsys.readouterr().err
+
+
 @pytest.mark.parametrize("doc,key", [
     ({"builtin": "banana", "n_steps": 0}, "n_steps"),
     ({"builtin": "banana", "solver": 3}, "solver"),
@@ -167,6 +174,13 @@ def test_broken_json_exit_2(tmp_path, capsys):
     ({"builtin": "banana", "rule": {"name": "w2", "pairs": [["0", 0.5], [True, "0.5"]],
                                     "degree": 1}}, "rule"),
     ({"builtin": "banana", "x0": [HUGE, 0, 0]}, "x0"),
+    ({"builtin": "banana", "stride": 0}, "stride"),
+    ({"builtin": "banana", "field": {"name": "uniform", "params": [1]}}, "field"),
+    ({"builtin": "banana", "field": {"name": "uniform", "extra": 1}}, "field"),
+    ({"builtin": "banana", "rule": {"name": "w2", "pairs": [[0, 0.5], [1, 0.5]],
+                                    "degree": 1, "extra": 1}}, "rule"),
+    ({"builtin": "banana", "rule": {"name": "w2", "degree": 1}}, "rule"),
+    ({"builtin": "banana", "solver": {"tolerance": -1}}, "solver"),
 ], ids=["n_steps-0", "solver-3", "solver-predictor", "n_steps-abc",
         "stride-x", "mass-x", "mass-negative", "h-pi/0", "x0-string",
         "field-unknown-param", "field-safety-factor-0", "x0-nan", "v0-inf",
@@ -176,7 +190,8 @@ def test_broken_json_exit_2(tmp_path, capsys):
         "rule-not-palindromic", "method-undefined-rule", "rule-unknown-name",
         "builtin-list", "field-B0-true", "field-epsilon-string", "field-B-string",
         "field-B0-inf", "field-epsilon-nan", "rule-pairs-strings-and-true",
-        "x0-401-digits"])
+        "x0-401-digits", "stride-0", "field-params-list", "field-extra-key",
+        "rule-extra-key", "rule-no-pairs", "solver-tolerance-negative"])
 def test_invalid_scenario_exit_2(tmp_path, capsys, doc, key):
     # --out keeps a wrongly accepted run's series out of the working directory
     assert main(["run", write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
@@ -372,12 +387,13 @@ def test_compare_rejects_single_method(tmp_path):
     ("run", {"study": {"h_list": 5}}, "study"),
     ("run", {"methods": "bdli"}, "methods"),
     ("run", {"methods": [1, 2]}, "methods"),
+    ("run", {"study": {"bogus": 1}}, "study"),
 ], ids=["h_list-int", "h_list-empty", "h_list-null", "reference_h-list",
         "study-list", "study-null", "methods-ints", "methods-string",
         "methods-null", "methods-object", "h_list-zero", "reference_h-zero",
         "h_list-not-dividing", "methods-one", "methods-unknown",
         "methods-repeated", "run-study-list", "run-study-null", "run-h_list-int",
-        "run-methods-string", "run-methods-ints"])
+        "run-methods-string", "run-methods-ints", "run-study-unknown-key"])
 def test_malformed_study_or_methods_exit_2(tmp_path, capsys, command, doc, key):
     cfg = write(tmp_path, {"builtin": "banana", "n_steps": 16, **doc})
     assert main([command, cfg, "--out", str(tmp_path / "out")]) == 2

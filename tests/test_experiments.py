@@ -20,7 +20,7 @@ from bdli import (
     run_scenario,
     scenario_to_config,
 )
-from bdli.experiments import _SCENARIO_KEYS, _scenario_from_dict
+from bdli.experiments import _SCENARIO_KEYS, _loglog_slope, _scenario_from_dict
 
 
 # --- builtins ---------------------------------------------------------------
@@ -108,7 +108,8 @@ def test_scenario_start_vector_is_a_config_error(key, bad):
 
 @pytest.mark.parametrize("key,bad", [
     ("mass", None), ("charge", "x"), ("h", None), ("n_steps", "5"),
-    ("stride", None), ("n_steps", 2.5),
+    ("stride", None), ("n_steps", 2.5), ("method", 5), ("solver", None),
+    ("solver", {"tolerance": 1e-12}),
 ])
 def test_scenario_value_of_the_wrong_type_is_a_config_error(key, bad):
     with pytest.raises(ConfigError, match=f"^{key}: expected "):
@@ -278,7 +279,8 @@ def test_same_rule_name_in_two_configs(tmp_path):
         assert np.array_equal(states, ref)
     err = {}
     for label, scn in (("trap", trap), ("simp", simp)):
-        err[label] = run_scenario(scn, out=tmp_path / f"{label}.csv").max_abs_err_H
+        err[label] = run_scenario(
+            replace(scn, output=str(tmp_path / f"{label}.csv"))).max_abs_err_H
     assert err["trap"] > 1e3 * err["simp"]
 
 
@@ -495,6 +497,11 @@ def test_convergence_study_validation():
         convergence_study(scn, [scn.h, scn.h / 2], scn.h)
     with pytest.raises(ValueError, match="nonempty"):
         convergence_study(scn, [], scn.h / 64)
+
+
+def test_loglog_slope_is_nan_when_an_error_is_zero():
+    assert math.isnan(_loglog_slope(((0.1, 1e-3), (0.05, 0.0))))
+    assert _loglog_slope(((0.1, 1e-2), (0.05, 2.5e-3))) == pytest.approx(2.0)
 
 
 def test_convergence_study_second_order_on_tokamak():

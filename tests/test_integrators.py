@@ -425,6 +425,27 @@ def test_property_kernel_holds_no_per_step_state(start, rule, h):
         assert rep.residual_norm == traj.residuals[k]
 
 
+MILNE = QuadratureRule("milne", (0.25, 0.5, 0.75), (2 / 3, -1 / 3, 2 / 3), 3)
+
+
+@pytest.mark.parametrize("rule", RULES + [MILNE], ids=lambda r: r.name)
+@pytest.mark.parametrize("electric", [True, False])
+def test_kernel_view_of_the_rule_is_bitwise_its_nodes_and_weights(rule, electric):
+    # w0 is the weight of a leading c = 0 node, pairs the other (c, w) in
+    # order, both dropped without E; s is sum w_i c_i in node order
+    E = (0.1, -0.2, 0.3) if electric else (0.0, 0.0, 0.0)
+    sys = ChargedParticleSystem(1.0, 1.0, UniformField(B=(0.0, 0.0, 1.0), E=E))
+    kernel = dli_kernel(sys, rule, 0.1, TOL)
+    pairs = list(zip(rule.nodes, rule.weights))
+    w0 = pairs.pop(0)[1] if electric and rule.nodes[0] == 0.0 else None
+    s = 0.0
+    for c, w in zip(rule.nodes, rule.weights):
+        s += w * c
+    assert kernel.w0 == w0
+    assert kernel.pairs == (tuple(pairs) if electric else ())
+    assert kernel.s.hex() == s.hex() and kernel.r.hex() == (1.0 - s).hex()
+
+
 @functools.cache  # several tests read the same runs; none changes them
 def _trajectory(name, h, n_steps, opts=None):
     scn = bdli.builtin_scenario(name)
@@ -722,6 +743,12 @@ def test_integrate_zero_steps():
     traj = integrate(sys, "bdli", z0, 0.1, 0)
     assert len(traj) == 1
     assert np.array_equal(traj.states[0], z0.as_vector())
+
+
+def test_integrate_negative_steps_is_refused():
+    z0 = PhaseState((1, 0, 0), (0, 1, 0))
+    with pytest.raises(ValueError, match="n_steps must be >= 0"):
+        integrate(uniform_b_system(), "bdli", z0, 0.1, -1)
 
 
 def test_integrate_monotone_time_and_shapes():

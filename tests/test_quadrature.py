@@ -47,7 +47,7 @@ def test_monomial_exactness(name):
 
 def test_trapezoid_exact_for_linear():
     # the rule applied to f(c) = c
-    assert builtin_rule("trapezoid").first_moment == pytest.approx(0.5, abs=0.0)
+    assert builtin_rule("trapezoid").integrate_monomial(1) == pytest.approx(0.5, abs=0.0)
 
 
 def test_boole_integrates_c5_exactly():
@@ -62,7 +62,7 @@ def test_weights_sum_and_symmetry(name):
     for i in range(n):
         assert rule.nodes[i] == pytest.approx(1.0 - rule.nodes[n - 1 - i], abs=1e-16)
         assert rule.weights[i] == rule.weights[n - 1 - i]
-    assert rule.first_moment == pytest.approx(0.5, abs=1e-16)
+    assert rule.integrate_monomial(1) == pytest.approx(0.5, abs=1e-16)
 
 
 def test_rule_validation():
@@ -74,6 +74,10 @@ def test_rule_validation():
         QuadratureRule("bad", (0.0, 1.0), (0.5, 0.5), 3)
     with pytest.raises(ValueError, match="lie in"):
         QuadratureRule("bad", (0.0, 1.5), (0.5, 0.5), 1)
+    with pytest.raises(ValueError, match="nonempty"):
+        QuadratureRule("e", (), (), 0)
+    with pytest.raises(ValueError, match="degree_of_exactness must be >= 0"):
+        QuadratureRule("bad", (0.0, 1.0), (0.5, 0.5), -1)
 
 
 def test_palindromic():

@@ -67,6 +67,35 @@ def test_src_has_no_unused_imports():
     assert not unused, unused
 
 
+LAYERS = ("fields", "quadrature", "hamiltonian", "integrators", "diagnostics",
+          "experiments", "cli")
+
+
+def test_src_modules_import_only_earlier_layers():
+    """Each library module imports only modules before it in ``LAYERS``:
+    the rules in ``quadrature`` know nothing of the step in ``integrators``
+    that reads them.  A new module must be given its place."""
+    paths = {p.stem: p for p in (ROOT / "src" / "bdli").glob("*.py")
+             if p.name != "__init__.py"}
+    assert sorted(paths) == sorted(LAYERS)
+    wrong = []
+    for rank, name in enumerate(LAYERS):
+        for node in ast.walk(ast.parse(paths[name].read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            elif isinstance(node, ast.ImportFrom):  # from .x, from . import x
+                names = [f"bdli.{m}" for m in
+                         ([node.module] if node.module else [a.name for a in node.names])]
+            else:
+                continue
+            targets = [n.split(".")[1] for n in names if n.startswith("bdli.")]
+            wrong += [f"{name} imports {t}" for t in targets
+                      if t not in LAYERS[:rank]]
+    assert not wrong, wrong
+
+
 def test_step_path_calls_no_builtin_reduction():
     """``dli_step`` and the step loop of ``integrate`` run once per step, so
     each builtin reduction there costs ~0.3-0.9 us a step (the stop scale's
