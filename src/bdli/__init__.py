@@ -8,7 +8,7 @@ tolerance).  Boris and RK4 steppers are included as references, along
 with conserved-quantity diagnostics and reproducible experiment drivers.
 """
 
-from .diagnostics import QUANTITIES, error_series, quantity_series
+from .diagnostics import QUANTITIES, quantity_series, series_errors
 from .experiments import (
     BUILTIN_SCENARIOS,
     ComparisonReport,

@@ -83,16 +83,3 @@ def series_errors(values, relative: bool = False) -> list[float]:
         err = [e / scale for e in err]
     return err
 
-
-def error_series(
-    sys: ChargedParticleSystem,
-    traj: Trajectory,
-    quantity: str,
-    relative: bool = False,
-) -> tuple[list[float], list[float]]:
-    """Times and errors Q(z_n) - Q(z_0) along a trajectory.
-
-    ``relative`` is passed to :func:`series_errors`.
-    """
-    values = quantity_series(sys, traj, quantity)
-    return [traj.h * k for k in range(len(traj))], series_errors(values, relative)

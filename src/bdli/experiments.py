@@ -29,6 +29,7 @@ import numbers
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from sys import maxsize
 
 from .diagnostics import QUANTITIES, quantity_series, series_errors
 from .fields import (FieldSingularityError, PotentialUnavailableError, as_vec3,
@@ -126,6 +127,8 @@ class Scenario:
             object.__setattr__(self, key, _count(key, getattr(self, key)))
         if self.n_steps < 1:
             raise ConfigError(f"n_steps: must be >= 1, got {self.n_steps}")
+        if self.n_steps > maxsize:  # integrate allocates lists of n_steps items
+            raise ConfigError(f"n_steps: must be <= sys.maxsize = {maxsize}")
         if self.h == 0.0 or not math.isfinite(self.h):
             raise ConfigError(f"h: must be finite and nonzero, got {self.h}")
         if not 0 < self.mass < math.inf:
@@ -163,6 +166,9 @@ class Scenario:
             raise ConfigError(f"method: expected a string, got {self.method!r}")
         if not isinstance(self.solver, SolverOptions):
             raise ConfigError(f"solver: expected a SolverOptions, got {self.solver!r}")
+        if not isinstance(self.output, (str, type(None))):
+            raise ConfigError(f"output: expected a path string or None, "
+                              f"got {self.output!r}")
         try:
             self.stepper  # validates the method text
         except ValueError as exc:
@@ -539,10 +545,6 @@ class ConvergenceStudy:
         return "\n".join(lines) + "\n"
 
 
-def _endpoint(scn: Scenario, h: float, n: int) -> tuple:
-    return replace(scn, h=h, n_steps=n).run_trajectory().states[-1]
-
-
 def _loglog_slope(rows) -> float:
     """Least-squares slope of log(error) against log|h| over ``(h, error)``
     rows; NaN where it is undefined (an error of 0, or a single step size)."""
@@ -564,28 +566,37 @@ def convergence_study(
     Every h (and the reference) must divide the scenario's total time to
     within round-off; the reference step must be the finest.  The reported
     slope is the least-squares fit of log(error) against log(h).  Errors
-    start with the argument they refer to, ``h_list`` or ``reference_h``.
+    start with the argument they refer to, ``h_list`` or ``reference_h``,
+    or name the total time.  Every rung's scenario is built, and so
+    checked, before the first one runs.
     """
     T = scn.total_time
+    if not math.isfinite(T):
+        raise ValueError(f"total time h * n_steps = {scn.h!r} * {scn.n_steps} "
+                         "is not finite")
     hs = [float(h) for h in h_list]
     if not hs:
         raise ValueError("h_list: must be nonempty")
-    if not all(hs):
-        raise ValueError(f"h_list: steps must be nonzero, got {hs}")
+    if not all(h and math.isfinite(h) for h in hs):
+        raise ValueError(f"h_list: steps must be finite and nonzero, got {hs}")
     if not 0.0 < abs(reference_h) < min(abs(h) for h in hs):
         raise ValueError(
             f"reference_h: {reference_h!r} must be nonzero and finer than "
             "every h in h_list")
-    steps = []
+    rungs = []
     for key, h in [*(("h_list", h) for h in hs), ("reference_h", reference_h)]:
-        n = round(T / h)
+        n = round(T / h) if math.isfinite(T / h) else 0  # 0 is refused next
         if n < 1 or abs(n * h - T) > 1e-9 * abs(T):
             raise ValueError(
                 f"{key}: step {h!r} does not divide the total time {T!r}")
-        steps.append(n)
-    ref = _endpoint(scn, reference_h, steps[-1])
-    rows = tuple((h, math.dist(_endpoint(scn, h, n), ref))
-                 for h, n in zip(hs, steps[:-1]))
+        try:
+            rungs.append(replace(scn, h=h, n_steps=n))
+        except ConfigError as exc:
+            raise ValueError(f"{key}: step {h!r}: {exc}") from None
+    *coarse, fine = rungs
+    ref = fine.run_trajectory().states[-1]
+    rows = tuple((h, math.dist(r.run_trajectory().states[-1], ref))
+                 for h, r in zip(hs, coarse))
     return ConvergenceStudy(scn.method, reference_h, rows, _loglog_slope(rows))
 
 
@@ -618,8 +629,8 @@ def compare_methods(
 
     Each method writes its own series file (method name mangled into the
     file name); a combined table file is written next to them.  Every
-    method is checked before the first one runs; errors start with
-    ``methods``.
+    method's scenario is built, and so checked, before the first one runs;
+    errors start with ``methods``.
     """
     methods = list(methods)
     if len(methods) < 2:
@@ -627,18 +638,17 @@ def compare_methods(
     repeated = sorted({m for m in methods if methods.count(m) > 1})
     if repeated:  # each method's series file is named after it
         raise ValueError(f"methods: {', '.join(map(repr, repeated))} repeated")
-    for method in methods:
-        try:
-            resolve_method(method, scn.rule)
-        except ValueError as exc:
-            raise ValueError(f"methods: {exc}") from None
     base = Path(out_dir) if out_dir else Path(".")
-    base.mkdir(parents=True, exist_ok=True)
-    summaries = []
+    runs = []
     for method in methods:
-        fname = f"{scn.name}_{method.replace(':', '-')}_series.csv"
-        sub = replace(scn, method=method, output=str(base / fname))
-        summaries.append(run_scenario(sub, relative_errors=relative_errors))
-    report = ComparisonReport(scn.name, tuple(summaries))
+        fname = f"{scn.name}_{str(method).replace(':', '-')}_series.csv"
+        try:
+            runs.append(replace(scn, method=method, output=str(base / fname)))
+        except ConfigError as exc:
+            raise ValueError(f"methods: {exc}") from None
+    base.mkdir(parents=True, exist_ok=True)
+    summaries = tuple(run_scenario(sub, relative_errors=relative_errors)
+                      for sub in runs)
+    report = ComparisonReport(scn.name, summaries)
     (base / f"{scn.name}_compare.txt").write_text(report.as_text())
     return report

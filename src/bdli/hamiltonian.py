@@ -40,10 +40,6 @@ class PhaseState:
         """The row (x, y, z, vx, vy, vz)."""
         return (*self.x, *self.v)
 
-    @classmethod
-    def from_vector(cls, z) -> "PhaseState":
-        return cls(z[:3], z[3:])
-
 
 @dataclass(frozen=True)
 class ChargedParticleSystem:

@@ -1,4 +1,4 @@
-"""H, p_xi and mu of one ``PhaseState``, for tests.
+"""One ``PhaseState`` for tests: its H, p_xi and mu, and the state of a row.
 
 The library computes the conserved quantities only as row series
 (``energies``, ``toroidal_momenta``, ``magnetic_moments``); one state's
@@ -8,7 +8,12 @@ B = 0.
 """
 
 from bdli.diagnostics import magnetic_moments, toroidal_momenta
-from bdli.hamiltonian import energies
+from bdli.hamiltonian import PhaseState, energies
+
+
+def from_vector(z) -> PhaseState:
+    """The state of a row ``(x, y, z, vx, vy, vz)``."""
+    return PhaseState(z[:3], z[3:])
 
 
 def energy(sys, z) -> float:

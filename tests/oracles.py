@@ -32,6 +32,7 @@ import numpy as np
 from bdli.fields import FieldSingularityError, as_vec3
 from bdli.hamiltonian import ChargedParticleSystem, PhaseState
 from bdli.quadrature import QuadratureRule
+from one_state import from_vector
 
 
 def hat(B) -> np.ndarray:
@@ -120,7 +121,7 @@ def weighted_gradient(
     a1 = np.asarray(z1.as_vector())
     out = np.zeros(6)
     for c, w in zip(rule.nodes, rule.weights):
-        zc = PhaseState.from_vector((1.0 - c) * a0 + c * a1)
+        zc = from_vector((1.0 - c) * a0 + c * a1)
         out += w * grad_energy(sys, zc)
     return out
 

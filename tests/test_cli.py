@@ -3,9 +3,12 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import bdli
 from bdli.cli import main
@@ -181,6 +184,7 @@ def test_top_level_list_exit_2(tmp_path, capsys):
                                     "degree": 1, "extra": 1}}, "rule"),
     ({"builtin": "banana", "rule": {"name": "w2", "degree": 1}}, "rule"),
     ({"builtin": "banana", "solver": {"tolerance": -1}}, "solver"),
+    ({"builtin": "banana", "n_steps": 1e19}, "n_steps"),
 ], ids=["n_steps-0", "solver-3", "solver-predictor", "n_steps-abc",
         "stride-x", "mass-x", "mass-negative", "h-pi/0", "x0-string",
         "field-unknown-param", "field-safety-factor-0", "x0-nan", "v0-inf",
@@ -191,7 +195,8 @@ def test_top_level_list_exit_2(tmp_path, capsys):
         "builtin-list", "field-B0-true", "field-epsilon-string", "field-B-string",
         "field-B0-inf", "field-epsilon-nan", "rule-pairs-strings-and-true",
         "x0-401-digits", "stride-0", "field-params-list", "field-extra-key",
-        "rule-extra-key", "rule-no-pairs", "solver-tolerance-negative"])
+        "rule-extra-key", "rule-no-pairs", "solver-tolerance-negative",
+        "n_steps-1e19"])
 def test_invalid_scenario_exit_2(tmp_path, capsys, doc, key):
     # --out keeps a wrongly accepted run's series out of the working directory
     assert main(["run", write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
@@ -381,6 +386,12 @@ def test_compare_rejects_single_method(tmp_path):
     ("compare", {"methods": ["bdli"]}, "methods"),
     ("compare", {"methods": ["bdli", "gauss"]}, "methods"),
     ("compare", {"methods": ["bdli", "boris", "bdli"]}, "methods"),
+    ("convergence", {"h": 1e308}, "study"),
+    ("convergence", {"study": {"h_list": [1e-300], "reference_h": 1e-301}},
+     "study: h_list"),
+    ("convergence", {"study": {"h_list": ["pi/10"], "reference_h": 5e-324}},
+     "study: reference_h"),
+    ("convergence", {"study": {"h_list": [float("nan"), "pi/10"]}}, "study: h_list"),
     # run reads the same document, so it refuses the same shapes
     ("run", {"study": [1]}, "study"),
     ("run", {"study": None}, "study"),
@@ -392,7 +403,8 @@ def test_compare_rejects_single_method(tmp_path):
         "study-list", "study-null", "methods-ints", "methods-string",
         "methods-null", "methods-object", "h_list-zero", "reference_h-zero",
         "h_list-not-dividing", "methods-one", "methods-unknown",
-        "methods-repeated", "run-study-list", "run-study-null", "run-h_list-int",
+        "methods-repeated", "total-time-inf", "rung-beyond-maxsize",
+        "reference_h-overflows", "h_list-nan", "run-study-list", "run-study-null", "run-h_list-int",
         "run-methods-string", "run-methods-ints", "run-study-unknown-key"])
 def test_malformed_study_or_methods_exit_2(tmp_path, capsys, command, doc, key):
     cfg = write(tmp_path, {"builtin": "banana", "n_steps": 16, **doc})
@@ -443,6 +455,90 @@ def test_relative_errors_flag(tmp_path):
     assert (tmp_path / "rel.summary.txt").read_bytes() == (
         tmp_path / "abs.summary.txt").read_bytes()
     assert (tmp_path / "rel.csv").read_bytes() != (tmp_path / "abs.csv").read_bytes()
+
+
+_METHODS = ["bdli", "boris", "rk4", "dli:simpson", "dli:trapezoid", "dli:w2"]
+_BAD = st.sampled_from([None, True, "x", "pi/0", "gauss", [1], {"a": 1}, math.nan,
+                        math.inf, -1, 0])
+
+
+@st.composite
+def _cli_cases(draw):
+    """``(command, document, flags)`` on a builtin whose every integration is
+    short: at most 8 config steps, and study steps that are the run's step
+    over 1 to 64 (128 for the default ladder's reference), so no ladder
+    count reaches 1e5 and no list is large."""
+    command = draw(st.sampled_from(["run", "convergence", "compare"]))
+    doc = {"builtin": draw(st.sampled_from(bdli.BUILTIN_SCENARIOS)),  # not 5e4
+           "n_steps": draw(st.integers(1, 8) | st.just(4.0))}
+    small = st.floats(-0.5, 0.5)
+    optional = {  # mostly good values; _BAD replaces at most one key below
+        "h": (st.floats(1e-3, 1.0) | st.floats(-1.0, -1e-3)
+              | st.sampled_from(["pi/10", 1e300, 1e308])),
+        "x0": st.tuples(st.floats(0.05, 1.5), small, small).map(list),  # off-axis
+        "v0": st.lists(small, min_size=3, max_size=3),
+        "mass": st.floats(0.1, 2.0),
+        "charge": st.floats(-2.0, 2.0),
+        "stride": st.integers(1, 3),
+        "method": st.sampled_from(_METHODS),
+        "rule": st.sampled_from(
+            ["simpson", {"name": "w2", "pairs": [[0, 0.5], [1, 0.5]], "degree": 1}]),
+        "solver": st.fixed_dictionaries({}, optional={
+            "tolerance": st.sampled_from([1e-14, 1e-300, 1e-3, 0, "x"]),
+            "max_iterations": st.sampled_from([1, 2, 50, 0, 1.5])}),
+        "field": st.sampled_from([
+            "tokamak", "cylindrical_drift", "quartic_well",
+            {"name": "uniform", "params": {"B": [0, 0, 1], "E": [0.1, 0, 0]}},
+            {"name": "uniform", "params": {"B": [0, 0, 0]}},
+            {"name": "tokamak", "params": {"safety_factor": 0}}]),
+        "methods": st.lists(st.sampled_from(_METHODS), max_size=4, unique=True),
+    }
+    keys = draw(st.lists(st.sampled_from(sorted(optional)), max_size=4, unique=True))
+    doc.update({k: draw(optional[k]) for k in keys})
+    bad = draw(st.none() | st.sampled_from(["n_steps", *sorted(optional)]))
+    if bad is not None:
+        doc[bad] = draw(_BAD)
+    h = doc.get("h", "pi/10")
+    h = math.pi / 10 if h == "pi/10" else h
+    if draw(st.booleans()) and isinstance(h, float) and math.isfinite(h):
+        doc["study"] = draw(st.fixed_dictionaries({}, optional={
+            "h_list": st.lists(st.integers(1, 16).map(lambda k: h / k)
+                               | st.sampled_from([h * 0.37, 3 * h]) | _BAD,
+                               min_size=1, max_size=3) | _BAD,
+            "reference_h": st.integers(32, 64).map(lambda k: h / k) | _BAD}))
+    flags = draw(st.lists(st.sampled_from(
+        [["--steps", "3"], ["--steps", "0"], ["--tol", "1e-13"], ["--tol", "0"],
+         ["--tol", "1e-300"], ["--relative-errors"]]), max_size=2))
+    if command != "compare":
+        flags += draw(st.lists(st.sampled_from(
+            [["--method", "boris"], ["--method", "gauss"], ["--rule", "simpson"]]),
+            max_size=1))
+    return command, doc, [a for f in flags for a in f]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_cli_cases())
+@example(case=("run", {"builtin": "banana", "n_steps": 1e19}, []))
+@example(case=("convergence", {"builtin": "banana", "n_steps": 4, "h": 1e308}, []))
+@example(case=("convergence", {"builtin": "banana", "n_steps": 4, "study": {
+    "h_list": [1e-300], "reference_h": 1e-301}}, []))
+@example(case=("convergence", {"builtin": "banana", "n_steps": 4, "study": {
+    "h_list": ["pi/10"], "reference_h": 5e-324}}, []))
+@example(case=("run", {"builtin": "banana", "n_steps": 3, "h": 1e308,
+                       "method": "boris"}, []))
+@example(case=("run", {"builtin": "banana", "n_steps": 2, "output": 5}, []))
+def test_cli_exits_with_a_documented_code(tmp_path, monkeypatch, case):
+    """Whatever the document, a command ends with 0, 2, 3 or 4 and no
+    traceback; a failed run leaves its partial series."""
+    command, doc, flags = case
+    monkeypatch.chdir(tmp_path)  # a default output path lands here too
+    d = Path(tempfile.mkdtemp(dir=tmp_path))
+    out = d / {"run": "s.csv", "convergence": "study.txt", "compare": "cmp"}[command]
+    rc = main([command, write(d, doc), *flags, "--out", str(out)])
+    assert rc in (0, 2, 3, 4)
+    if command == "run" and rc in (3, 4):
+        assert out.is_file()
 
 
 # The library imports no numpy: with the import blocked before bdli.cli is

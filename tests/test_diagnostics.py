@@ -12,12 +12,12 @@ from bdli import (
     QuarticWellField,
     TokamakField,
     UniformField,
-    error_series,
     integrate,
     quantity_series,
+    series_errors,
 )
 from bdli.diagnostics import magnetic_moments
-from one_state import energy, magnetic_moment, toroidal_momentum
+from one_state import energy, from_vector, magnetic_moment, toroidal_momentum
 
 
 @pytest.fixture
@@ -100,43 +100,42 @@ def test_error_series_constant_trajectory():
     sys = ChargedParticleSystem(1.0, 1.0, UniformField(B=(0, 0, 1), E=(0, 0, 0)))
     traj = integrate(sys, "rk4", PhaseState((1.0, 0.0, 0.0), (0, 0, 0)), 0.1, 20)
     for q in ("H", "p_xi", "mu"):
-        t, e = error_series(sys, traj, q)
+        e = series_errors(quantity_series(sys, traj, q))
         assert np.array_equal(e, np.zeros(21))
-        assert t[0] == 0.0
 
 
 def test_error_series_first_entry_zero(drift2d_bdli):
     sys, traj = drift2d_bdli
     for q in ("H", "p_xi", "mu"):
-        _, e = error_series(sys, traj, q)
+        e = series_errors(quantity_series(sys, traj, q))
         assert e[0] == 0.0
 
 
 def test_error_series_banana_energy_roundoff(banana_bdli):
     sys, traj = banana_bdli
-    _, e = error_series(sys, traj, "H")
+    e = series_errors(quantity_series(sys, traj, "H"))
     assert np.abs(e).max() <= 1e-12
 
 
 def test_error_series_relative_flag(banana_bdli):
     sys, traj = banana_bdli
-    _, abs_e = error_series(sys, traj, "H")
-    _, rel_e = error_series(sys, traj, "H", relative=True)
-    H0 = energy(sys, PhaseState.from_vector(traj.states[0]))
+    abs_e = series_errors(quantity_series(sys, traj, "H"))
+    rel_e = series_errors(quantity_series(sys, traj, "H"), relative=True)
+    H0 = energy(sys, from_vector(traj.states[0]))
     assert rel_e == pytest.approx(np.asarray(abs_e) / abs(H0), rel=1e-12)
 
 
 def test_error_series_unknown_quantity(drift2d_bdli):
     sys, traj = drift2d_bdli
     with pytest.raises(ValueError, match="unknown quantity"):
-        error_series(sys, traj, "Lz")
+        quantity_series(sys, traj, "Lz")
 
 
 def test_energy_error_per_step_polynomial_field(banana_bdli):
     sys, traj = banana_bdli
-    _, e = error_series(sys, traj, "H")
+    e = series_errors(quantity_series(sys, traj, "H"))
     tol = 1e-14
-    H0 = abs(energy(sys, PhaseState.from_vector(traj.states[0])))
+    H0 = abs(energy(sys, from_vector(traj.states[0])))
     assert np.abs(np.diff(e)).max() <= 100 * tol * (1 + H0)
 
 
@@ -144,7 +143,7 @@ def test_bounded_invariant_errors_on_drift_runs(drift2d_bdli, drift2d_boris):
     # non-secular behaviour: second-half max <= 2x first-half max
     for sys, traj in (drift2d_bdli, drift2d_boris):
         for q in ("p_xi", "mu"):
-            _, e = error_series(sys, traj, q)
+            e = series_errors(quantity_series(sys, traj, q))
             n = len(e) // 2
             first = np.abs(e[:n]).max()
             second = np.abs(e[n:]).max()

@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from sys import maxsize
 
 import numpy as np
 import pytest
@@ -88,6 +89,10 @@ def test_parse_step_size_rejects(bad):
 def test_scenario_invariants():
     with pytest.raises(ConfigError, match="n_steps"):
         replace(builtin_scenario("banana"), n_steps=0)
+    # refused before integrate allocates its lists of n_steps items
+    for n in (maxsize + 1, 1e19):
+        with pytest.raises(ConfigError, match="^n_steps: must be <= sys.maxsize"):
+            replace(builtin_scenario("banana"), n_steps=n)
     with pytest.raises(ConfigError, match="h"):
         replace(builtin_scenario("banana"), h=0.0)
     with pytest.raises(ConfigError, match="field"):
@@ -109,7 +114,7 @@ def test_scenario_start_vector_is_a_config_error(key, bad):
 @pytest.mark.parametrize("key,bad", [
     ("mass", None), ("charge", "x"), ("h", None), ("n_steps", "5"),
     ("stride", None), ("n_steps", 2.5), ("method", 5), ("solver", None),
-    ("solver", {"tolerance": 1e-12}),
+    ("solver", {"tolerance": 1e-12}), ("output", 5),
 ])
 def test_scenario_value_of_the_wrong_type_is_a_config_error(key, bad):
     with pytest.raises(ConfigError, match=f"^{key}: expected "):
@@ -497,6 +502,16 @@ def test_convergence_study_validation():
         convergence_study(scn, [scn.h, scn.h / 2], scn.h)
     with pytest.raises(ValueError, match="nonempty"):
         convergence_study(scn, [], scn.h / 64)
+    with pytest.raises(ValueError, match="^h_list: steps must be finite"):
+        convergence_study(scn, [math.nan, scn.h], scn.h / 64)
+    with pytest.raises(ValueError, match="^total time h \\* n_steps = 1e\\+308"):
+        convergence_study(replace(scn, h=1e308), [scn.h], scn.h / 64)
+    # a rung whose count exceeds sys.maxsize is refused by its Scenario, and a
+    # step so fine that T / h overflows does not divide T
+    with pytest.raises(ValueError, match="^reference_h: step 1e-301: n_steps: "):
+        convergence_study(scn, [scn.h], 1e-301)
+    with pytest.raises(ValueError, match="^reference_h: step 5e-324 does not divide"):
+        convergence_study(scn, [scn.h], 5e-324)
 
 
 def test_loglog_slope_is_nan_when_an_error_is_zero():
@@ -520,6 +535,18 @@ def test_convergence_study_second_order_on_tokamak():
 def test_compare_needs_two_methods(small_banana):
     with pytest.raises(ValueError, match="at least two"):
         compare_methods(small_banana, ["bdli"])
+
+
+@pytest.mark.parametrize("methods,message", [
+    (["bdli", "gauss"], "methods: method: unknown method 'gauss'"),
+    (["bdli", 5], "methods: method: expected a string, got 5"),
+    (["bdli", "dli:w2"], "methods: method: unknown quadrature rule 'w2'"),
+])
+def test_compare_checks_every_method_before_the_first_run(small_banana, tmp_path,
+                                                          methods, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        compare_methods(small_banana, methods, out_dir=tmp_path / "d")
+    assert not (tmp_path / "d").exists()
 
 
 def test_compare_quadrature_rules_on_quartic(tmp_path, quartic_scenario):

@@ -211,7 +211,7 @@ def test_record_conservation_beyond_degree_four(degree, capsys):
     here (printed, not asserted as a requirement) for nu = 5 and 6.
     """
     from bdli import ChargedParticleSystem, SolverOptions, dli_kernel, dli_step
-    from one_state import energy
+    from one_state import energy, from_vector
 
     sys = ChargedParticleSystem(1.0, 1.0, _PolynomialWell(degree))
     z = PhaseState((0.9, 0.0, 0.0), (0.2, 0.2, 0.1))
@@ -224,7 +224,7 @@ def test_record_conservation_beyond_degree_four(degree, capsys):
         for _ in range(200):
             rep = dli_step(dli_kernel(sys, rule, 0.05, opts), zz.as_vector())
             assert rep.converged
-            zz = PhaseState.from_vector(rep.state)
+            zz = from_vector(rep.state)
             H = energy(sys, zz)
             drift = max(drift, abs(H - Hp))
             Hp = H
