@@ -9,6 +9,8 @@
 Exit codes: 0 success, 2 configuration error, 3 solver non-convergence or
 a non-finite state, 4 field singularity.  On 3 and 4 ``run`` still writes
 the series of the states reached before the failure and names its path.
+The library raises each error where it finds it, a bad input or output
+path before the first integration; ``main`` alone maps errors to codes.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .experiments import (
     _BUILTIN_DOCS,
     _load_document,
     _method_for_rule,
+    _output_path,
     _scenario_from_dict,
     _study_and_methods,
 )
@@ -88,20 +91,10 @@ def _apply_flags(scn: Scenario, args) -> Scenario:
     return replace(scn, **updates) if updates else scn
 
 
-def _check_out(key: str, path: str | None, directory: bool = False):
-    """Refuse an existing output path of the wrong kind (a directory where
-    a file goes, or the reverse) before any integration, so a long run is
-    not lost at the write."""
-    if path and Path(path).exists() and Path(path).is_dir() != directory:
-        want = "a directory" if directory else "a file path"
-        raise ConfigError(f"{key}: {path!r} exists and is not {want}")
-
-
 def _cmd_run(args) -> int:
     scn = _apply_flags(_load_scenario(args.scenario)[0], args)
     if args.out:
         scn = replace(scn, output=args.out)
-    _check_out("out" if args.out else "output", scn.output)
     summary = run_scenario(scn, relative_errors=args.relative_errors)
     sys.stdout.write(summary.as_text())
     sys.stdout.write(f"series written to {summary.series_path}\n")
@@ -111,32 +104,19 @@ def _cmd_run(args) -> int:
 def _cmd_convergence(args) -> int:
     scn, hs, href, _ = _load_scenario(args.scenario)
     scn = _apply_flags(scn, args)
-    _check_out("out", args.out)
-    if hs is None:
-        hs = [scn.h / 2**k for k in range(4)]
-    if href is None:
-        href = min(hs, key=abs) / 16
-    try:
-        result = convergence_study(scn, hs, href)
-    except ValueError as exc:
-        raise ConfigError(f"study: {exc}") from None
+    out = _output_path("out", args.out) if args.out else None
+    result = convergence_study(scn, hs, href)
     sys.stdout.write(result.as_text())
-    if args.out:  # like run, create the missing parent directories
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(result.as_text())
+    if out:
+        out.write_text(result.as_text())
     return EXIT_OK
 
 
 def _cmd_compare(args) -> int:
     scn, _, _, methods = _load_scenario(args.scenario)
     scn = _apply_flags(scn, args)
-    _check_out("out", args.out, directory=True)
-    try:
-        report = compare_methods(
-            scn, methods, out_dir=args.out, relative_errors=args.relative_errors
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    report = compare_methods(scn, methods, out_dir=args.out,
+                             relative_errors=args.relative_errors)
     sys.stdout.write(report.as_text())
     return EXIT_OK
 

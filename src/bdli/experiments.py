@@ -27,7 +27,7 @@ import json
 import math
 import numbers
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from sys import maxsize
 
@@ -363,14 +363,15 @@ def _study_and_methods(doc: dict) -> tuple[list | None, float | None, list]:
 
 
 def _load_document(path) -> dict:
-    text = Path(path).read_text()
     try:
-        doc = json.loads(text)
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from None
+    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, too deep
+        raise ConfigError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top-level value must be an object")
     return doc
@@ -435,18 +436,31 @@ class RunSummary:
     series_path: str | None = None
 
     def as_text(self) -> str:
-        lines = [
-            f"scenario = {self.scenario}",
-            f"method = {self.method}",
-            f"max_abs_err_H = {self.max_abs_err_H:.17g}",
-            f"max_abs_err_p_xi = {self.max_abs_err_p_xi:.17g}",
-            f"max_abs_err_mu = {self.max_abs_err_mu:.17g}",
-            f"final_abs_err_H = {self.final_abs_err_H:.17g}",
-            f"final_abs_err_p_xi = {self.final_abs_err_p_xi:.17g}",
-            f"final_abs_err_mu = {self.final_abs_err_mu:.17g}",
-            f"mean_iters = {self.mean_iters:.17g}",
-        ]
+        keys = [f.name for f in fields(self)][2:-1]  # the numbers, in field order
+        lines = [f"scenario = {self.scenario}", f"method = {self.method}",
+                 *(f"{k} = {getattr(self, k):.17g}" for k in keys)]
         return "\n".join(lines) + "\n"
+
+
+def _output_path(key: str, path) -> Path:
+    """``path`` as a file to write, its missing parent directories created;
+    a ConfigError naming ``key`` if it is a directory or its parent cannot
+    be created.  The drivers call it before the first integration."""
+    path = Path(path)
+    if path.is_dir():
+        raise ConfigError(f"{key}: {str(path)!r} is a directory, not a file path")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # the parent or an ancestor is a file, say
+        raise ConfigError(f"{key}: cannot create directory {str(path.parent)!r}: "
+                          f"{exc.strerror}") from None
+    return path
+
+
+def _run_paths(scn: Scenario, key: str = "output") -> tuple[Path, Path]:
+    """The series path of a run of ``scn`` and its summary's, checked."""
+    series_path = _output_path(key, scn.output or f"{scn.name}_series.csv")
+    return series_path, _output_path(key, series_path.with_suffix(".summary.txt"))
 
 
 def _write_series(scn: Scenario, traj: Trajectory, series_path: Path,
@@ -469,7 +483,6 @@ def _write_series(scn: Scenario, traj: Trajectory, series_path: Path,
 
     h, states, iters = traj.h, traj.states, [0, *traj.iterations]
     row = ",".join(["%.17g"] * 13) + ",%d\n"
-    series_path.parent.mkdir(parents=True, exist_ok=True)
     # row by row, so no text copy of the whole series is held in memory
     with series_path.open("w") as f:
         f.write(SERIES_COLUMNS + "\n")
@@ -490,12 +503,13 @@ def run_scenario(scn: Scenario, relative_errors: bool = False) -> RunSummary:
 
     The series goes to ``scn.output``, by default ``<name>_series.csv`` in
     the current directory, and the summary next to it with the suffix
-    ``.summary.txt``.  The run is deterministic: identical scenarios produce
-    byte-identical series and summary files.  When the integration fails,
-    the series of the states reached so far is written to the same path
-    (recorded as the error's ``series_path``) before the error propagates.
+    ``.summary.txt``; both are checked before the integration.  The run is
+    deterministic: identical scenarios produce byte-identical series and
+    summary files.  When the integration fails, the series of the states
+    reached so far is written to the same path (recorded as the error's
+    ``series_path``) before the error propagates.
     """
-    series_path = Path(scn.output or f"{scn.name}_series.csv")
+    series_path, summary_path = _run_paths(scn)
     try:
         traj = scn.run_trajectory()
     except IntegrationError as exc:
@@ -524,7 +538,6 @@ def run_scenario(scn: Scenario, relative_errors: bool = False) -> RunSummary:
         mean_iters=sum(iters) / len(iters) if iters else 0.0,
         series_path=str(series_path),
     )
-    summary_path = series_path.with_suffix(".summary.txt")
     summary_path.write_text(summary.as_text())
     return summary
 
@@ -559,40 +572,43 @@ def _loglog_slope(rows) -> float:
 
 
 def convergence_study(
-    scn: Scenario, h_list, reference_h: float
+    scn: Scenario, h_list=None, reference_h: float | None = None
 ) -> ConvergenceStudy:
     """Self-convergence of the scenario's method over its total time.
 
-    Every h (and the reference) must divide the scenario's total time to
-    within round-off; the reference step must be the finest.  The reported
-    slope is the least-squares fit of log(error) against log(h).  Errors
-    start with the argument they refer to, ``h_list`` or ``reference_h``,
-    or name the total time.  Every rung's scenario is built, and so
-    checked, before the first one runs.
+    ``h_list`` defaults to h, h/2, h/4, h/8 of the scenario's h, and
+    ``reference_h`` to the finest step over 16.  Every h (and the reference)
+    must divide the total time to within round-off; the reference step must
+    be the finest.  The slope is the least-squares fit of log(error) against
+    log(h).  A ConfigError starts with ``study:`` and names ``h_list``,
+    ``reference_h``, ``h`` (the default ladder's) or the total time.  Every
+    rung's scenario is built, and so checked, before the first one runs.
     """
     T = scn.total_time
     if not math.isfinite(T):
-        raise ValueError(f"total time h * n_steps = {scn.h!r} * {scn.n_steps} "
-                         "is not finite")
-    hs = [float(h) for h in h_list]
+        raise ConfigError(f"study: total time h * n_steps = {scn.h!r} * "
+                          f"{scn.n_steps} is not finite")
+    hs_key, hs = (("study: h", [scn.h / 2**k for k in range(4)]) if h_list is None
+                  else ("study: h_list", [float(h) for h in h_list]))
     if not hs:
-        raise ValueError("h_list: must be nonempty")
+        raise ConfigError(f"{hs_key}: must be nonempty")
     if not all(h and math.isfinite(h) for h in hs):
-        raise ValueError(f"h_list: steps must be finite and nonzero, got {hs}")
+        raise ConfigError(f"{hs_key}: steps must be finite and nonzero, got {hs}")
+    if reference_h is None:
+        reference_h = min(hs, key=abs) / 16
     if not 0.0 < abs(reference_h) < min(abs(h) for h in hs):
-        raise ValueError(
-            f"reference_h: {reference_h!r} must be nonzero and finer than "
-            "every h in h_list")
+        raise ConfigError(f"study: reference_h: {reference_h!r} must be nonzero "
+                          "and finer than every step of the ladder")
     rungs = []
-    for key, h in [*(("h_list", h) for h in hs), ("reference_h", reference_h)]:
+    for key, h in [*((hs_key, h) for h in hs), ("study: reference_h", reference_h)]:
         n = round(T / h) if math.isfinite(T / h) else 0  # 0 is refused next
         if n < 1 or abs(n * h - T) > 1e-9 * abs(T):
-            raise ValueError(
+            raise ConfigError(
                 f"{key}: step {h!r} does not divide the total time {T!r}")
         try:
             rungs.append(replace(scn, h=h, n_steps=n))
         except ConfigError as exc:
-            raise ValueError(f"{key}: step {h!r}: {exc}") from None
+            raise ConfigError(f"{key}: step {h!r}: {exc}") from None
     *coarse, fine = rungs
     ref = fine.run_trajectory().states[-1]
     rows = tuple((h, math.dist(r.run_trajectory().states[-1], ref))
@@ -628,16 +644,16 @@ def compare_methods(
     """Run several methods on one scenario and collect their summaries.
 
     Each method writes its own series file (method name mangled into the
-    file name); a combined table file is written next to them.  Every
-    method's scenario is built, and so checked, before the first one runs;
-    errors start with ``methods``.
+    file name) to ``out_dir``; a combined table file is written next to
+    them.  Every method's scenario and every output path is checked before
+    the first run: a ConfigError starts with ``methods`` or ``out_dir``.
     """
     methods = list(methods)
     if len(methods) < 2:
-        raise ValueError(f"methods: need at least two methods, got {methods}")
+        raise ConfigError(f"methods: need at least two methods, got {methods}")
     repeated = sorted({m for m in methods if methods.count(m) > 1})
     if repeated:  # each method's series file is named after it
-        raise ValueError(f"methods: {', '.join(map(repr, repeated))} repeated")
+        raise ConfigError(f"methods: {', '.join(map(repr, repeated))} repeated")
     base = Path(out_dir) if out_dir else Path(".")
     runs = []
     for method in methods:
@@ -645,10 +661,12 @@ def compare_methods(
         try:
             runs.append(replace(scn, method=method, output=str(base / fname)))
         except ConfigError as exc:
-            raise ValueError(f"methods: {exc}") from None
-    base.mkdir(parents=True, exist_ok=True)
+            raise ConfigError(f"methods: {exc}") from None
+    for sub in runs:
+        _run_paths(sub, "out_dir")
+    table_path = _output_path("out_dir", base / f"{scn.name}_compare.txt")
     summaries = tuple(run_scenario(sub, relative_errors=relative_errors)
                       for sub in runs)
     report = ComparisonReport(scn.name, summaries)
-    (base / f"{scn.name}_compare.txt").write_text(report.as_text())
+    table_path.write_text(report.as_text())
     return report

@@ -18,9 +18,22 @@ HUGE = 10**400  # a 401-digit JSON integer, beyond the float range
 
 
 def write(tmp_path, doc, name="cfg.json"):
+    """A config file of ``doc``, or of the raw bytes ``doc``."""
     p = tmp_path / name
-    p.write_text(json.dumps(doc))
+    if isinstance(doc, bytes):
+        p.write_bytes(doc)
+    else:
+        p.write_text(json.dumps(doc))
     return str(p)
+
+
+@pytest.fixture
+def no_integration(monkeypatch):
+    """Fail the test if a command reaches an integration."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrated before refusing the input")
+
+    monkeypatch.setattr(bdli.experiments, "integrate", refuse)
 
 
 def test_list_builtins(capsys):
@@ -185,6 +198,8 @@ def test_top_level_list_exit_2(tmp_path, capsys):
     ({"builtin": "banana", "rule": {"name": "w2", "degree": 1}}, "rule"),
     ({"builtin": "banana", "solver": {"tolerance": -1}}, "solver"),
     ({"builtin": "banana", "n_steps": 1e19}, "n_steps"),
+    (b'{"name": "\xff"}', None),
+    (b"[" * 100_000 + b"]" * 100_000, None),
 ], ids=["n_steps-0", "solver-3", "solver-predictor", "n_steps-abc",
         "stride-x", "mass-x", "mass-negative", "h-pi/0", "x0-string",
         "field-unknown-param", "field-safety-factor-0", "x0-nan", "v0-inf",
@@ -196,11 +211,13 @@ def test_top_level_list_exit_2(tmp_path, capsys):
         "field-B0-inf", "field-epsilon-nan", "rule-pairs-strings-and-true",
         "x0-401-digits", "stride-0", "field-params-list", "field-extra-key",
         "rule-extra-key", "rule-no-pairs", "solver-tolerance-negative",
-        "n_steps-1e19"])
+        "n_steps-1e19", "file-not-utf8", "file-nested-100000-deep"])
 def test_invalid_scenario_exit_2(tmp_path, capsys, doc, key):
-    # --out keeps a wrongly accepted run's series out of the working directory
-    assert main(["run", write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
-    assert f"config error: {key}:" in capsys.readouterr().err
+    # --out keeps a wrongly accepted run's series out of the working directory;
+    # a file that does not read as JSON is named by its path (key None)
+    cfg = write(tmp_path, doc)
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {key or cfg}:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("doc,key", [
@@ -392,6 +409,8 @@ def test_compare_rejects_single_method(tmp_path):
     ("convergence", {"study": {"h_list": ["pi/10"], "reference_h": 5e-324}},
      "study: reference_h"),
     ("convergence", {"study": {"h_list": [float("nan"), "pi/10"]}}, "study: h_list"),
+    # the default ladder h, h/2, h/4, h/8 underflows to 0: its error names h
+    ("convergence", {"h": 5e-324, "n_steps": 4}, "study: h"),
     # run reads the same document, so it refuses the same shapes
     ("run", {"study": [1]}, "study"),
     ("run", {"study": None}, "study"),
@@ -404,7 +423,8 @@ def test_compare_rejects_single_method(tmp_path):
         "methods-null", "methods-object", "h_list-zero", "reference_h-zero",
         "h_list-not-dividing", "methods-one", "methods-unknown",
         "methods-repeated", "total-time-inf", "rung-beyond-maxsize",
-        "reference_h-overflows", "h_list-nan", "run-study-list", "run-study-null", "run-h_list-int",
+        "reference_h-overflows", "h_list-nan", "default-ladder-underflows",
+        "run-study-list", "run-study-null", "run-h_list-int",
         "run-methods-string", "run-methods-ints", "run-study-unknown-key"])
 def test_malformed_study_or_methods_exit_2(tmp_path, capsys, command, doc, key):
     cfg = write(tmp_path, {"builtin": "banana", "n_steps": 16, **doc})
@@ -412,19 +432,14 @@ def test_malformed_study_or_methods_exit_2(tmp_path, capsys, command, doc, key):
     assert f"config error: {key}:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["run", "convergence"])
-def test_out_directory_refused_before_integrating(tmp_path, capsys, monkeypatch,
-                                                  command):
-    # run and convergence write one file to --out; compare writes a directory
-    import bdli.cli
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("integrated before checking --out")
-
-    monkeypatch.setattr(bdli.cli, "run_scenario", refuse)
-    monkeypatch.setattr(bdli.cli, "convergence_study", refuse)
+@pytest.mark.parametrize("command,key", [("run", "output"), ("convergence", "out")],
+                         ids=["run", "convergence"])
+def test_out_directory_refused_before_integrating(tmp_path, capsys, no_integration,
+                                                  command, key):
+    # run and convergence write one file to --out; compare writes a directory;
+    # run checks the scenario's output path, which --out sets
     assert main([command, "banana", "--steps", "16", "--out", str(tmp_path)]) == 2
-    assert "config error: out:" in capsys.readouterr().err
+    assert f"config error: {key}:" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -433,8 +448,33 @@ def test_compare_out_file_refused(tmp_path, capsys):
     (tmp_path / "f").write_text("keep")
     assert main(["compare", "banana", "--steps", "16",
                  "--out", str(tmp_path / "f")]) == 2
-    assert "config error: out:" in capsys.readouterr().err
+    assert "config error: out_dir:" in capsys.readouterr().err
     assert (tmp_path / "f").read_text() == "keep"
+
+
+@pytest.mark.parametrize("argv,make,key", [
+    (["run", "x.json"], "x_series.csv/", "output"),
+    (["compare", "banana", "--steps", "400", "--out", "d"],
+     "d/banana_boris_series.csv/", "out_dir"),
+    (["run", "banana", "--steps", "4", "--out", "f/x.csv"], "f", "output"),
+    (["convergence", "banana", "--steps", "4", "--out", "f/x.csv"], "f", "out"),
+    (["compare", "banana", "--steps", "4", "--out", "f/d"], "f", "out_dir"),
+], ids=["run-default-series-is-directory", "compare-method-series-is-directory",
+        "run-parent-is-file", "convergence-parent-is-file", "compare-parent-is-file"])
+def test_unwritable_output_path_exit_2_before_integrating(
+        tmp_path, capsys, monkeypatch, no_integration, argv, make, key):
+    # a directory where a series goes (make ends in "/"), or a file where a
+    # directory must be created; each used to exit 1, some after the run
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, {"builtin": "banana", "n_steps": 4000, "name": "x"}, "x.json")
+    if make.endswith("/"):
+        (tmp_path / make).mkdir(parents=True)
+    else:
+        (tmp_path / make).write_text("keep")
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 2
+    assert f"config error: {key}:" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before  # no series, no directory
 
 
 def test_output_key_directory_refused(tmp_path, capsys):
@@ -443,6 +483,19 @@ def test_output_key_directory_refused(tmp_path, capsys):
                            "output": str(tmp_path / "d")})
     assert main(["run", cfg]) == 2
     assert "config error: output:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc,method,code", [
+    ({"x0": [0, 0, 0], "v0": [0.1, 0, 0], "methods": ["boris", "rk4"]}, "boris", 4),
+    ({"solver": {"max_iterations": 1}, "methods": ["bdli", "boris"]}, "bdli", 3),
+], ids=["on-axis-start", "non-convergence"])
+def test_commands_agree_on_exit_codes(tmp_path, capsys, doc, method, code):
+    # compare runs its first method as run --method does, so it fails alike
+    cfg = write(tmp_path, {"builtin": "banana", "n_steps": 4, **doc})
+    assert main(["run", cfg, "--method", method,
+                 "--out", str(tmp_path / "run" / "s.csv")]) == code
+    assert main(["compare", cfg, "--out", str(tmp_path / "cmp")]) == code
+    assert "config error" not in capsys.readouterr().err
 
 
 def test_relative_errors_flag(tmp_path):

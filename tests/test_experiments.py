@@ -496,22 +496,35 @@ def test_run_scenario_relative_errors(small_banana, tmp_path):
 
 def test_convergence_study_validation():
     scn = replace(builtin_scenario("banana"), n_steps=100)
-    with pytest.raises(ValueError, match="divide"):
+    with pytest.raises(ConfigError, match="divide"):
         convergence_study(scn, [scn.h / 3.0001], scn.h / 64)
-    with pytest.raises(ValueError, match="finer"):
+    with pytest.raises(ConfigError, match="finer"):
         convergence_study(scn, [scn.h, scn.h / 2], scn.h)
-    with pytest.raises(ValueError, match="nonempty"):
+    with pytest.raises(ConfigError, match="nonempty"):
         convergence_study(scn, [], scn.h / 64)
-    with pytest.raises(ValueError, match="^h_list: steps must be finite"):
+    with pytest.raises(ConfigError, match="^study: h_list: steps must be finite"):
         convergence_study(scn, [math.nan, scn.h], scn.h / 64)
-    with pytest.raises(ValueError, match="^total time h \\* n_steps = 1e\\+308"):
+    with pytest.raises(ConfigError,
+                       match="^study: total time h \\* n_steps = 1e\\+308"):
         convergence_study(replace(scn, h=1e308), [scn.h], scn.h / 64)
     # a rung whose count exceeds sys.maxsize is refused by its Scenario, and a
     # step so fine that T / h overflows does not divide T
-    with pytest.raises(ValueError, match="^reference_h: step 1e-301: n_steps: "):
+    with pytest.raises(ConfigError,
+                       match="^study: reference_h: step 1e-301: n_steps: "):
         convergence_study(scn, [scn.h], 1e-301)
-    with pytest.raises(ValueError, match="^reference_h: step 5e-324 does not divide"):
+    with pytest.raises(ConfigError,
+                       match="^study: reference_h: step 5e-324 does not divide"):
         convergence_study(scn, [scn.h], 5e-324)
+    # the default ladder h, h/2, h/4, h/8 names h, which it is made of
+    with pytest.raises(ConfigError, match="^study: h: steps must be finite"):
+        convergence_study(replace(scn, h=5e-324, n_steps=4))
+
+
+def test_convergence_study_defaults():
+    scn = replace(builtin_scenario("banana"), n_steps=4)
+    h = scn.h
+    assert convergence_study(scn) == convergence_study(
+        scn, [h, h / 2, h / 4, h / 8], h / 128)
 
 
 def test_loglog_slope_is_nan_when_an_error_is_zero():
@@ -533,7 +546,7 @@ def test_convergence_study_second_order_on_tokamak():
 # --- compare_methods ------------------------------------------------------------
 
 def test_compare_needs_two_methods(small_banana):
-    with pytest.raises(ValueError, match="at least two"):
+    with pytest.raises(ConfigError, match="at least two"):
         compare_methods(small_banana, ["bdli"])
 
 
@@ -544,7 +557,7 @@ def test_compare_needs_two_methods(small_banana):
 ])
 def test_compare_checks_every_method_before_the_first_run(small_banana, tmp_path,
                                                           methods, message):
-    with pytest.raises(ValueError, match=f"^{message}"):
+    with pytest.raises(ConfigError, match=f"^{message}"):
         compare_methods(small_banana, methods, out_dir=tmp_path / "d")
     assert not (tmp_path / "d").exists()
 

@@ -96,6 +96,20 @@ def test_src_modules_import_only_earlier_layers():
     assert not wrong, wrong
 
 
+def test_cli_commands_leave_errors_to_main():
+    """No ``_cmd_*`` function in ``cli.py`` catches an exception: the library
+    raises each error where it finds it, and ``main`` alone maps errors to
+    exit codes, so one failure exits with the same code under every command
+    (a catch-all ``except ValueError`` once turned ``compare``'s field
+    singularity, exit 4 under ``run``, into a config error, exit 2)."""
+    tree = ast.parse((ROOT / "src" / "bdli" / "cli.py").read_text())
+    found = [f"{func.name}:{node.lineno}"
+             for func in tree.body
+             if isinstance(func, ast.FunctionDef) and func.name.startswith("_cmd_")
+             for node in ast.walk(func) if isinstance(node, ast.Try)]
+    assert not found, found
+
+
 def test_step_path_calls_no_builtin_reduction():
     """``dli_step`` and the step loop of ``integrate`` run once per step, so
     each builtin reduction there costs ~0.3-0.9 us a step (the stop scale's
