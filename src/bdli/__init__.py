@@ -20,6 +20,7 @@ from .experiments import (
     compare_methods,
     convergence_study,
     load_config,
+    load_run,
     parse_step_size,
     run_scenario,
     scenario_to_config,

@@ -17,24 +17,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
-from pathlib import Path
 
 from .experiments import (
     BUILTIN_SCENARIOS,
     ConfigError,
-    Scenario,
     builtin_scenario,
     compare_methods,
     convergence_study,
-    parse_step_size,
+    load_run,
     run_scenario,
     _BUILTIN_DOCS,
-    _load_document,
-    _method_for_rule,
     _output_path,
-    _scenario_from_dict,
-    _study_and_methods,
 )
 from .fields import FieldSingularityError
 from .integrators import NonConvergenceError, SingularityError
@@ -58,43 +51,15 @@ def _add_common_flags(p: argparse.ArgumentParser):
     )
 
 
-def _load_scenario(arg: str) -> tuple[Scenario, list | None, float | None, list]:
-    """The scenario of a config file or builtin name, then the document's
-    ``study`` step sizes and ``methods`` (see ``_study_and_methods``)."""
-    if Path(arg).is_file():
-        doc = _load_document(arg)
-    elif arg in BUILTIN_SCENARIOS:
-        doc = {"builtin": arg}
-    else:
-        raise ConfigError(
-            f"{arg!r} is neither a config file nor a builtin scenario "
-            f"(builtins: {', '.join(BUILTIN_SCENARIOS)})"
-        )
-    return (_scenario_from_dict(doc, arg), *_study_and_methods(doc))
-
-
-def _apply_flags(scn: Scenario, args) -> Scenario:
-    updates = {}
-    if args.rule:
-        updates["method"] = _method_for_rule(args.method, args.rule, scn.rule)
-    elif args.method:
-        updates["method"] = args.method
-    if args.steps is not None:
-        updates["n_steps"] = args.steps
-    if args.h is not None:
-        updates["h"] = parse_step_size(args.h)
-    if args.tol is not None:
-        try:
-            updates["solver"] = replace(scn.solver, tolerance=args.tol)
-        except ValueError as exc:
-            raise ConfigError(f"solver: {exc}") from None
-    return replace(scn, **updates) if updates else scn
+def _load_run(args, output=None):
+    """``experiments.load_run`` of the scenario argument and the flags: the
+    one way a flag reaches the ``Scenario``."""
+    return load_run(args.scenario, method=args.method, rule=args.rule,
+                    n_steps=args.steps, h=args.h, tolerance=args.tol, output=output)
 
 
 def _cmd_run(args) -> int:
-    scn = _apply_flags(_load_scenario(args.scenario)[0], args)
-    if args.out:
-        scn = replace(scn, output=args.out)
+    scn = _load_run(args, output=args.out)[0]
     summary = run_scenario(scn, relative_errors=args.relative_errors)
     sys.stdout.write(summary.as_text())
     sys.stdout.write(f"series written to {summary.series_path}\n")
@@ -102,8 +67,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    scn, hs, href, _ = _load_scenario(args.scenario)
-    scn = _apply_flags(scn, args)
+    scn, hs, href, _ = _load_run(args)
     out = _output_path("out", args.out) if args.out else None
     result = convergence_study(scn, hs, href)
     sys.stdout.write(result.as_text())
@@ -113,8 +77,7 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    scn, _, _, methods = _load_scenario(args.scenario)
-    scn = _apply_flags(scn, args)
+    scn, _, _, methods = _load_run(args)
     report = compare_methods(scn, methods, out_dir=args.out,
                              relative_errors=args.relative_errors)
     sys.stdout.write(report.as_text())

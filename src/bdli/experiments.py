@@ -3,8 +3,8 @@
 A :class:`Scenario` pins down everything needed to reproduce a run: the
 field model, particle parameters, initial state, step size, step count,
 method, the scenario's own quadrature rule if any, and solver options.
-A config may give a step size as an expression such as ``"pi/10"``; it is
-expanded to a float at load time, and a float round-trips exactly.
+A step size may be given as text such as ``"pi/10"``; ``Scenario`` expands
+it to the float it holds, and a float round-trips exactly.
 
 Built-in scenarios, each itself a config document (``_BUILTIN_DOCS``):
 
@@ -15,7 +15,8 @@ Built-in scenarios, each itself a config document (``_BUILTIN_DOCS``):
 A config document with ``"builtin": <name>`` lays its keys over that
 document.  The parser only maps keys to :class:`Scenario` fields, and
 ``Scenario`` checks every value, so a scenario read from a config and one
-built directly pass the same checks.
+built directly pass the same checks.  :func:`load_run` alone turns a
+config or builtin name and the command-line flags into a ``Scenario``.
 
 Output: a comma-separated series file (one row per recorded state) plus a
 key-value summary file; both are deterministic for identical scenarios.
@@ -75,34 +76,33 @@ _PI_EXPR = re.compile(
 
 
 def parse_step_size(value, key: str = "h") -> float:
-    """Expand a step size that may be a number or an expression like "pi/10".
-    Errors name the config entry ``key``."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    """Expand a step size that may be a number or text such as "0.1" or
+    "pi/10".  Errors name the config entry ``key``."""
+    if not isinstance(value, str):
         return _coerce(key, float, value)
-    if isinstance(value, str):
-        s = value.strip().lower().replace(" ", "")
-        m = _PI_EXPR.fullmatch(s)
-        if m:
-            sign = -1.0 if m.group(1) else 1.0
-            num = float(m.group(2)) if m.group(2) else 1.0
-            den = float(m.group(3)) if m.group(3) else 1.0
-            if den == 0.0:
-                raise ConfigError(f"{key}: division by zero in {value!r}")
-            return sign * num * math.pi / den
-        try:
-            return float(s)
-        except ValueError:
-            pass
-    raise ConfigError(
-        f"{key}: expected a number or an expression like 'pi/10', got {value!r}"
-    )
+    s = value.strip().lower().replace(" ", "")
+    m = _PI_EXPR.fullmatch(s)
+    if m:
+        sign = -1.0 if m.group(1) else 1.0
+        num = float(m.group(2)) if m.group(2) else 1.0
+        den = float(m.group(3)) if m.group(3) else 1.0
+        if den == 0.0:
+            raise ConfigError(f"{key}: division by zero in {value!r}")
+        return sign * num * math.pi / den
+    try:
+        return float(s)
+    except ValueError:
+        raise ConfigError(f"{key}: expected a number or an expression like "
+                          f"'pi/10', got {value!r}") from None
 
 
 @dataclass(frozen=True)
 class Scenario:
     """A fully pinned-down run.  ``method`` alone picks the stepper; ``rule``
     is the scenario's own palindromic quadrature rule, which runs when
-    ``method`` is "dli:<its name>" and may not take a built-in rule's name."""
+    ``method`` is "dli:<its name>" and may not take a built-in rule's name.
+    ``h`` may be given as text such as "pi/10" and is held as a float;
+    ``name``, the stem of the default series path, has no path separator."""
 
     name: str
     field_name: str
@@ -121,8 +121,9 @@ class Scenario:
 
     def __post_init__(self):
         # every check of a value, from a config or not: a ConfigError names its key
-        for key in ("mass", "charge", "h"):
+        for key in ("mass", "charge"):
             object.__setattr__(self, key, _coerce(key, float, getattr(self, key)))
+        object.__setattr__(self, "h", parse_step_size(self.h))
         for key in ("n_steps", "stride"):
             object.__setattr__(self, key, _count(key, getattr(self, key)))
         if self.n_steps < 1:
@@ -162,6 +163,9 @@ class Scenario:
         if own is not None and not own.palindromic:
             raise ConfigError(f"rule: {own.name!r} is not palindromic, so the "
                               "step would not be time-symmetric")
+        if not isinstance(self.name, str) or "/" in self.name or "\\" in self.name:
+            raise ConfigError(f"name: expected a string without '/' or '\\', "
+                              f"got {self.name!r}")
         if not isinstance(self.method, str):
             raise ConfigError(f"method: expected a string, got {self.method!r}")
         if not isinstance(self.solver, SolverOptions):
@@ -251,6 +255,14 @@ def _method_for_rule(method: str | None, name: str,
     return method
 
 
+def _solver_options(base: SolverOptions, **changes) -> SolverOptions:
+    """``base`` with ``changes``, a bad value a ConfigError naming ``solver``."""
+    try:
+        return replace(base, **changes)
+    except ValueError as exc:
+        raise ConfigError(f"solver: {exc}") from None
+
+
 def _inline_rule(spec: dict) -> QuadratureRule:
     """A config's own rule from ``{name, pairs, degree}``."""
     extra = set(spec) - {"name", "pairs", "degree"}
@@ -296,23 +308,18 @@ def _scenario_from_dict(doc: dict, source: str) -> Scenario:
     extra = set(fspec) - {"name", "params"}
     if extra:
         raise ConfigError(f"field: unknown key(s) {sorted(extra)}")
-    updates = {"name": str(doc["name"]), "field_name": fspec.get("name"),
-               "field_params": fspec.get("params", {})}
-    for key in ("mass", "charge", "x0", "v0", "n_steps", "stride"):
+    updates = {"field_name": fspec.get("name"), "field_params": fspec.get("params", {})}
+    for key in ("name", "mass", "charge", "x0", "v0", "h", "n_steps", "method",
+                "stride", "output"):
         if key in doc:
             updates[key] = doc[key]
-    updates["h"] = parse_step_size(doc["h"])
-    if "method" in doc:
-        updates["method"] = str(doc["method"])
-    if doc.get("rule") is not None:
-        rspec = doc["rule"]
-        if isinstance(rspec, dict):
-            updates["rule"] = _inline_rule(rspec)
-            name = updates["rule"].name
-        else:
-            name = str(rspec)
+    rspec = doc.get("rule")  # a rule's name, or the definition of the own rule
+    if isinstance(rspec, dict):
+        updates["rule"] = _inline_rule(rspec)
+        rspec = updates["rule"].name
+    if rspec is not None:
         updates["method"] = _method_for_rule(
-            updates.get("method"), name, updates.get("rule"))
+            updates.get("method"), rspec, updates.get("rule"))
     if "solver" in doc:
         sspec = doc["solver"]
         if not isinstance(sspec, dict):
@@ -327,12 +334,7 @@ def _scenario_from_dict(doc: dict, source: str) -> Scenario:
             sspec["max_iterations"] = _count(
                 "solver: max_iterations", sspec["max_iterations"]
             )
-        try:
-            updates["solver"] = SolverOptions(**sspec)
-        except ValueError as exc:
-            raise ConfigError(f"solver: {exc}") from None
-    if "output" in doc:
-        updates["output"] = str(doc["output"]) if doc["output"] else None
+        updates["solver"] = _solver_options(SolverOptions(), **sspec)
     return Scenario(**updates)
 
 
@@ -379,8 +381,39 @@ def _load_document(path) -> dict:
 
 def load_config(path) -> Scenario:
     """Parse and validate a JSON scenario config."""
-    doc = _load_document(path)
-    return _scenario_from_dict(doc, str(path))
+    return _scenario_from_dict(_load_document(path), str(path))
+
+
+def load_run(source, *, method=None, rule=None, n_steps=None, h=None,
+             tolerance=None, output=None) -> tuple:
+    """``(scenario, h_list, reference_h, methods)`` of a config file or
+    builtin name ``source`` (see ``_study_and_methods``).  The document's
+    own scenario is checked first; then the flags of the ``bdli`` command
+    apply in one ``replace`` as the keys they stand for (``tolerance`` is
+    the solver's).  An empty ``method``, ``rule`` or ``output`` is unset."""
+    if Path(source).is_file():
+        doc = _load_document(source)
+    elif source in BUILTIN_SCENARIOS:
+        doc = {"builtin": source}
+    else:
+        raise ConfigError(f"{source!r} is neither a config file nor a builtin "
+                          f"scenario (builtins: {', '.join(BUILTIN_SCENARIOS)})")
+    scn = _scenario_from_dict(doc, str(source))
+    study = _study_and_methods(doc)
+    updates = {}
+    if rule:
+        updates["method"] = _method_for_rule(method, rule, scn.rule)
+    elif method:
+        updates["method"] = method
+    if n_steps is not None:
+        updates["n_steps"] = n_steps
+    if h is not None:
+        updates["h"] = h
+    if tolerance is not None:
+        updates["solver"] = _solver_options(scn.solver, tolerance=tolerance)
+    if output:
+        updates["output"] = output
+    return (replace(scn, **updates) if updates else scn, *study)
 
 
 def scenario_to_config(scn: Scenario) -> dict:

@@ -200,6 +200,11 @@ def test_top_level_list_exit_2(tmp_path, capsys):
     ({"builtin": "banana", "n_steps": 1e19}, "n_steps"),
     (b'{"name": "\xff"}', None),
     (b"[" * 100_000 + b"]" * 100_000, None),
+    ({"builtin": "banana", "n_steps": 4, "output": {"a": "/b"}}, "output"),
+    ({"builtin": "banana", "n_steps": 4, "output": 7}, "output"),
+    ({"builtin": "banana", "n_steps": 4, "name": {"a": "/b"}}, "name"),
+    ({"builtin": "banana", "n_steps": 4, "name": "a/b"}, "name"),
+    ({"builtin": "banana", "n_steps": 4, "method": 5}, "method"),
 ], ids=["n_steps-0", "solver-3", "solver-predictor", "n_steps-abc",
         "stride-x", "mass-x", "mass-negative", "h-pi/0", "x0-string",
         "field-unknown-param", "field-safety-factor-0", "x0-nan", "v0-inf",
@@ -211,13 +216,17 @@ def test_top_level_list_exit_2(tmp_path, capsys):
         "field-B0-inf", "field-epsilon-nan", "rule-pairs-strings-and-true",
         "x0-401-digits", "stride-0", "field-params-list", "field-extra-key",
         "rule-extra-key", "rule-no-pairs", "solver-tolerance-negative",
-        "n_steps-1e19", "file-not-utf8", "file-nested-100000-deep"])
-def test_invalid_scenario_exit_2(tmp_path, capsys, doc, key):
+        "n_steps-1e19", "file-not-utf8", "file-nested-100000-deep",
+        "output-object", "output-int", "name-object", "name-path-separator",
+        "method-int"])
+def test_invalid_scenario_exit_2(tmp_path, monkeypatch, capsys, doc, key):
     # --out keeps a wrongly accepted run's series out of the working directory;
     # a file that does not read as JSON is named by its path (key None)
+    monkeypatch.chdir(tmp_path)  # a path made of the name or output lands here
     cfg = write(tmp_path, doc)
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
     assert f"config error: {key or cfg}:" in capsys.readouterr().err
+    assert list(tmp_path.rglob("*")) == [tmp_path / "cfg.json"]
 
 
 @pytest.mark.parametrize("doc,key", [
@@ -249,6 +258,38 @@ def test_compare_refuses_method_flags(tmp_path, capsys, flag):
     assert exc.value.code == 2
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     assert not (tmp_path / "cmp").exists()
+
+
+@pytest.mark.parametrize("flag,key", [
+    ({"n_steps": 7}, {"n_steps": 7}),
+    ({"h": "pi/20"}, {"h": "pi/20"}),
+    ({"tolerance": 1e-10}, {"solver": {"tolerance": 1e-10}}),
+    ({"rule": "simpson"}, {"rule": "simpson"}),
+    ({"method": "boris"}, {"method": "boris"}),
+    ({"output": "o.csv"}, {"output": "o.csv"}),
+], ids=["n_steps", "h", "tolerance", "rule", "method", "output"])
+def test_flag_equals_config_key(tmp_path, flag, key):
+    base = write(tmp_path, {"builtin": "banana"}, "base.json")
+    keyed = write(tmp_path, {"builtin": "banana", **key}, "keyed.json")
+    assert bdli.load_run(base, **flag) == bdli.load_run(keyed)
+
+
+@pytest.mark.parametrize("flag,key", [
+    (["--steps", "0"], {"n_steps": 0}),
+    (["--h", "pi/0"], {"h": "pi/0"}),
+    (["--tol", "-1"], {"solver": {"tolerance": -1}}),
+    (["--rule", "gauss"], {"rule": "gauss"}),
+], ids=["n_steps", "h", "tolerance", "rule"])
+def test_bad_flag_and_config_key_give_one_error(tmp_path, capsys, flag, key):
+    out = str(tmp_path / "o")
+    assert main(["run", "banana", *flag, "--out", out]) == 2
+    from_flag = capsys.readouterr().err
+    assert main(["run", write(tmp_path, {"builtin": "banana", **key}),
+                 "--out", out]) == 2
+    from_key = capsys.readouterr().err
+    assert from_flag == from_key
+    assert from_key.startswith(f"config error: {next(iter(key))}:")
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
 
 def test_h_flag_division_by_zero_exit_2(capsys):

@@ -114,11 +114,19 @@ def test_scenario_start_vector_is_a_config_error(key, bad):
 @pytest.mark.parametrize("key,bad", [
     ("mass", None), ("charge", "x"), ("h", None), ("n_steps", "5"),
     ("stride", None), ("n_steps", 2.5), ("method", 5), ("solver", None),
-    ("solver", {"tolerance": 1e-12}), ("output", 5),
+    ("solver", {"tolerance": 1e-12}), ("output", 5), ("name", 5),
 ])
 def test_scenario_value_of_the_wrong_type_is_a_config_error(key, bad):
     with pytest.raises(ConfigError, match=f"^{key}: expected "):
         replace(builtin_scenario("banana"), **{key: bad})
+
+
+def test_scenario_reads_step_size_text():
+    # the same text a config's "h" or the --h flag gives
+    assert Scenario(name="u", field_name="uniform", h="pi/20") == Scenario(
+        name="u", field_name="uniform", h=math.pi / 20)
+    scn = builtin_scenario("banana")
+    assert replace(scn, h="pi/20") == replace(scn, h=math.pi / 20)
 
 
 @pytest.mark.parametrize("B", [[0.0, 0.0, 1.0], (0, 0, 1), np.array([0.0, 0.0, 1.0])],

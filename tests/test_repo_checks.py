@@ -25,8 +25,7 @@ def test_readme_library_example_runs():
 def test_readme_config_examples_load(tmp_path):
     """Every JSON config in the README loads as a scenario, and through the
     CLI's loader also with its ``study`` and ``methods`` keys."""
-    from bdli import load_config
-    from bdli.cli import _load_scenario
+    from bdli import load_config, load_run
 
     blocks = re.findall(r"```json\n(.*?)```", (ROOT / "README.md").read_text(),
                         flags=re.S)
@@ -34,7 +33,7 @@ def test_readme_config_examples_load(tmp_path):
     for i, block in enumerate(blocks):
         path = tmp_path / f"readme_{i}.json"
         path.write_text(block)
-        assert _load_scenario(str(path))[0] == load_config(path)
+        assert load_run(str(path))[0] == load_config(path)
 
 
 def test_perfbench_selftest_passes():
@@ -97,17 +96,18 @@ def test_src_modules_import_only_earlier_layers():
 
 
 def test_cli_commands_leave_errors_to_main():
-    """No ``_cmd_*`` function in ``cli.py`` catches an exception: the library
-    raises each error where it finds it, and ``main`` alone maps errors to
-    exit codes, so one failure exits with the same code under every command
-    (a catch-all ``except ValueError`` once turned ``compare``'s field
-    singularity, exit 4 under ``run``, into a config error, exit 2)."""
+    """No code in ``cli.py`` outside ``main`` catches an exception: the
+    library raises each error where it finds it, and ``main`` alone maps
+    errors to exit codes, so one failure exits with the same code under
+    every command (a catch-all ``except ValueError`` once turned
+    ``compare``'s field singularity, exit 4 under ``run``, into a config
+    error, exit 2)."""
     tree = ast.parse((ROOT / "src" / "bdli" / "cli.py").read_text())
-    found = [f"{func.name}:{node.lineno}"
-             for func in tree.body
-             if isinstance(func, ast.FunctionDef) and func.name.startswith("_cmd_")
-             for node in ast.walk(func) if isinstance(node, ast.Try)]
-    assert not found, found
+    (main,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "main"]
+    in_main = [node for node in ast.walk(main) if isinstance(node, ast.Try)]
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Try) and node not in in_main]
+    assert in_main and not found, found
 
 
 def test_step_path_calls_no_builtin_reduction():
