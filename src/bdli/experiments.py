@@ -102,7 +102,8 @@ class Scenario:
     is the scenario's own palindromic quadrature rule, which runs when
     ``method`` is "dli:<its name>" and may not take a built-in rule's name.
     ``h`` may be given as text such as "pi/10" and is held as a float;
-    ``name``, the stem of the default series path, has no path separator."""
+    ``name``, the stem of the default series path, has no path separator
+    and no NUL."""
 
     name: str
     field_name: str
@@ -128,7 +129,7 @@ class Scenario:
             object.__setattr__(self, key, _count(key, getattr(self, key)))
         if self.n_steps < 1:
             raise ConfigError(f"n_steps: must be >= 1, got {self.n_steps}")
-        if self.n_steps > maxsize:  # integrate allocates lists of n_steps items
+        if self.n_steps > maxsize:  # the record's n_steps + 1 rows fit a list
             raise ConfigError(f"n_steps: must be <= sys.maxsize = {maxsize}")
         if self.h == 0.0 or not math.isfinite(self.h):
             raise ConfigError(f"h: must be finite and nonzero, got {self.h}")
@@ -163,8 +164,8 @@ class Scenario:
         if own is not None and not own.palindromic:
             raise ConfigError(f"rule: {own.name!r} is not palindromic, so the "
                               "step would not be time-symmetric")
-        if not isinstance(self.name, str) or "/" in self.name or "\\" in self.name:
-            raise ConfigError(f"name: expected a string without '/' or '\\', "
+        if not isinstance(self.name, str) or any(c in self.name for c in "/\\\0"):
+            raise ConfigError(f"name: expected a string without '/', '\\' or NUL, "
                               f"got {self.name!r}")
         if not isinstance(self.method, str):
             raise ConfigError(f"method: expected a string, got {self.method!r}")
@@ -477,10 +478,17 @@ class RunSummary:
 
 def _output_path(key: str, path) -> Path:
     """``path`` as a file to write, its missing parent directories created;
-    a ConfigError naming ``key`` if it is a directory or its parent cannot
-    be created.  The drivers call it before the first integration."""
+    a ConfigError naming ``key`` if it holds a NUL character, the OS refuses
+    to look it up (a name too long, say), it is a directory or its parent
+    cannot be created.  The drivers call it before the first integration."""
     path = Path(path)
-    if path.is_dir():
+    if "\0" in str(path):
+        raise ConfigError(f"{key}: {str(path)!r} holds a NUL character")
+    try:
+        is_dir = path.is_dir()
+    except OSError as exc:
+        raise ConfigError(f"{key}: cannot use {str(path)!r}: {exc.strerror}") from None
+    if is_dir:
         raise ConfigError(f"{key}: {str(path)!r} is a directory, not a file path")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -128,12 +128,14 @@ StepReport = namedtuple("StepReport", "state iterations residual_norm converged"
 
 
 class IntegrationError(RuntimeError):
-    """Trajectory loop aborted; carries the step index, the partial result
-    and, once a caller has written it, the partial series' ``series_path``."""
+    """Trajectory loop aborted; carries the partial trajectory (the accepted
+    steps), the failing step's index ``step_index``, which is their count
+    ``len(trajectory.iterations)``, and, once a caller has written it, the
+    partial series' ``series_path``."""
 
-    def __init__(self, message: str, step_index: int, trajectory: "Trajectory"):
+    def __init__(self, message: str, trajectory: "Trajectory"):
         super().__init__(message)
-        self.step_index = step_index
+        self.step_index = len(trajectory.iterations)
         self.trajectory = trajectory
         self.series_path: str | None = None
 
@@ -435,11 +437,13 @@ def integrate(sys: ChargedParticleSystem, method: str | QuadratureRule,
     """Apply a one-step method n_steps times from z0.
 
     ``method`` is method text (see :func:`resolve_method`) or a
-    QuadratureRule, which runs the DLI step with that rule.  Aborts with
-    :class:`NonConvergenceError` or :class:`SingularityError` (both carry
-    the failing step index and the partial trajectory) if the solver fails
-    to converge, a step yields a non-finite state, or a field singularity
-    is reached.
+    QuadratureRule, which runs the DLI step with that rule.  The returned
+    trajectory is built before the first step, and each accepted step
+    appends its row, iteration count and residual to it.  Aborts with
+    :class:`NonConvergenceError` or :class:`SingularityError` if the solver
+    fails to converge, a step yields a non-finite state, or a field
+    singularity is reached; the error carries that trajectory as it stands,
+    so the failing step is its length in steps, ``len(iterations)``.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
@@ -451,49 +455,39 @@ def integrate(sys: ChargedParticleSystem, method: str | QuadratureRule,
     kernel = (dli_kernel(sys, step, h, opts)
               if isinstance(step, QuadratureRule) else None)
 
-    z = z0.as_vector()
-    states = [z]
-    iters = [0] * n_steps
-    resid = [0.0] * n_steps
+    # the one record of the accepted steps; a failure raises it as it stands
+    z = z0.as_vector()  # the last accepted row
+    states, iters, resid = [z], [], []
+    traj = Trajectory(h, states, iters, resid)
     isfinite = math.isfinite
-    # the six accepted rows before z, newest first
-    z1 = z2 = z3 = z4 = z5 = z6 = None
-
-    def partial(k: int) -> Trajectory:
-        return Trajectory(h, states, iters[:k], resid[:k])
 
     for k in range(n_steps):
         try:
             if kernel is not None:
                 v_start = None
-                if z6 is not None:  # degree-6 extrapolation of v, grouped
-                    # so that each pair of rows shares one coefficient
+                if k > 5:  # degree-6 extrapolation of v from the last seven
+                    # rows, newest q0; grouped so each pair shares a coefficient
+                    q6, q5, q4, q3, q2, q1, q0 = states[-7:]
                     v_start = (
-                        7.0 * (z[3] - z5[3]) - 21.0 * (z1[3] - z4[3])
-                        + 35.0 * (z2[3] - z3[3]) + z6[3],
-                        7.0 * (z[4] - z5[4]) - 21.0 * (z1[4] - z4[4])
-                        + 35.0 * (z2[4] - z3[4]) + z6[4],
-                        7.0 * (z[5] - z5[5]) - 21.0 * (z1[5] - z4[5])
-                        + 35.0 * (z2[5] - z3[5]) + z6[5])
-                state, n, residual, converged = dli_step(kernel, z, v_start)
+                        7.0 * (q0[3] - q5[3]) - 21.0 * (q1[3] - q4[3])
+                        + 35.0 * (q2[3] - q3[3]) + q6[3],
+                        7.0 * (q0[4] - q5[4]) - 21.0 * (q1[4] - q4[4])
+                        + 35.0 * (q2[4] - q3[4]) + q6[4],
+                        7.0 * (q0[5] - q5[5]) - 21.0 * (q1[5] - q4[5])
+                        + 35.0 * (q2[5] - q3[5]) + q6[5])
+                z, n, residual, converged = dli_step(kernel, z, v_start)
                 if not converged:
                     raise NonConvergenceError(
                         f"{method}: fixed-point solver did not converge at step "
-                        f"{k} (residual {residual:.3e} after {n} iterations)",
-                        k, partial(k))
-                z6, z5, z4, z3, z2, z1, z = z5, z4, z3, z2, z1, z, state
-                iters[k] = n
-                resid[k] = residual
+                        f"{k} (residual {residual:.3e} after {n} iterations)", traj)
             else:
-                z = step(sys, z, h)
+                z, n, residual = step(sys, z, h), 0, 0.0
         except FieldSingularityError as exc:
-            raise SingularityError(
-                f"{method}: {exc} at step {k}", k, partial(k)
-            ) from exc
+            raise SingularityError(f"{method}: {exc} at step {k}", traj) from exc
         if not (isfinite(z[0]) and isfinite(z[1]) and isfinite(z[2])
                 and isfinite(z[3]) and isfinite(z[4]) and isfinite(z[5])):
-            raise NonConvergenceError(
-                f"{method}: non-finite state at step {k}", k, partial(k)
-            )
+            raise NonConvergenceError(f"{method}: non-finite state at step {k}", traj)
         states.append(z)
-    return Trajectory(h, states, iters, resid)
+        iters.append(n)
+        resid.append(residual)
+    return traj

@@ -230,6 +230,20 @@ def test_invalid_scenario_exit_2(tmp_path, monkeypatch, capsys, doc, key):
 
 
 @pytest.mark.parametrize("doc,key", [
+    ({"builtin": "banana", "n_steps": 4, "output": "a\0b"}, "output"),
+    ({"builtin": "banana", "n_steps": 4, "name": "a\0b"}, "name"),
+    ({"builtin": "banana", "n_steps": 4, "output": "a" * 300 + ".csv"}, "output"),
+], ids=["output-nul", "name-nul", "output-name-too-long"])
+def test_unusable_output_name_exit_2(tmp_path, monkeypatch, capsys, doc, key):
+    # without --out, which would replace the document's output: the path
+    # the document names is checked before the run, and nothing is written
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", write(tmp_path, doc)]) == 2
+    assert f"config error: {key}:" in capsys.readouterr().err
+    assert list(tmp_path.rglob("*")) == [tmp_path / "cfg.json"]
+
+
+@pytest.mark.parametrize("doc,key", [
     ({"builtin": "banana", "solver": {"tolerance": True}}, "solver: tolerance"),
     ({"builtin": "banana", "mass": True}, "mass"),
     ({"builtin": "banana", "charge": False}, "charge"),
@@ -622,6 +636,7 @@ def _cli_cases(draw):
 @example(case=("run", {"builtin": "banana", "n_steps": 3, "h": 1e308,
                        "method": "boris"}, []))
 @example(case=("run", {"builtin": "banana", "n_steps": 2, "output": 5}, []))
+@example(case=("run", {"builtin": "banana", "n_steps": 10**12, "h": 1e308}, []))
 def test_cli_exits_with_a_documented_code(tmp_path, monkeypatch, case):
     """Whatever the document, a command ends with 0, 2, 3 or 4 and no
     traceback; a failed run leaves its partial series."""

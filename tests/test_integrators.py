@@ -857,14 +857,16 @@ def test_integrate_unknown_method():
 @pytest.mark.parametrize("method", ["boris", "rk4", "bdli"])
 def test_integrate_singularity_abort_with_partial(method):
     sys = ChargedParticleSystem(1.0, 1.0, CylindricalDriftField())
-    # resting on the singular axis: the first field evaluation must abort
+    # resting on the singular axis: the first field evaluation must abort;
+    # 10**12 steps could not be held, so nothing may be sized by the count
     z0 = PhaseState((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-    with pytest.raises(SingularityError) as info:
-        integrate(sys, method, z0, 0.1, 10)
-    err = info.value
-    assert err.step_index == 0
-    assert len(err.trajectory) == 1
-    assert np.array_equal(err.trajectory.states[0], z0.as_vector())
+    for n_steps in (10, 10**12):
+        with pytest.raises(SingularityError) as info:
+            integrate(sys, method, z0, 0.1, n_steps)
+        err = info.value
+        assert err.step_index == 0 == len(err.trajectory.iterations)
+        assert len(err.trajectory) == 1
+        assert np.array_equal(err.trajectory.states[0], z0.as_vector())
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -875,6 +877,7 @@ def test_integrate_nonconvergence_abort_with_partial():
         integrate(sys, "bdli", z0, 1.0, 5, SolverOptions(max_iterations=8))
     assert "step 0" in str(info.value)
     assert len(info.value.trajectory) == 1
+    assert info.value.step_index == len(info.value.trajectory.iterations)
 
 
 def test_integrate_partial_trajectory_keeps_the_accepted_residuals(monkeypatch):
@@ -893,7 +896,7 @@ def test_integrate_partial_trajectory_keeps_the_accepted_residuals(monkeypatch):
     with pytest.raises(NonConvergenceError) as info:
         integrate(*args)
     part = info.value.trajectory
-    assert info.value.step_index == 12
+    assert info.value.step_index == 12 == len(part.iterations)
     assert part.states == full.states[:13]
     assert part.iterations == full.iterations[:12]
     assert part.residuals == full.residuals[:12]
@@ -908,7 +911,7 @@ def test_integrate_nonfinite_state_aborts_with_partial(method):
     with pytest.raises(NonConvergenceError) as info:
         integrate(scn.system(), method, z0, 1e308, 3, scn.solver)
     err = info.value
-    assert err.step_index == 0
+    assert err.step_index == 0 == len(err.trajectory.iterations)
     assert len(err.trajectory) == 1
     assert np.array_equal(err.trajectory.states[0], z0.as_vector())
 
@@ -932,7 +935,7 @@ def test_integrate_nonfinite_check_reads_every_component(monkeypatch, j, bad):
     with pytest.raises(NonConvergenceError, match="non-finite state at step 3") as info:
         integrate(scn.system(), "boris", z0, scn.h, 6)
     err = info.value
-    assert err.step_index == 3
+    assert err.step_index == 3 == len(err.trajectory.iterations)
     assert len(err.trajectory) == 4
     assert all(map(math.isfinite, np.ravel(err.trajectory.states)))
 

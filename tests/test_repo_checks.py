@@ -111,19 +111,22 @@ def test_cli_commands_leave_errors_to_main():
 
 
 def test_step_path_calls_no_builtin_reduction():
-    """``dli_step`` and the step loop of ``integrate`` run once per step, so
-    each builtin reduction there costs ~0.3-0.9 us a step (the stop scale's
-    ``max(map(abs, z0))`` alone ~0.9 us, on steps of ~14 us).  They use
-    compare chains and chained ``isfinite`` tests instead; these keep the
-    same results, so the state and solver digests cannot see a reduction
-    that comes back, and this check does."""
+    """The step kernels ``dli_step``, ``boris_step`` and ``rk4_step`` and the
+    step loop of ``integrate`` run once per step, so each builtin reduction
+    there costs ~0.3-0.9 us a step (the stop scale's ``max(map(abs, z0))``
+    alone ~0.9 us, on steps of ~14 us).  They use compare chains, inlined
+    stages and chained ``isfinite`` tests instead; these keep the same
+    results, so the state and solver digests cannot see a reduction that
+    comes back, and this check does."""
     banned = {"max", "min", "all", "any", "map", "sum"}
     path = ROOT / "src" / "bdli" / "integrators.py"
     funcs = {node.name: node for node in ast.parse(path.read_text()).body
              if isinstance(node, ast.FunctionDef)}
-    (loop,) = [node for node in funcs["integrate"].body if isinstance(node, ast.For)]
+    roots = {name: funcs[name] for name in ("dli_step", "boris_step", "rk4_step")}
+    (roots["integrate"],) = [node for node in funcs["integrate"].body
+                             if isinstance(node, ast.For)]
     found = [f"{where}:{node.lineno}: {node.func.id}"
-             for where, root in (("dli_step", funcs["dli_step"]), ("integrate", loop))
+             for where, root in roots.items()
              for node in ast.walk(root)
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id in banned]
