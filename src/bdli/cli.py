@@ -2,7 +2,7 @@
 
     bdli run <config-or-builtin> [--method M] [--rule R] [--steps N]
              [--h H] [--tol T] [--out PATH] [--relative-errors]
-    bdli convergence <config-or-builtin> [flags]
+    bdli convergence <config-or-builtin> [flags except --relative-errors]
     bdli compare <config-or-builtin> [flags except --method, --rule]
     bdli list-builtins
 
@@ -28,6 +28,7 @@ from .experiments import (
     run_scenario,
     _BUILTIN_DOCS,
     _output_path,
+    _write_text,
 )
 from .fields import FieldSingularityError
 from .integrators import NonConvergenceError, SingularityError
@@ -44,11 +45,6 @@ def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--h", dest="h", help="step size (number or e.g. 'pi/20')")
     p.add_argument("--tol", type=float, help="fixed-point solver tolerance")
     p.add_argument("--out", help="output path (series file / study table)")
-    p.add_argument(
-        "--relative-errors",
-        action="store_true",
-        help="emit relative instead of absolute error columns",
-    )
 
 
 def _load_run(args, output=None):
@@ -72,7 +68,7 @@ def _cmd_convergence(args) -> int:
     result = convergence_study(scn, hs, href)
     sys.stdout.write(result.as_text())
     if out:
-        out.write_text(result.as_text())
+        _write_text("out", out, result.as_text())
     return EXIT_OK
 
 
@@ -118,6 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="run several methods side by side")
     _add_common_flags(p_cmp)
     p_cmp.set_defaults(func=_cmd_compare, method=None, rule=None)
+
+    for p in (p_run, p_cmp):  # convergence writes no series
+        p.add_argument("--relative-errors", action="store_true",
+                       help="emit relative instead of absolute error columns")
 
     p_list = sub.add_parser("list-builtins", help="list builtin scenarios")
     p_list.set_defaults(func=_cmd_list_builtins)

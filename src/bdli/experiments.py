@@ -28,6 +28,7 @@ import json
 import math
 import numbers
 import re
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from sys import maxsize
@@ -68,6 +69,19 @@ BUILTIN_SCENARIOS = tuple(_BUILTIN_DOCS)
 
 class ConfigError(ValueError):
     """Invalid configuration; names the offending field where possible."""
+
+
+@contextmanager
+def _named(key: str):
+    """The one place where a caught error becomes a config error naming its
+    key: a bad value (ValueError, TypeError, OverflowError) as "<key>: <error>",
+    a failed file operation (OSError) as "<key>: <strerror>"."""
+    try:
+        yield
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(f"{key}: {exc.strerror}") from None
 
 
 _PI_EXPR = re.compile(
@@ -147,15 +161,11 @@ class Scenario:
             if (isinstance(value, (str, numbers.Real))
                     and not math.isfinite(_coerce(f"field: {name}", float, value))):
                 raise ConfigError(f"field: {name}: must be finite, got {value!r}")
-        try:  # unknown model names and bad parameters alike
+        with _named("field"):  # unknown model names and bad parameters alike
             make_field(self.field_name, **params)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"field: {exc}") from None
         for key in ("x0", "v0"):
-            try:
+            with _named(key):
                 object.__setattr__(self, key, as_vec3(getattr(self, key)))
-            except ValueError as exc:
-                raise ConfigError(f"{key}: {exc}") from None
         own = self.rule
         if own is not None and not isinstance(own, QuadratureRule):
             raise ConfigError(f"rule: expected a QuadratureRule, got {own!r}")
@@ -174,10 +184,8 @@ class Scenario:
         if not isinstance(self.output, (str, type(None))):
             raise ConfigError(f"output: expected a path string or None, "
                               f"got {self.output!r}")
-        try:
+        with _named("method"):
             self.stepper  # validates the method text
-        except ValueError as exc:
-            raise ConfigError(f"method: {exc}") from None
 
     @property
     def stepper(self) -> str | QuadratureRule:
@@ -245,23 +253,13 @@ def _method_for_rule(method: str | None, name: str,
     """The method a ``rule`` key or ``--rule`` flag sets: "dli:<name>" on its
     own; next to a method, that method if it names the same rule.  The rule
     must be a built-in one or ``own``, the scenario's own rule."""
-    try:
+    with _named("rule"):
         resolve_method(f"dli:{name}", own)
-    except ValueError as exc:
-        raise ConfigError(f"rule: {exc}") from None
     if method is None:
         return f"dli:{name}"
     if method != f"dli:{name}" and (method, name) != ("bdli", "boole"):
         raise ConfigError(f"rule: {name!r} contradicts method {method!r}")
     return method
-
-
-def _solver_options(base: SolverOptions, **changes) -> SolverOptions:
-    """``base`` with ``changes``, a bad value a ConfigError naming ``solver``."""
-    try:
-        return replace(base, **changes)
-    except ValueError as exc:
-        raise ConfigError(f"solver: {exc}") from None
 
 
 def _inline_rule(spec: dict) -> QuadratureRule:
@@ -273,14 +271,12 @@ def _inline_rule(spec: dict) -> QuadratureRule:
     if not isinstance(name, str):
         raise ConfigError(f"rule: name must be a string, got {name!r}")
     degree = _count("rule: degree", spec.get("degree", 0))
-    try:  # a ConfigError is a ValueError too: "rule: pairs: expected a number"
+    if "pairs" not in spec:
+        raise ConfigError("rule: missing key 'pairs'")
+    with _named("rule"):  # a ConfigError is a ValueError too: "rule: pairs: ..."
         nodes, weights = zip(*((_coerce("pairs", float, c), _coerce("pairs", float, w))
                                for c, w in spec["pairs"]))
         return QuadratureRule(name, nodes, weights, degree)
-    except KeyError as exc:
-        raise ConfigError(f"rule: missing key {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"rule: {exc}") from None
 
 
 def _scenario_from_dict(doc: dict, source: str) -> Scenario:
@@ -335,7 +331,8 @@ def _scenario_from_dict(doc: dict, source: str) -> Scenario:
             sspec["max_iterations"] = _count(
                 "solver: max_iterations", sspec["max_iterations"]
             )
-        updates["solver"] = _solver_options(SolverOptions(), **sspec)
+        with _named("solver"):
+            updates["solver"] = SolverOptions(**sspec)
     return Scenario(**updates)
 
 
@@ -366,14 +363,16 @@ def _study_and_methods(doc: dict) -> tuple[list | None, float | None, list]:
 
 
 def _load_document(path) -> dict:
+    with _named(path):  # unreadable, or not UTF-8
+        text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from None
-    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, too deep
+    except RecursionError as exc:  # nested too deep
         raise ConfigError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top-level value must be an object")
@@ -392,7 +391,9 @@ def load_run(source, *, method=None, rule=None, n_steps=None, h=None,
     own scenario is checked first; then the flags of the ``bdli`` command
     apply in one ``replace`` as the keys they stand for (``tolerance`` is
     the solver's).  An empty ``method``, ``rule`` or ``output`` is unset."""
-    if Path(source).is_file():
+    with _named(source):  # a name the OS refuses, too long say
+        is_file = Path(source).is_file()
+    if is_file:
         doc = _load_document(source)
     elif source in BUILTIN_SCENARIOS:
         doc = {"builtin": source}
@@ -411,7 +412,8 @@ def load_run(source, *, method=None, rule=None, n_steps=None, h=None,
     if h is not None:
         updates["h"] = h
     if tolerance is not None:
-        updates["solver"] = _solver_options(scn.solver, tolerance=tolerance)
+        with _named("solver"):
+            updates["solver"] = replace(scn.solver, tolerance=tolerance)
     if output:
         updates["output"] = output
     return (replace(scn, **updates) if updates else scn, *study)
@@ -480,22 +482,24 @@ def _output_path(key: str, path) -> Path:
     """``path`` as a file to write, its missing parent directories created;
     a ConfigError naming ``key`` if it holds a NUL character, the OS refuses
     to look it up (a name too long, say), it is a directory or its parent
-    cannot be created.  The drivers call it before the first integration."""
+    cannot be created.  The drivers call it before the first integration;
+    a write that fails later (a full disk) names ``key`` too (``_write_text``)."""
     path = Path(path)
     if "\0" in str(path):
         raise ConfigError(f"{key}: {str(path)!r} holds a NUL character")
-    try:
+    with _named(f"{key}: cannot use {str(path)!r}"):
         is_dir = path.is_dir()
-    except OSError as exc:
-        raise ConfigError(f"{key}: cannot use {str(path)!r}: {exc.strerror}") from None
     if is_dir:
         raise ConfigError(f"{key}: {str(path)!r} is a directory, not a file path")
-    try:
+    with _named(f"{key}: cannot create directory {str(path.parent)!r}"):
         path.parent.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # the parent or an ancestor is a file, say
-        raise ConfigError(f"{key}: cannot create directory {str(path.parent)!r}: "
-                          f"{exc.strerror}") from None
     return path
+
+
+def _write_text(key: str, path: Path, text: str):
+    """Write ``text`` to ``path``, a failed write a ConfigError naming ``key``."""
+    with _named(f"{key}: cannot write {str(path)!r}"):
+        path.write_text(text)
 
 
 def _run_paths(scn: Scenario, key: str = "output") -> tuple[Path, Path]:
@@ -525,7 +529,8 @@ def _write_series(scn: Scenario, traj: Trajectory, series_path: Path,
     h, states, iters = traj.h, traj.states, [0, *traj.iterations]
     row = ",".join(["%.17g"] * 13) + ",%d\n"
     # row by row, so no text copy of the whole series is held in memory
-    with series_path.open("w") as f:
+    with _named(f"output: cannot write {str(series_path)!r}"), \
+            series_path.open("w") as f:
         f.write(SERIES_COLUMNS + "\n")
         for i in range(0, len(traj), scn.stride):
             f.write(row % (h * i, *states[i], H[i], p[i], mu[i],
@@ -544,22 +549,21 @@ def run_scenario(scn: Scenario, relative_errors: bool = False) -> RunSummary:
 
     The series goes to ``scn.output``, by default ``<name>_series.csv`` in
     the current directory, and the summary next to it with the suffix
-    ``.summary.txt``; both are checked before the integration.  The run is
-    deterministic: identical scenarios produce byte-identical series and
-    summary files.  When the integration fails, the series of the states
-    reached so far is written to the same path (recorded as the error's
-    ``series_path``) before the error propagates.
+    ``.summary.txt``; both are checked before the integration, and a failed
+    write is a ConfigError naming ``output`` and the path.  Identical
+    scenarios produce byte-identical series and summary files.  When the
+    integration fails, the series of the states reached so far is written
+    to the same path (recorded as the error's ``series_path``) before the
+    error propagates; if that write fails, no ``series_path`` is recorded.
     """
     series_path, summary_path = _run_paths(scn)
     try:
         traj = scn.run_trajectory()
     except IntegrationError as exc:
-        # keep the states reached before the failure, in the same format
-        try:
+        # keep the states reached before the failure, in the same format;
+        # none if a diagnostic is undefined at a reached state or the write fails
+        with suppress(FieldSingularityError, ConfigError):
             _write_series(scn, exc.trajectory, series_path, relative_errors)
-        except FieldSingularityError:
-            pass  # a diagnostic is undefined at a reached state: no series
-        else:
             exc.series_path = str(series_path)
         raise
     errors = _write_series(scn, traj, series_path, relative_errors)
@@ -579,7 +583,7 @@ def run_scenario(scn: Scenario, relative_errors: bool = False) -> RunSummary:
         mean_iters=sum(iters) / len(iters) if iters else 0.0,
         series_path=str(series_path),
     )
-    summary_path.write_text(summary.as_text())
+    _write_text("output", summary_path, summary.as_text())
     return summary
 
 
@@ -646,10 +650,8 @@ def convergence_study(
         if n < 1 or abs(n * h - T) > 1e-9 * abs(T):
             raise ConfigError(
                 f"{key}: step {h!r} does not divide the total time {T!r}")
-        try:
+        with _named(f"{key}: step {h!r}"):
             rungs.append(replace(scn, h=h, n_steps=n))
-        except ConfigError as exc:
-            raise ConfigError(f"{key}: step {h!r}: {exc}") from None
     *coarse, fine = rungs
     ref = fine.run_trajectory().states[-1]
     rows = tuple((h, math.dist(r.run_trajectory().states[-1], ref))
@@ -699,15 +701,13 @@ def compare_methods(
     runs = []
     for method in methods:
         fname = f"{scn.name}_{str(method).replace(':', '-')}_series.csv"
-        try:
+        with _named("methods"):
             runs.append(replace(scn, method=method, output=str(base / fname)))
-        except ConfigError as exc:
-            raise ConfigError(f"methods: {exc}") from None
     for sub in runs:
         _run_paths(sub, "out_dir")
     table_path = _output_path("out_dir", base / f"{scn.name}_compare.txt")
     summaries = tuple(run_scenario(sub, relative_errors=relative_errors)
                       for sub in runs)
     report = ComparisonReport(scn.name, summaries)
-    table_path.write_text(report.as_text())
+    _write_text("out_dir", table_path, report.as_text())
     return report

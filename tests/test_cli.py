@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -274,6 +275,16 @@ def test_compare_refuses_method_flags(tmp_path, capsys, flag):
     assert not (tmp_path / "cmp").exists()
 
 
+def test_convergence_refuses_relative_errors(tmp_path, capsys):
+    # convergence writes no series; the flag used to be accepted and ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["convergence", "drift2d", "--steps", "8", "--relative-errors",
+              "--out", str(tmp_path / "study.txt")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --relative-errors" in capsys.readouterr().err
+    assert not (tmp_path / "study.txt").exists()
+
+
 @pytest.mark.parametrize("flag,key", [
     ({"n_steps": 7}, {"n_steps": 7}),
     ({"h": "pi/20"}, {"h": "pi/20"}),
@@ -540,6 +551,62 @@ def test_output_key_directory_refused(tmp_path, capsys):
     assert "config error: output:" in capsys.readouterr().err
 
 
+def _needs(device):
+    return pytest.mark.skipif(not Path(device).exists(), reason=f"no {device}")
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["run", "banana", "--steps", "4", "--out", "/dev/full"],
+                 "config error: output: cannot write '/dev/full': "
+                 "No space left on device\n", marks=_needs("/dev/full"), id="run-series"),
+    pytest.param(["convergence", "banana", "--steps", "8", "--out", "/dev/full"],
+                 "config error: out: cannot write '/dev/full': ",
+                 marks=_needs("/dev/full"), id="convergence-table"),
+    pytest.param(["run", "x" * 300, "--steps", "4"], f"config error: {'x' * 300}: ",
+                 id="source-name-too-long"),
+    pytest.param(["run", "/proc/self/mem", "--steps", "4"],
+                 "config error: /proc/self/mem: ", marks=_needs("/proc/self/mem"),
+                 id="source-unreadable"),
+])
+def test_file_failure_exit_2(tmp_path, monkeypatch, capsys, argv, message):
+    # a file that cannot be read or written is a config error naming the key
+    # and the path; each of these used to exit 1 with a traceback
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(message)
+
+
+@pytest.mark.parametrize("argv,path,key", [
+    (["run", "banana", "--steps", "4", "--out", "s.csv"], "s.summary.txt", "output"),
+    (["compare", "banana", "--steps", "4", "--out", "cmp"], "cmp/banana_compare.txt",
+     "out_dir"),
+], ids=["run-summary", "compare-table"])
+def test_failed_text_write_exit_2(tmp_path, monkeypatch, capsys, argv, path, key):
+    write_text = Path.write_text
+
+    def full(self, *args, **kwargs):  # a full disk under this one file
+        if self == Path(path):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return write_text(self, *args, **kwargs)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(Path, "write_text", full)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {key}: cannot write {path!r}: No space left on device\n")
+
+
+@_needs("/dev/full")
+def test_unwritable_partial_series_keeps_exit_3(tmp_path, capsys):
+    # the run fails at step 0; its partial series cannot be written, which
+    # used to end the run with a traceback (exit 1)
+    cfg = write(tmp_path, {"builtin": "banana", "n_steps": 2000, "h": 1e308,
+                           "output": "/dev/full"})
+    assert main(["run", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: ") and "partial series" not in err
+
+
 @pytest.mark.parametrize("doc,method,code", [
     ({"x0": [0, 0, 0], "v0": [0.1, 0, 0], "methods": ["boris", "rk4"]}, "boris", 4),
     ({"solver": {"max_iterations": 1}, "methods": ["bdli", "boris"]}, "bdli", 3),
@@ -614,9 +681,11 @@ def _cli_cases(draw):
                                | st.sampled_from([h * 0.37, 3 * h]) | _BAD,
                                min_size=1, max_size=3) | _BAD,
             "reference_h": st.integers(32, 64).map(lambda k: h / k) | _BAD}))
-    flags = draw(st.lists(st.sampled_from(
-        [["--steps", "3"], ["--steps", "0"], ["--tol", "1e-13"], ["--tol", "0"],
-         ["--tol", "1e-300"], ["--relative-errors"]]), max_size=2))
+    offered = [["--steps", "3"], ["--steps", "0"], ["--tol", "1e-13"], ["--tol", "0"],
+               ["--tol", "1e-300"]]
+    if command != "convergence":  # convergence refuses --relative-errors
+        offered.append(["--relative-errors"])
+    flags = draw(st.lists(st.sampled_from(offered), max_size=2))
     if command != "compare":
         flags += draw(st.lists(st.sampled_from(
             [["--method", "boris"], ["--method", "gauss"], ["--rule", "simpson"]]),

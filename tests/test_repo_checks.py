@@ -131,3 +131,24 @@ def test_step_path_calls_no_builtin_reduction():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id in banned]
     assert not found, found
+
+
+def test_experiments_names_config_errors_in_one_place():
+    """In ``experiments.py`` a caught error becomes a ``ConfigError`` only in
+    ``_named`` (which names the key of any bad value or failed file
+    operation) and in the handlers that write their own message:
+    ``_coerce``, ``parse_step_size`` and ``_load_document``'s JSON errors."""
+    allowed = {"_named", "_coerce", "parse_step_size", "_load_document"}
+    tree = ast.parse((ROOT / "src" / "bdli" / "experiments.py").read_text())
+    owner = {}
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                owner[node] = func.name  # walked after it, an inner def wins
+    found = [f"{owner.get(handler, '<module>')}:{handler.lineno}"
+             for handler in ast.walk(tree) if isinstance(handler, ast.ExceptHandler)
+             for node in ast.walk(handler)
+             if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+             and getattr(node.exc.func, "id", None) == "ConfigError"
+             and owner.get(handler) not in allowed]
+    assert not found, found
