@@ -482,7 +482,7 @@ def _output_path(key: str, path) -> Path:
     """``path`` as a file to write, its missing parent directories created;
     a ConfigError naming ``key`` if it holds a NUL character, the OS refuses
     to look it up (a name too long, say), it is a directory or its parent
-    cannot be created.  The drivers call it before the first integration;
+    cannot be created.  Runs and studies call it before integrating;
     a write that fails later (a full disk) names ``key`` too (``_write_text``)."""
     path = Path(path)
     if "\0" in str(path):
