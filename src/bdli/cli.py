@@ -1,10 +1,13 @@
 """Command-line interface.
 
-    bdli run <config-or-builtin> [--method M] [--rule R] [--steps N]
-             [--h H] [--tol T] [--out PATH] [--relative-errors]
+    bdli run <config-or-builtin> [--method M] [--steps N] [--h H]
+             [--tol T] [--out PATH] [--relative-errors]
     bdli convergence <config-or-builtin> [flags except --relative-errors]
-    bdli compare <config-or-builtin> [flags except --method, --rule]
+    bdli compare <config-or-builtin> [flags except --method]
     bdli list-builtins
+
+``--method`` alone picks the stepper: bdli, dli:<rule> (a built-in rule or
+the config's own), boris or rk4.
 
 Exit codes: 0 success, 2 configuration error, 3 solver non-convergence or
 a non-finite state, 4 field singularity.  On 3 and 4 ``run`` still writes
@@ -50,8 +53,8 @@ def _add_common_flags(p: argparse.ArgumentParser):
 def _load_run(args, output=None):
     """``experiments.load_run`` of the scenario argument and the flags: the
     one way a flag reaches the ``Scenario``."""
-    return load_run(args.scenario, method=args.method, rule=args.rule,
-                    n_steps=args.steps, h=args.h, tolerance=args.tol, output=output)
+    return load_run(args.scenario, method=args.method, n_steps=args.steps,
+                    h=args.h, tolerance=args.tol, output=output)
 
 
 def _cmd_run(args) -> int:
@@ -107,13 +110,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.set_defaults(func=_cmd_convergence)
 
     for p in (p_run, p_conv):  # compare runs the config's "methods" list instead
-        p.add_argument("--method", help="integrator: bdli, dli:<rule>, boris, rk4")
-        p.add_argument("--rule", help="quadrature rule: alone it means "
-                       "--method dli:<rule>; with --method, the same rule")
+        p.add_argument("--method", help="integrator: bdli, dli:<rule> (a built-in "
+                       "rule or the config's own), boris, rk4")
 
     p_cmp = sub.add_parser("compare", help="run several methods side by side")
     _add_common_flags(p_cmp)
-    p_cmp.set_defaults(func=_cmd_compare, method=None, rule=None)
+    p_cmp.set_defaults(func=_cmd_compare, method=None)
 
     for p in (p_run, p_cmp):  # convergence writes no series
         p.add_argument("--relative-errors", action="store_true",

@@ -3,6 +3,8 @@
 A :class:`Scenario` pins down everything needed to reproduce a run: the
 field model, particle parameters, initial state, step size, step count,
 method, the scenario's own quadrature rule if any, and solver options.
+``method`` alone picks the stepper: ``Scenario`` reads its text once, into
+``Scenario.stepper``, and a run passes that stepper to ``integrate``.
 A step size may be given as text such as ``"pi/10"``; ``Scenario`` expands
 it to the float it holds, and a float round-trips exactly.
 
@@ -28,6 +30,7 @@ import json
 import math
 import numbers
 import re
+from collections.abc import Callable
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -112,12 +115,12 @@ def parse_step_size(value, key: str = "h") -> float:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A fully pinned-down run.  ``method`` alone picks the stepper; ``rule``
-    is the scenario's own palindromic quadrature rule, which runs when
-    ``method`` is "dli:<its name>" and may not take a built-in rule's name.
-    ``h`` may be given as text such as "pi/10" and is held as a float;
-    ``name``, the stem of the default series path, has no path separator
-    and no NUL."""
+    """A fully pinned-down run.  ``method`` alone picks the stepper, which
+    ``stepper`` holds (see :func:`resolve_method`); ``rule`` is the
+    scenario's own palindromic quadrature rule, which runs when ``method`` is
+    "dli:<its name>" and may not take a built-in rule's name.  ``h`` may be
+    given as text such as "pi/10" and is held as a float; ``name``, the stem
+    of the default series path, has no path separator and no NUL."""
 
     name: str
     field_name: str
@@ -133,6 +136,8 @@ class Scenario:
     solver: SolverOptions = field(default_factory=SolverOptions)
     output: str | None = None
     stride: int = 1
+    stepper: QuadratureRule | Callable = field(init=False, repr=False,
+                                               compare=False)
 
     def __post_init__(self):
         # every check of a value, from a config or not: a ConfigError names its key
@@ -184,15 +189,8 @@ class Scenario:
         if not isinstance(self.output, (str, type(None))):
             raise ConfigError(f"output: expected a path string or None, "
                               f"got {self.output!r}")
-        with _named("method"):
-            self.stepper  # validates the method text
-
-    @property
-    def stepper(self) -> str | QuadratureRule:
-        """The method as :func:`integrate` takes it: the text, or the own rule
-        when the method names it (``integrate`` knows only built-in rules)."""
-        step = resolve_method(self.method, self.rule)
-        return step if step is self.rule else self.method
+        with _named("method"):  # the one reading of the method text
+            object.__setattr__(self, "stepper", resolve_method(self.method, own))
 
     @property
     def total_time(self) -> float:
@@ -248,22 +246,11 @@ def _count(key: str, value) -> int:
     return _coerce(key, int, value)
 
 
-def _method_for_rule(method: str | None, name: str,
-                     own: QuadratureRule | None = None) -> str:
-    """The method a ``rule`` key or ``--rule`` flag sets: "dli:<name>" on its
-    own; next to a method, that method if it names the same rule.  The rule
-    must be a built-in one or ``own``, the scenario's own rule."""
-    with _named("rule"):
-        resolve_method(f"dli:{name}", own)
-    if method is None:
-        return f"dli:{name}"
-    if method != f"dli:{name}" and (method, name) != ("bdli", "boole"):
-        raise ConfigError(f"rule: {name!r} contradicts method {method!r}")
-    return method
-
-
-def _inline_rule(spec: dict) -> QuadratureRule:
+def _inline_rule(spec) -> QuadratureRule:
     """A config's own rule from ``{name, pairs, degree}``."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"rule: expected an object {{name, pairs, degree}}, "
+                          f"got {spec!r}")
     extra = set(spec) - {"name", "pairs", "degree"}
     if extra:
         raise ConfigError(f"rule: unknown key(s) {sorted(extra)}")
@@ -310,13 +297,10 @@ def _scenario_from_dict(doc: dict, source: str) -> Scenario:
                 "stride", "output"):
         if key in doc:
             updates[key] = doc[key]
-    rspec = doc.get("rule")  # a rule's name, or the definition of the own rule
-    if isinstance(rspec, dict):
-        updates["rule"] = _inline_rule(rspec)
-        rspec = updates["rule"].name
-    if rspec is not None:
-        updates["method"] = _method_for_rule(
-            updates.get("method"), rspec, updates.get("rule"))
+    if doc.get("rule") is not None:  # the definition of the scenario's own rule
+        updates["rule"] = _inline_rule(doc["rule"])
+        if "method" not in doc:  # which runs unless the document names a method
+            updates["method"] = f"dli:{updates['rule'].name}"
     if "solver" in doc:
         sspec = doc["solver"]
         if not isinstance(sspec, dict):
@@ -384,13 +368,13 @@ def load_config(path) -> Scenario:
     return _scenario_from_dict(_load_document(path), str(path))
 
 
-def load_run(source, *, method=None, rule=None, n_steps=None, h=None,
-             tolerance=None, output=None) -> tuple:
+def load_run(source, *, method=None, n_steps=None, h=None, tolerance=None,
+             output=None) -> tuple:
     """``(scenario, h_list, reference_h, methods)`` of a config file or
     builtin name ``source`` (see ``_study_and_methods``).  The document's
     own scenario is checked first; then the flags of the ``bdli`` command
     apply in one ``replace`` as the keys they stand for (``tolerance`` is
-    the solver's).  An empty ``method``, ``rule`` or ``output`` is unset."""
+    the solver's).  An empty ``method`` or ``output`` is unset."""
     with _named(source):  # a name the OS refuses, too long say
         is_file = Path(source).is_file()
     if is_file:
@@ -403,9 +387,7 @@ def load_run(source, *, method=None, rule=None, n_steps=None, h=None,
     scn = _scenario_from_dict(doc, str(source))
     study = _study_and_methods(doc)
     updates = {}
-    if rule:
-        updates["method"] = _method_for_rule(method, rule, scn.rule)
-    elif method:
+    if method:
         updates["method"] = method
     if n_steps is not None:
         updates["n_steps"] = n_steps
@@ -422,8 +404,8 @@ def load_run(source, *, method=None, rule=None, n_steps=None, h=None,
 def scenario_to_config(scn: Scenario) -> dict:
     """Serializable dict that :func:`load_config` maps back to ``scn``.
 
-    The scenario's own rule is written inline when its method runs it; a
-    rule the method does not run cannot be written next to that method.
+    The scenario's own rule, if it has one, is written inline next to the
+    method, whether or not the method runs it.
     """
     cfg = {
         "name": scn.name,
@@ -442,8 +424,8 @@ def scenario_to_config(scn: Scenario) -> dict:
         "output": scn.output,
         "stride": scn.stride,
     }
-    own = scn.stepper
-    if isinstance(own, QuadratureRule):
+    own = scn.rule
+    if own is not None:
         cfg["rule"] = {
             "name": own.name,
             "pairs": [list(p) for p in zip(own.nodes, own.weights)],

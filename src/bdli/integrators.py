@@ -62,8 +62,10 @@ only the boundary type.  The DLI step has two parts: ``dli_kernel(sys,
 rule, h, opts)`` builds what all steps of a trajectory share (the bound
 field evaluators, the rule's nodes split at c = 0, k = h q/m and the solver
 limits) once, and ``dli_step(kernel, z0, v_start)`` runs the iteration
-from one row.  ``integrate`` builds one kernel per trajectory and calls
-its stepper through this module, once per step.
+from one row.  ``integrate`` takes a stepper, never method text: a rule,
+for which it builds one kernel per trajectory and calls ``dli_step``
+through this module once per step, or a step function such as
+``boris_step``.  ``resolve_method`` turns method text into a stepper.
 ``dli_step`` is the library's only implementation of the scheme; the tests
 check it against an independent array form written from the update
 equation above (``tests/oracles.py``).
@@ -411,11 +413,12 @@ def rk4_step(sys: ChargedParticleSystem, z0, h: float) -> tuple:
 # ---------------------------------------------------------------------------
 
 def resolve_method(method: str, own: QuadratureRule | None = None):
-    """The stepper that method text names; the one place it is read.
+    """The stepper that method text names.
 
-    "boris" and "rk4" name ``boris_step`` and ``rk4_step``; "bdli" and
-    "dli:<name>" the DLI step, returned as its rule: Boole's, the built-in
-    rule of that name or, failing that, ``own``, a scenario's own rule.
+    "boris" and "rk4" name ``boris_step`` and ``rk4_step``, looked up in this
+    module when called; "bdli" and "dli:<name>" the DLI step, returned as its
+    rule: Boole's, the built-in rule of that name or, failing that, ``own``,
+    a scenario's own rule.
     """
     if method in ("boris", "rk4"):
         return boris_step if method == "boris" else rk4_step
@@ -431,29 +434,28 @@ def resolve_method(method: str, own: QuadratureRule | None = None):
         raise
 
 
-def integrate(sys: ChargedParticleSystem, method: str | QuadratureRule,
-              z0: PhaseState, h: float, n_steps: int,
-              opts: SolverOptions | None = None) -> Trajectory:
-    """Apply a one-step method n_steps times from z0.
+def integrate(sys: ChargedParticleSystem, stepper, z0: PhaseState, h: float,
+              n_steps: int, opts: SolverOptions | None = None) -> Trajectory:
+    """Apply a stepper n_steps times from z0.
 
-    ``method`` is method text (see :func:`resolve_method`) or a
-    QuadratureRule, which runs the DLI step with that rule.  The returned
-    trajectory is built before the first step, and each accepted step
-    appends its row, iteration count and residual to it.  Aborts with
-    :class:`NonConvergenceError` or :class:`SingularityError` if the solver
-    fails to converge, a step yields a non-finite state, or a field
-    singularity is reached; the error carries that trajectory as it stands,
-    so the failing step is its length in steps, ``len(iterations)``.
+    ``stepper`` is a QuadratureRule, which runs the DLI step with that rule,
+    or a step function ``step(sys, row, h) -> row`` such as ``boris_step``
+    (:func:`resolve_method` gives either from method text).  Errors start
+    with ``dli:<rule name>`` or the step function's name without ``_step``.
+    The returned trajectory is built before the first step, and each
+    accepted step appends its row, iteration count and residual to it.
+    Aborts with :class:`NonConvergenceError` or :class:`SingularityError` if
+    the solver fails to converge, a step yields a non-finite state, or a
+    field singularity is reached; the error carries that trajectory as it
+    stands, so the failing step is its length in steps, ``len(iterations)``.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    if isinstance(method, QuadratureRule):
-        step, method = method, f"dli:{method.name}"  # the label in errors
-    else:
-        step = resolve_method(method)
     # one kernel for the trajectory, passed to dli_step on every step
-    kernel = (dli_kernel(sys, step, h, opts)
-              if isinstance(step, QuadratureRule) else None)
+    if isinstance(stepper, QuadratureRule):
+        label, kernel = f"dli:{stepper.name}", dli_kernel(sys, stepper, h, opts)
+    else:
+        label, kernel = stepper.__name__.removesuffix("_step"), None
 
     # the one record of the accepted steps; a failure raises it as it stands
     z = z0.as_vector()  # the last accepted row
@@ -478,15 +480,15 @@ def integrate(sys: ChargedParticleSystem, method: str | QuadratureRule,
                 z, n, residual, converged = dli_step(kernel, z, v_start)
                 if not converged:
                     raise NonConvergenceError(
-                        f"{method}: fixed-point solver did not converge at step "
+                        f"{label}: fixed-point solver did not converge at step "
                         f"{k} (residual {residual:.3e} after {n} iterations)", traj)
             else:
-                z, n, residual = step(sys, z, h), 0, 0.0
+                z, n, residual = stepper(sys, z, h), 0, 0.0
         except FieldSingularityError as exc:
-            raise SingularityError(f"{method}: {exc} at step {k}", traj) from exc
+            raise SingularityError(f"{label}: {exc} at step {k}", traj) from exc
         if not (isfinite(z[0]) and isfinite(z[1]) and isfinite(z[2])
                 and isfinite(z[3]) and isfinite(z[4]) and isfinite(z[5])):
-            raise NonConvergenceError(f"{method}: non-finite state at step {k}", traj)
+            raise NonConvergenceError(f"{label}: non-finite state at step {k}", traj)
         states.append(z)
         iters.append(n)
         resid.append(residual)

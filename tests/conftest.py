@@ -24,9 +24,8 @@ def transit_scenario():
 
 def _run(scn, method):
     sys = scn.system()
-    traj = bdli.integrate(
-        sys, method, scn.initial_state(), scn.h, scn.n_steps, scn.solver
-    )
+    traj = bdli.integrate(sys, bdli.resolve_method(method), scn.initial_state(),
+                          scn.h, scn.n_steps, scn.solver)
     return sys, traj
 
 

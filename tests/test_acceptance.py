@@ -39,6 +39,7 @@ from oracles import grad_energy, k_matrix, vector_field, weighted_gradient
 from test_fields import curl_fd, div_fd, grad_fd, sample_points, ALL_MODELS
 
 TOL = 1e-14
+BOOLE = builtin_rule("boole")
 
 
 def report(num, ok, detail):
@@ -54,7 +55,7 @@ def test_criterion_1_banana_energy_exactness():
     scn = builtin_scenario("banana")
     sys = scn.system()
     t0 = time.perf_counter()
-    traj = integrate(sys, "bdli", scn.initial_state(), scn.h, scn.n_steps,
+    traj = integrate(sys, BOOLE, scn.initial_state(), scn.h, scn.n_steps,
                      scn.solver)
     wall = time.perf_counter() - t0
     e = series_errors(quantity_series(sys, traj, "H"))
@@ -277,8 +278,8 @@ def test_criterion_7_reversibility():
     sys = scn.system()
     z0 = scn.initial_state()
     n = 1000
-    fwd = integrate(sys, "bdli", z0, scn.h, n, scn.solver)
-    back = integrate(sys, "bdli", from_vector(fwd.states[-1]), -scn.h,
+    fwd = integrate(sys, BOOLE, z0, scn.h, n, scn.solver)
+    back = integrate(sys, BOOLE, from_vector(fwd.states[-1]), -scn.h,
                      n, scn.solver)
     rt_err = float(np.abs(np.asarray(back.states[-1]) - z0.as_vector()).max())
     rt_bound = n * 100 * scn.solver.tolerance * (
@@ -406,7 +407,7 @@ def test_criterion_9_quadrature_exactness():
 def test_evidence_magnetized_regime_conservation(magnetized_scenario):
     scn = magnetized_scenario
     sys = scn.system()
-    traj = integrate(sys, "bdli", scn.initial_state(), scn.h, scn.n_steps,
+    traj = integrate(sys, BOOLE, scn.initial_state(), scn.h, scn.n_steps,
                      scn.solver)
     e = series_errors(quantity_series(sys, traj, "H"))
     worst = float(np.abs(e).max())

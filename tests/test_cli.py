@@ -73,37 +73,14 @@ def test_run_method_override(tmp_path):
     assert first.endswith(",0")  # explicit method reports zero iterations
 
 
-def test_run_rule_flag_retargets_dli(tmp_path, capsys):
-    rc = main(["run", "banana", "--steps", "30", "--rule", "simpson",
-               "--out", str(tmp_path / "s.csv")])
-    assert rc == 0
-    assert "method = dli:simpson" in capsys.readouterr().out
-
-
-def test_run_rule_flag_must_agree_with_method_flag(tmp_path, capsys):
-    out = str(tmp_path / "s.csv")
-    rc = main(["run", "banana", "--steps", "5", "--method", "boris",
-               "--rule", "simpson", "--out", out])
-    assert rc == 2
-    assert "config error: rule: 'simpson' contradicts method 'boris'" in (
-        capsys.readouterr().err)
-    rc = main(["run", "banana", "--steps", "5", "--method", "bdli",
-               "--rule", "boole", "--out", out])
-    assert rc == 0
-    assert "method = bdli" in capsys.readouterr().out
-
-
-def test_run_rule_flag_names_a_known_rule(tmp_path, capsys):
-    out = str(tmp_path / "s.csv")
-    assert main(["run", "banana", "--steps", "5", "--rule", "gauss",
-                 "--out", out]) == 2
-    assert "config error: rule: unknown quadrature rule 'gauss'" in (
-        capsys.readouterr().err)
+def test_run_method_flag_runs_the_configs_own_rule(tmp_path, capsys):
+    # the config defines w2 and runs boris; the flag picks w2
     cfg = write(tmp_path, {
-        "builtin": "banana", "n_steps": 5,
+        "builtin": "banana", "n_steps": 5, "method": "boris",
         "rule": {"name": "w2", "pairs": [[0, 0.5], [1, 0.5]], "degree": 1},
     })
-    assert main(["run", cfg, "--rule", "w2", "--out", out]) == 0
+    out = str(tmp_path / "s.csv")
+    assert main(["run", cfg, "--method", "dli:w2", "--out", out]) == 0
     assert "method = dli:w2" in capsys.readouterr().out
 
 
@@ -206,6 +183,7 @@ def test_top_level_list_exit_2(tmp_path, capsys):
     ({"builtin": "banana", "n_steps": 4, "name": {"a": "/b"}}, "name"),
     ({"builtin": "banana", "n_steps": 4, "name": "a/b"}, "name"),
     ({"builtin": "banana", "n_steps": 4, "method": 5}, "method"),
+    ({"builtin": "banana", "rule": "simpson"}, "rule"),
 ], ids=["n_steps-0", "solver-3", "solver-predictor", "n_steps-abc",
         "stride-x", "mass-x", "mass-negative", "h-pi/0", "x0-string",
         "field-unknown-param", "field-safety-factor-0", "x0-nan", "v0-inf",
@@ -219,7 +197,7 @@ def test_top_level_list_exit_2(tmp_path, capsys):
         "rule-extra-key", "rule-no-pairs", "solver-tolerance-negative",
         "n_steps-1e19", "file-not-utf8", "file-nested-100000-deep",
         "output-object", "output-int", "name-object", "name-path-separator",
-        "method-int"])
+        "method-int", "rule-text"])
 def test_invalid_scenario_exit_2(tmp_path, monkeypatch, capsys, doc, key):
     # --out keeps a wrongly accepted run's series out of the working directory;
     # a file that does not read as JSON is named by its path (key None)
@@ -275,6 +253,16 @@ def test_compare_refuses_method_flags(tmp_path, capsys, flag):
     assert not (tmp_path / "cmp").exists()
 
 
+def test_run_refuses_the_rule_flag(tmp_path, capsys):
+    # --method dli:<rule> names the stepper; a "rule" only defines one
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "banana", "--steps", "5", "--rule", "simpson",
+              "--out", str(tmp_path / "s.csv")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --rule simpson" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_convergence_refuses_relative_errors(tmp_path, capsys):
     # convergence writes no series; the flag used to be accepted and ignored
     with pytest.raises(SystemExit) as exc:
@@ -289,10 +277,9 @@ def test_convergence_refuses_relative_errors(tmp_path, capsys):
     ({"n_steps": 7}, {"n_steps": 7}),
     ({"h": "pi/20"}, {"h": "pi/20"}),
     ({"tolerance": 1e-10}, {"solver": {"tolerance": 1e-10}}),
-    ({"rule": "simpson"}, {"rule": "simpson"}),
     ({"method": "boris"}, {"method": "boris"}),
     ({"output": "o.csv"}, {"output": "o.csv"}),
-], ids=["n_steps", "h", "tolerance", "rule", "method", "output"])
+], ids=["n_steps", "h", "tolerance", "method", "output"])
 def test_flag_equals_config_key(tmp_path, flag, key):
     base = write(tmp_path, {"builtin": "banana"}, "base.json")
     keyed = write(tmp_path, {"builtin": "banana", **key}, "keyed.json")
@@ -303,8 +290,7 @@ def test_flag_equals_config_key(tmp_path, flag, key):
     (["--steps", "0"], {"n_steps": 0}),
     (["--h", "pi/0"], {"h": "pi/0"}),
     (["--tol", "-1"], {"solver": {"tolerance": -1}}),
-    (["--rule", "gauss"], {"rule": "gauss"}),
-], ids=["n_steps", "h", "tolerance", "rule"])
+], ids=["n_steps", "h", "tolerance"])
 def test_bad_flag_and_config_key_give_one_error(tmp_path, capsys, flag, key):
     out = str(tmp_path / "o")
     assert main(["run", "banana", *flag, "--out", out]) == 2
@@ -656,8 +642,7 @@ def _cli_cases(draw):
         "charge": st.floats(-2.0, 2.0),
         "stride": st.integers(1, 3),
         "method": st.sampled_from(_METHODS),
-        "rule": st.sampled_from(
-            ["simpson", {"name": "w2", "pairs": [[0, 0.5], [1, 0.5]], "degree": 1}]),
+        "rule": st.just({"name": "w2", "pairs": [[0, 0.5], [1, 0.5]], "degree": 1}),
         "solver": st.fixed_dictionaries({}, optional={
             "tolerance": st.sampled_from([1e-14, 1e-300, 1e-3, 0, "x"]),
             "max_iterations": st.sampled_from([1, 2, 50, 0, 1.5])}),
@@ -688,7 +673,7 @@ def _cli_cases(draw):
     flags = draw(st.lists(st.sampled_from(offered), max_size=2))
     if command != "compare":
         flags += draw(st.lists(st.sampled_from(
-            [["--method", "boris"], ["--method", "gauss"], ["--rule", "simpson"]]),
+            [["--method", "boris"], ["--method", "gauss"], ["--method", "dli:simpson"]]),
             max_size=1))
     return command, doc, [a for f in flags for a in f]
 

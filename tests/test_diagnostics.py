@@ -14,6 +14,7 @@ from bdli import (
     UniformField,
     integrate,
     quantity_series,
+    rk4_step,
     series_errors,
 )
 from bdli.diagnostics import magnetic_moments
@@ -98,7 +99,7 @@ def test_magnetic_moment_invariant_under_gyro_rotation(drift_sys):
 
 def test_error_series_constant_trajectory():
     sys = ChargedParticleSystem(1.0, 1.0, UniformField(B=(0, 0, 1), E=(0, 0, 0)))
-    traj = integrate(sys, "rk4", PhaseState((1.0, 0.0, 0.0), (0, 0, 0)), 0.1, 20)
+    traj = integrate(sys, rk4_step, PhaseState((1.0, 0.0, 0.0), (0, 0, 0)), 0.1, 20)
     for q in ("H", "p_xi", "mu"):
         e = series_errors(quantity_series(sys, traj, q))
         assert np.array_equal(e, np.zeros(21))
@@ -206,7 +207,7 @@ def test_banana_drift_orbit_closes():
     """
     scn = bdli.builtin_scenario("banana")
     sys = scn.system()
-    traj = integrate(sys, "bdli", scn.initial_state(), scn.h, 140_000, scn.solver)
+    traj = integrate(sys, scn.stepper, scn.initial_state(), scn.h, 140_000, scn.solver)
     s = np.asarray(traj.states)
     R, zc = np.hypot(s[:, 0], s[:, 1]), s[:, 2]
     assert R.min() > 0.9 and R.max() < 1.2

@@ -13,6 +13,8 @@ from bdli import fields
 from bdli import (
     ConfigError,
     Scenario,
+    boris_step,
+    builtin_rule,
     builtin_scenario,
     compare_methods,
     convergence_study,
@@ -141,16 +143,32 @@ W2 = bdli.QuadratureRule("w2", (0.0, 1.0), (0.5, 0.5), 1)
 
 def test_scenario_rule_is_data_not_selector():
     base = replace(builtin_scenario("banana"), n_steps=3)
-    assert replace(base, method="dli:simpson").stepper == "dli:simpson"
+    assert replace(base, method="dli:simpson").stepper is builtin_rule("simpson")
     own = replace(base, method="dli:w2", rule=W2)
     assert own.stepper is W2
     # a method that does not name the rule runs without it, and keeps it
     boris = replace(own, method="boris")
-    assert boris.rule is W2 and boris.stepper == "boris"
+    assert boris.rule is W2 and boris.stepper is boris_step
     assert np.array_equal(boris.run_trajectory().states,
                           replace(base, method="boris").run_trajectory().states)
     with pytest.raises(ConfigError, match="method: unknown quadrature rule 'w2'"):
         replace(base, method="dli:w2")
+
+
+def test_method_text_is_read_once_per_scenario(monkeypatch, tmp_path):
+    # the scenario reads it when built; a run passes on the stepper it holds
+    scn = replace(builtin_scenario("banana"), n_steps=5,
+                  output=str(tmp_path / "run.csv"))
+    calls = []
+    for mod in (bdli.integrators, bdli.experiments):  # each name it is bound to
+        def counting(*args, resolve=mod.resolve_method):
+            calls.append(args)
+            return resolve(*args)
+        monkeypatch.setattr(mod, "resolve_method", counting)
+    run_scenario(scn)
+    assert calls == []
+    replace(scn, method="boris").run_trajectory()
+    assert calls == [("boris", None)]
 
 
 # --- config files ---------------------------------------------------------------
@@ -185,7 +203,7 @@ def test_load_config_method_rule(tmp_path):
     p = write_config(tmp_path, {"builtin": "drift2d", "method": "dli:simpson"})
     s = load_config(p)
     assert s.method == "dli:simpson"
-    assert s.rule is None and s.stepper == "dli:simpson"
+    assert s.rule is None and s.stepper is builtin_rule("simpson")
 
 
 def test_load_config_full_scenario(tmp_path):
@@ -245,29 +263,43 @@ def test_custom_rule_roundtrips_through_config(tmp_path):
     assert load_config(p) == scn
 
 
+W2_SPEC = {"name": "w2", "pairs": [[0, 0.5], [1, 0.5]], "degree": 1}
+
+
 @pytest.mark.parametrize("doc,method", [
-    ({"builtin": "banana", "rule": "simpson"}, "dli:simpson"),
-    ({"builtin": "banana", "method": "dli:simpson", "rule": "simpson"},
-     "dli:simpson"),
-    ({"builtin": "banana", "method": "bdli", "rule": "boole"}, "bdli"),
+    ({"builtin": "banana", "rule": W2_SPEC}, "dli:w2"),
+    ({"builtin": "banana", "method": "boris", "rule": W2_SPEC}, "boris"),
+    ({"builtin": "banana", "method": "bdli", "rule": W2_SPEC}, "bdli"),
     ({"builtin": "banana", "rule": None}, "bdli"),
     ({"name": "full", "field": "uniform", "x0": [0, 0, 0], "v0": [0.1, 0, 0],
-      "h": 0.1, "n_steps": 2, "rule": "simpson"}, "dli:simpson"),
+      "h": 0.1, "n_steps": 2, "rule": W2_SPEC}, "dli:w2"),
 ])
 def test_rule_key_sets_the_method(doc, method):
-    assert _scenario_from_dict(doc, "doc").method == method
+    # a defined rule runs unless the document names a method; either way
+    # the scenario keeps it
+    scn = _scenario_from_dict(doc, "doc")
+    assert scn.method == method
+    assert scn.rule == (None if doc["rule"] is None else W2)
 
 
 @pytest.mark.parametrize("doc", [
     {"builtin": "banana", "method": "bdli", "rule": "simpson"},
-    {"builtin": "banana", "method": "dli:boole", "rule": {
-        "name": "w2", "pairs": [[0, 0.5], [1, 0.5]], "degree": 1}},
+    {"builtin": "banana", "method": "boris", "rule": "boole"},
     {"name": "full", "field": "uniform", "x0": [0, 0, 0], "v0": [0.1, 0, 0],
      "h": 0.1, "n_steps": 2, "method": "rk4", "rule": "simpson"},
 ])
 def test_rule_key_contradicting_method_is_refused(doc):
-    with pytest.raises(ConfigError, match="rule: .* contradicts method"):
+    # "method" alone names the stepper and "rule" only defines one, so a
+    # rule named as text is refused, whatever the method
+    with pytest.raises(ConfigError, match="^rule: expected an object"):
         _scenario_from_dict(doc, "doc")
+
+
+@pytest.mark.parametrize("method", ["bdli", "boris"])
+def test_own_rule_roundtrips_next_to_any_method(tmp_path, method):
+    scn = replace(builtin_scenario("banana"), method=method, rule=W2)
+    p = write_config(tmp_path, scenario_to_config(scn))
+    assert load_config(p) == scn
 
 
 def _w2_doc(pairs, degree):

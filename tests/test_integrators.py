@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import math
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from bdli import (
     dli_kernel,
     dli_step,
     integrate,
+    resolve_method,
     rk4_step,
 )
 from bdli.hamiltonian import energies
@@ -449,7 +451,7 @@ def test_kernel_view_of_the_rule_is_bitwise_its_nodes_and_weights(rule, electric
 @functools.cache  # several tests read the same runs; none changes them
 def _trajectory(name, h, n_steps, opts=None):
     scn = bdli.builtin_scenario(name)
-    return integrate(scn.system(), "bdli", scn.initial_state(), h or scn.h,
+    return integrate(scn.system(), BOOLE, scn.initial_state(), h or scn.h,
                      n_steps, opts or scn.solver)
 
 
@@ -740,7 +742,7 @@ def test_rk4_step_keeps_the_sign_of_a_zero_velocity():
 def test_integrate_zero_steps():
     sys = uniform_b_system()
     z0 = PhaseState((1, 0, 0), (0, 1, 0))
-    traj = integrate(sys, "bdli", z0, 0.1, 0)
+    traj = integrate(sys, BOOLE, z0, 0.1, 0)
     assert len(traj) == 1
     assert np.array_equal(traj.states[0], z0.as_vector())
 
@@ -748,12 +750,12 @@ def test_integrate_zero_steps():
 def test_integrate_negative_steps_is_refused():
     z0 = PhaseState((1, 0, 0), (0, 1, 0))
     with pytest.raises(ValueError, match="n_steps must be >= 0"):
-        integrate(uniform_b_system(), "bdli", z0, 0.1, -1)
+        integrate(uniform_b_system(), BOOLE, z0, 0.1, -1)
 
 
 def test_integrate_monotone_time_and_shapes():
     sys = uniform_b_system()
-    traj = integrate(sys, "rk4", PhaseState((1, 0, 0), (0, 1, 0)), 0.05, 40)
+    traj = integrate(sys, rk4_step, PhaseState((1, 0, 0), (0, 1, 0)), 0.05, 40)
     assert len(traj) == 41
     assert np.asarray(traj.states).shape == (41, 6)
     assert np.asarray(traj.iterations).shape == (40,)
@@ -761,18 +763,29 @@ def test_integrate_monotone_time_and_shapes():
     assert traj.residuals == [0.0] * 40
 
 
-def test_integrate_takes_method_text_or_a_rule():
+def test_integrate_runs_a_custom_rule_as_a_built_in_one():
+    # a rule needs no name lookup: a custom rule with Simpson's nodes and
+    # weights steps as Simpson's rule does, and only its name differs
     scn = bdli.builtin_scenario("banana")
     args = (scn.initial_state(), scn.h, 20, scn.solver)
-    text = integrate(scn.system(), "dli:simpson", *args)
-    rule = integrate(scn.system(), builtin_rule("simpson"), *args)
-    assert np.array_equal(text.states, rule.states)
-    assert np.array_equal(text.iterations, rule.iterations)
+    simpson = integrate(scn.system(), builtin_rule("simpson"), *args)
     custom = QuadratureRule("w3", (0.0, 0.5, 1.0), (1 / 6, 4 / 6, 1 / 6), 3)
-    assert np.array_equal(integrate(scn.system(), custom, *args).states,
-                          text.states)
+    w3 = integrate(scn.system(), custom, *args)
+    assert np.array_equal(w3.states, simpson.states)
+    assert np.array_equal(w3.iterations, simpson.iterations)
+
+
+def test_resolve_method_reads_the_method_text():
+    assert resolve_method("bdli") is resolve_method("dli:boole") is BOOLE
+    assert resolve_method("dli:simpson") is builtin_rule("simpson")
+    assert resolve_method("boris") is boris_step
+    assert resolve_method("rk4") is rk4_step
+    custom = QuadratureRule("w3", (0.0, 0.5, 1.0), (1 / 6, 4 / 6, 1 / 6), 3)
+    assert resolve_method("dli:w3", custom) is custom
     with pytest.raises(ValueError, match="unknown quadrature rule 'w3'"):
-        integrate(scn.system(), "dli:w3", *args)
+        resolve_method("dli:w3")
+    with pytest.raises(ValueError, match="unknown method 'leapfrog'"):
+        resolve_method("leapfrog")
 
 
 def test_integrate_calls_dli_step_through_the_module_once_per_step(monkeypatch):
@@ -791,15 +804,16 @@ def test_integrate_calls_dli_step_through_the_module_once_per_step(monkeypatch):
 
     monkeypatch.setattr(bdli.integrators, "dli_step", counting)
     scn = bdli.builtin_scenario("banana")
-    integrate(scn.system(), "bdli", scn.initial_state(), scn.h, 50, scn.solver)
+    integrate(scn.system(), BOOLE, scn.initial_state(), scn.h, 50, scn.solver)
     assert calls == 50
 
 
 @pytest.mark.parametrize("method", ["boris", "rk4"])
 def test_integrate_calls_reference_steppers_through_the_module(monkeypatch, method):
     # perfbench/tracing.py counts Boris and RK4 steps (integrators.steps) by
-    # rebinding bdli.integrators.boris_step and rk4_step: integrate must look
-    # the stepper up in the module and call it once per step
+    # rebinding bdli.integrators.boris_step and rk4_step before it builds a
+    # scenario: the scenario must look its stepper up in the module, and a
+    # run must call that stepper once per step
     calls = 0
     step = getattr(bdli.integrators, f"{method}_step")
 
@@ -809,8 +823,8 @@ def test_integrate_calls_reference_steppers_through_the_module(monkeypatch, meth
         return step(*args, **kwargs)
 
     monkeypatch.setattr(bdli.integrators, f"{method}_step", counting)
-    scn = bdli.builtin_scenario("banana")
-    traj = integrate(scn.system(), method, scn.initial_state(), scn.h, 50)
+    scn = replace(bdli.builtin_scenario("banana"), method=method, n_steps=50)
+    traj = scn.run_trajectory()
     assert calls == 50
     assert len(traj) == 51
 
@@ -825,8 +839,8 @@ def test_integrate_builds_one_kernel_per_trajectory(monkeypatch):
 
     monkeypatch.setattr(bdli.integrators, "dli_kernel", counting)
     scn = bdli.builtin_scenario("drift2d")
-    for method in ("bdli", "dli:simpson", "boris", "rk4"):
-        integrate(scn.system(), method, scn.initial_state(), scn.h, 40, scn.solver)
+    for stepper in (BOOLE, builtin_rule("simpson"), boris_step, rk4_step):
+        integrate(scn.system(), stepper, scn.initial_state(), scn.h, 40, scn.solver)
     assert [args[1].name for args in calls] == ["boole", "simpson"]
     assert all(args[2] == scn.h and args[3] is scn.solver for args in calls)
 
@@ -843,15 +857,9 @@ def test_dli_run_without_E_never_samples_E(monkeypatch):
 
         monkeypatch.setattr(TokamakField, name, counted)
     scn = bdli.builtin_scenario("banana")
-    traj = integrate(scn.system(), "bdli", scn.initial_state(), scn.h, 50, scn.solver)
+    traj = integrate(scn.system(), BOOLE, scn.initial_state(), scn.h, 50, scn.solver)
     assert counts["e_at"] == 0
     assert counts["b_at"] == sum(traj.iterations) > 0
-
-
-def test_integrate_unknown_method():
-    sys = uniform_b_system()
-    with pytest.raises(ValueError, match="unknown method"):
-        integrate(sys, "leapfrog", PhaseState((0, 0, 0), (1, 0, 0)), 0.1, 1)
 
 
 @pytest.mark.parametrize("method", ["boris", "rk4", "bdli"])
@@ -862,7 +870,7 @@ def test_integrate_singularity_abort_with_partial(method):
     z0 = PhaseState((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
     for n_steps in (10, 10**12):
         with pytest.raises(SingularityError) as info:
-            integrate(sys, method, z0, 0.1, n_steps)
+            integrate(sys, resolve_method(method), z0, 0.1, n_steps)
         err = info.value
         assert err.step_index == 0 == len(err.trajectory.iterations)
         assert len(err.trajectory) == 1
@@ -874,15 +882,17 @@ def test_integrate_nonconvergence_abort_with_partial():
     sys = ChargedParticleSystem(1.0, 1.0, QuarticWellField(strength=50.0))
     z0 = PhaseState((2.0, 0.0, 0.0), (0.0, 0.0, 0.0))
     with pytest.raises(NonConvergenceError) as info:
-        integrate(sys, "bdli", z0, 1.0, 5, SolverOptions(max_iterations=8))
-    assert "step 0" in str(info.value)
+        integrate(sys, BOOLE, z0, 1.0, 5, SolverOptions(max_iterations=8))
+    # the message names the stepper, here the DLI step with Boole's rule
+    assert str(info.value).startswith("dli:boole: fixed-point solver did not "
+                                      "converge at step 0")
     assert len(info.value.trajectory) == 1
     assert info.value.step_index == len(info.value.trajectory.iterations)
 
 
 def test_integrate_partial_trajectory_keeps_the_accepted_residuals(monkeypatch):
     scn = bdli.builtin_scenario("banana")
-    args = (scn.system(), "bdli", scn.initial_state(), scn.h, 20, scn.solver)
+    args = (scn.system(), BOOLE, scn.initial_state(), scn.h, 20, scn.solver)
     full = integrate(*args)
     step = bdli.integrators.dli_step
     calls = []
@@ -909,7 +919,7 @@ def test_integrate_nonfinite_state_aborts_with_partial(method):
     scn = bdli.builtin_scenario("banana")
     z0 = scn.initial_state()
     with pytest.raises(NonConvergenceError) as info:
-        integrate(scn.system(), method, z0, 1e308, 3, scn.solver)
+        integrate(scn.system(), resolve_method(method), z0, 1e308, 3, scn.solver)
     err = info.value
     assert err.step_index == 0 == len(err.trajectory.iterations)
     assert len(err.trajectory) == 1
@@ -918,10 +928,10 @@ def test_integrate_nonfinite_state_aborts_with_partial(method):
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 @pytest.mark.parametrize("j", range(6))
-def test_integrate_nonfinite_check_reads_every_component(monkeypatch, j, bad):
+def test_integrate_nonfinite_check_reads_every_component(j, bad):
     # the finite check tests the six components one by one; a row that is
     # non-finite in component j alone must abort the run at that step
-    step = bdli.integrators.boris_step
+    step = boris_step
     calls = []
 
     def bad_at_step_3(sys, z, h):
@@ -929,11 +939,10 @@ def test_integrate_nonfinite_check_reads_every_component(monkeypatch, j, bad):
         row = step(sys, z, h)
         return row[:j] + (bad,) + row[j + 1:] if len(calls) == 4 else row
 
-    monkeypatch.setattr(bdli.integrators, "boris_step", bad_at_step_3)
     scn = bdli.builtin_scenario("banana")
     z0 = scn.initial_state()
     with pytest.raises(NonConvergenceError, match="non-finite state at step 3") as info:
-        integrate(scn.system(), "boris", z0, scn.h, 6)
+        integrate(scn.system(), bad_at_step_3, z0, scn.h, 6)
     err = info.value
     assert err.step_index == 3 == len(err.trajectory.iterations)
     assert len(err.trajectory) == 4
@@ -966,8 +975,8 @@ STATE_DIGESTS = {
 @pytest.mark.parametrize("name,method", sorted(STATE_DIGESTS))
 def test_step_kernels_bitwise_pinned(name, method):
     scn = bdli.builtin_scenario(name)
-    traj = integrate(scn.system(), method, scn.initial_state(), scn.h, 500,
-                     scn.solver)
+    traj = integrate(scn.system(), resolve_method(method), scn.initial_state(),
+                     scn.h, 500, scn.solver)
     digest = hashlib.sha256(np.array(traj.states).tobytes()).hexdigest()
     assert digest == STATE_DIGESTS[name, method]
 
@@ -989,7 +998,7 @@ SOLVER_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(SOLVER_DIGESTS))
 def test_solver_iterations_and_residuals_bitwise_pinned(name):
     scn = bdli.builtin_scenario(name)
-    traj = integrate(scn.system(), "bdli", scn.initial_state(), scn.h, 500,
+    traj = integrate(scn.system(), BOOLE, scn.initial_state(), scn.h, 500,
                      scn.solver)
     got = (np.array(traj.iterations, dtype=np.int64), np.array(traj.residuals))
     assert tuple(hashlib.sha256(a.tobytes()).hexdigest()
@@ -1019,8 +1028,8 @@ def test_reversed_time_consistency():
     sys = scn.system()
     z0 = scn.initial_state()
     n = 200
-    fwd = integrate(sys, "bdli", z0, scn.h, n, scn.solver)
-    back = integrate(sys, "bdli", from_vector(fwd.states[-1]), -scn.h,
+    fwd = integrate(sys, BOOLE, z0, scn.h, n, scn.solver)
+    back = integrate(sys, BOOLE, from_vector(fwd.states[-1]), -scn.h,
                      n, scn.solver)
     err = np.abs(np.asarray(back.states[-1]) - z0.as_vector()).max()
     assert err <= n * 100 * scn.solver.tolerance * (1 + np.abs(z0.as_vector()).max())

@@ -66,6 +66,23 @@ def test_src_has_no_unused_imports():
     assert not unused, unused
 
 
+def test_method_text_is_read_in_one_place():
+    """The library calls ``resolve_method`` once, in ``Scenario``'s
+    ``__post_init__``; a run passes on the stepper the scenario holds."""
+    sites = []
+    for path in sorted((ROOT / "src" / "bdli").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call) and "resolve_method" in (
+                    getattr(call.func, "id", None), getattr(call.func, "attr", None)):
+                # ast.walk is breadth-first, so the innermost scope comes last
+                inner = [f.name for f in scopes
+                         if f.lineno <= call.lineno <= f.end_lineno]
+                sites.append(f"{path.stem}.{(inner or ['<module>'])[-1]}")
+    assert sites == ["experiments.__post_init__"]
+
+
 LAYERS = ("fields", "quadrature", "hamiltonian", "integrators", "diagnostics",
           "experiments", "cli")
 
