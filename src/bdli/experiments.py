@@ -484,17 +484,18 @@ def _write_text(key: str, path: Path, text: str):
         path.write_text(text)
 
 
-def _run_paths(scn: Scenario, key: str = "output") -> tuple[Path, Path]:
+def _run_paths(scn: Scenario, key: str) -> tuple[Path, Path]:
     """The series path of a run of ``scn`` and its summary's, checked."""
     series_path = _output_path(key, scn.output or f"{scn.name}_series.csv")
     return series_path, _output_path(key, series_path.with_suffix(".summary.txt"))
 
 
 def _write_series(scn: Scenario, traj: Trajectory, series_path: Path,
-                  relative_errors: bool) -> list[list[float]]:
-    """Write the series file of ``traj``; returns the errors Q - Q0 of H,
-    p_xi and mu, absolute whatever ``relative_errors`` is.  p_xi is NaN for
-    a field without a vector potential, and mu is NaN at rows where B = 0."""
+                  relative_errors: bool, key: str) -> list[list[float]]:
+    """Write the series file of ``traj``, a failed write a ConfigError
+    naming ``key``; returns the errors Q - Q0 of H, p_xi and mu, absolute
+    whatever ``relative_errors`` is.  p_xi is NaN for a field without a
+    vector potential, and mu is NaN at rows where B = 0."""
     sys = scn.system()
     values = []
     for q in QUANTITIES:
@@ -511,7 +512,7 @@ def _write_series(scn: Scenario, traj: Trajectory, series_path: Path,
     h, states, iters = traj.h, traj.states, [0, *traj.iterations]
     row = ",".join(["%.17g"] * 13) + ",%d\n"
     # row by row, so no text copy of the whole series is held in memory
-    with _named(f"output: cannot write {str(series_path)!r}"), \
+    with _named(f"{key}: cannot write {str(series_path)!r}"), \
             series_path.open("w") as f:
         f.write(SERIES_COLUMNS + "\n")
         for i in range(0, len(traj), scn.stride):
@@ -526,29 +527,31 @@ def _max_or_nan(values) -> float:
     return math.nan if any(map(math.isnan, values)) else max(values)
 
 
-def run_scenario(scn: Scenario, relative_errors: bool = False) -> RunSummary:
+def run_scenario(scn: Scenario, relative_errors: bool = False,
+                 key: str = "output") -> RunSummary:
     """Integrate a scenario, write its series and summary files.
 
     The series goes to ``scn.output``, by default ``<name>_series.csv`` in
     the current directory, and the summary next to it with the suffix
-    ``.summary.txt``; both are checked before the integration, and a failed
-    write is a ConfigError naming ``output`` and the path.  Identical
+    ``.summary.txt``; both are checked before the integration, and a bad
+    path or a failed write is a ConfigError naming ``key`` (the setting the
+    caller took the path from) and the path.  Identical
     scenarios produce byte-identical series and summary files.  When the
     integration fails, the series of the states reached so far is written
     to the same path (recorded as the error's ``series_path``) before the
     error propagates; if that write fails, no ``series_path`` is recorded.
     """
-    series_path, summary_path = _run_paths(scn)
+    series_path, summary_path = _run_paths(scn, key)
     try:
         traj = scn.run_trajectory()
     except IntegrationError as exc:
         # keep the states reached before the failure, in the same format;
         # none if a diagnostic is undefined at a reached state or the write fails
         with suppress(FieldSingularityError, ConfigError):
-            _write_series(scn, exc.trajectory, series_path, relative_errors)
+            _write_series(scn, exc.trajectory, series_path, relative_errors, key)
             exc.series_path = str(series_path)
         raise
-    errors = _write_series(scn, traj, series_path, relative_errors)
+    errors = _write_series(scn, traj, series_path, relative_errors, key)
 
     # over the emitted rows, so "final" is the file's last row
     aH, ap, amu = ([abs(e) for e in err[::scn.stride]] for err in errors)
@@ -565,7 +568,7 @@ def run_scenario(scn: Scenario, relative_errors: bool = False) -> RunSummary:
         mean_iters=sum(iters) / len(iters) if iters else 0.0,
         series_path=str(series_path),
     )
-    _write_text("output", summary_path, summary.as_text())
+    _write_text(key, summary_path, summary.as_text())
     return summary
 
 
@@ -688,7 +691,7 @@ def compare_methods(
     for sub in runs:
         _run_paths(sub, "out_dir")
     table_path = _output_path("out_dir", base / f"{scn.name}_compare.txt")
-    summaries = tuple(run_scenario(sub, relative_errors=relative_errors)
+    summaries = tuple(run_scenario(sub, relative_errors, "out_dir")
                       for sub in runs)
     report = ComparisonReport(scn.name, summaries)
     _write_text("out_dir", table_path, report.as_text())

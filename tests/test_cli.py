@@ -566,17 +566,25 @@ def test_file_failure_exit_2(tmp_path, monkeypatch, capsys, argv, message):
     (["run", "banana", "--steps", "4", "--out", "s.csv"], "s.summary.txt", "output"),
     (["compare", "banana", "--steps", "4", "--out", "cmp"], "cmp/banana_compare.txt",
      "out_dir"),
-], ids=["run-summary", "compare-table"])
+    (["compare", "banana", "--steps", "4", "--out", "cmp"],
+     "cmp/banana_boris_series.summary.txt", "out_dir"),
+    (["run", "banana", "--steps", "4", "--out", "s.csv"], "s.csv", "output"),
+    (["compare", "banana", "--steps", "4", "--out", "cmp"],
+     "cmp/banana_bdli_series.csv", "out_dir"),
+], ids=["run-summary", "compare-table", "compare-summary", "run-series",
+        "compare-series"])
 def test_failed_text_write_exit_2(tmp_path, monkeypatch, capsys, argv, path, key):
-    write_text = Path.write_text
+    # a write fails under the key its path was checked under: compare checks
+    # every method's series and summary path as out_dir before the runs
+    open_ = Path.open  # write_text opens through it too
 
     def full(self, *args, **kwargs):  # a full disk under this one file
         if self == Path(path):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        return write_text(self, *args, **kwargs)
+        return open_(self, *args, **kwargs)
 
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(Path, "write_text", full)
+    monkeypatch.setattr(Path, "open", full)
     assert main(argv) == 2
     assert capsys.readouterr().err == (
         f"config error: {key}: cannot write {path!r}: No space left on device\n")

@@ -401,27 +401,39 @@ def test_property_contraction_stop_stays_near_the_strict_state(start, rule, h, o
         assert gap <= 4.0 * bdli.integrators.KAPPA * _scale(z0)
 
 
+def _extrapolated_start(states, k, degree):
+    """The start of step k of the module docstring, as grouped there."""
+    q = states[k::-1]  # newest first
+    if degree == 8:
+        return tuple(
+            9.0 * (q[0][i] - q[7][i]) - 36.0 * (q[1][i] - q[6][i])
+            + 84.0 * (q[2][i] - q[5][i]) - 126.0 * (q[3][i] - q[4][i]) + q[8][i]
+            for i in (3, 4, 5))
+    return tuple(
+        7.0 * (q[0][i] - q[5][i]) - 21.0 * (q[1][i] - q[4][i])
+        + 35.0 * (q[2][i] - q[3][i]) + q[6][i]
+        for i in (3, 4, 5))
+
+
+@pytest.mark.parametrize("opts,degree", [
+    (SolverOptions(), 8),  # degree 8 from step 8 on
+    (SolverOptions(1e-15), 6),  # degree 6 from step 6 on
+], ids=["degree8", "degree6"])
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(_starts(), st.sampled_from(RULES + [SKEWED]), _h)
-def test_property_kernel_holds_no_per_step_state(start, rule, h):
+def test_property_kernel_holds_no_per_step_state(opts, degree, start, rule, h):
     # integrate steps every row with one kernel; a fresh kernel per row,
-    # from the same row and the same degree-6 start, gives the same step bit
-    # for bit, so nothing of one step carries over to the next
+    # from the same row and the same extrapolated start, gives the same step
+    # bit for bit, so nothing of one step carries over to the next
     sys, z0 = start
     try:
-        traj = integrate(sys, rule, from_vector(z0), h, 30, TOL)
+        traj = integrate(sys, rule, from_vector(z0), h, 30, opts)
     except bdli.IntegrationError:
         assume(False)
     states = traj.states
     for k in range(30):
-        v_start = None
-        if k >= 6:  # the extrapolation of the module docstring, as grouped
-            v_start = tuple(
-                7.0 * (states[k][i] - states[k - 5][i])
-                - 21.0 * (states[k - 1][i] - states[k - 4][i])
-                + 35.0 * (states[k - 2][i] - states[k - 3][i]) + states[k - 6][i]
-                for i in (3, 4, 5))
-        rep = dli_step(dli_kernel(sys, rule, h, TOL), states[k], v_start)
+        v_start = _extrapolated_start(states, k, degree) if k >= degree else None
+        rep = dli_step(dli_kernel(sys, rule, h, opts), states[k], v_start)
         assert rep.state == states[k + 1]
         assert rep.iterations == traj.iterations[k]
         assert rep.residual_norm == traj.residuals[k]
@@ -461,13 +473,13 @@ def _mean_iterations(name, h, n_steps, opts=None):
 
 def test_bdli_drift2d_fine_step_iteration_count():
     # at h = pi/1280 the extrapolated start is usually within the tolerance,
-    # so ~1.1 iterations per step are left (from v0 it takes ~3.1)
+    # so ~1.01 iterations per step are left (from v0 it takes ~3.1)
     assert _mean_iterations("drift2d", math.pi / 1280, 2000) <= 2.5
 
 
 @pytest.mark.parametrize("name,h,n_steps,bound", [
     # 3.64 and 2.16 with the strict test alone and the quadratic start (3.00
-    # and 2.03 with the contraction estimate); ~2.7 and ~1.1 here
+    # and 2.03 with the contraction estimate); 2.02 and 1.01 here
     ("banana", None, 500, 3.2),
     ("drift2d", math.pi / 1280, 2000, 2.1),
 ])
@@ -476,7 +488,8 @@ def test_contraction_stop_saves_the_confirming_iterate(name, h, n_steps, bound):
 
 
 @pytest.mark.parametrize("name,h,n_steps,bound", [
-    # 2.68 and 1.09 here; 3.00 and 2.03 from the quadratic start
+    # 2.02 and 1.01 here, where the default tolerance starts from degree 8;
+    # 2.68 and 1.09 from degree 6 and 3.00 and 2.03 from the quadratic start
     ("banana", None, 500, 2.85),
     ("drift2d", math.pi / 1280, 2000, 1.2),
 ])
@@ -486,7 +499,8 @@ def test_degree6_start_saves_the_correcting_iterate(name, h, n_steps, bound):
 
 def test_degree6_start_is_accepted_on_the_first_iterate():
     # from step 6 on, the start is the extrapolation; on the fine rung it is
-    # usually already within the tolerance (92% of the steps here)
+    # usually already within the tolerance (99.8% of the steps here from the
+    # default tolerance's degree-8 start, 92% from degree 6)
     iters = np.array(_trajectory("drift2d", math.pi / 1280, 2000).iterations)
     assert np.mean(iters[6:] == 1) >= 0.85
 
@@ -505,6 +519,37 @@ def test_degree6_start_is_accepted_on_the_first_iterate():
 def test_degree6_start_is_not_swamped_by_round_off(tol, bound):
     opts = SolverOptions(tolerance=tol)
     assert _mean_iterations("drift2d", math.pi / 1280, 2000, opts) <= bound
+
+
+def test_degree8_start_leaves_two_iterates_on_banana():
+    # at the default tolerance the degree-8 start is close enough for the
+    # contraction estimate to stop at the second iterate: 2.02 here (2.68
+    # from degree 6)
+    assert _mean_iterations("banana", None, 500) <= 2.05
+
+
+def test_degree8_start_is_accepted_on_the_first_iterate():
+    # on the fine rung 99.95% of the steps from step 8 on (91.7% from degree 6)
+    iters = np.array(_trajectory("drift2d", math.pi / 1280, 2000).iterations)
+    assert np.mean(iters[8:] == 1) >= 0.98
+
+
+# sha256 of the states, the int64 iteration counts and the float64 residuals
+# of 2000 drift2d steps at h = pi/1280 and tolerance 1e-15, taken when every
+# tolerance started from the degree-6 extrapolation.  Below DEGREE8_TOLERANCE
+# the start is still degree 6, so not one bit of these steps may move.
+DEGREE6_DIGESTS = (
+    "5e6b1b04ce682299f792bdc6bfda072b6f7080d4e8159ad8909a0629b3937d4f",
+    "c2844bd4f4ea6524f25481b50612d62bda7b71fdd72ea7b6da2c248cdc9e8f62",
+    "e951859a2ca237b33cb876b05f38ba404fa200c59aa367529a1f66360f1a1e65")
+
+
+def test_degree6_start_below_the_gate_is_bitwise_unchanged():
+    traj = _trajectory("drift2d", math.pi / 1280, 2000, SolverOptions(1e-15))
+    got = (np.array(traj.states), np.array(traj.iterations, dtype=np.int64),
+           np.array(traj.residuals))
+    assert tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                 for a in got) == DEGREE6_DIGESTS
 
 
 def test_integrate_keeps_each_steps_residual():
@@ -957,13 +1002,13 @@ def test_integrate_nonfinite_check_reads_every_component(j, bad):
 # above are what such a change must keep.
 STATE_DIGESTS = {
     ("banana", "bdli"):
-        "773a42b0e87efc4f79000ff0f9ec759607baeca62161dc7b16905bda6bdfca08",
+        "088c89ea5e0433382f49cf58f60e6ed754077285019a26b8423f494f5a3266d2",
     ("banana", "boris"):
         "552502fb8e8944b04639b549718a20f70b9e9ed1381f7fa6a9e0d085774175ee",
     ("banana", "rk4"):
         "88c2bf5bed5feb6e77901c38e444c09b9637b84780058b96f65a9d248d3efdc2",
     ("drift2d", "bdli"):
-        "e471447b9b42c111dc557bccfe72896ddc67db114709c9d973aa511fdc640b48",
+        "dac6f183f1aec708246f74d4e01b122a20673f5fc656140379d86fde7c820a38",
     # drift2d has E != 0, so these two also pin the order of the E terms
     ("drift2d", "boris"):
         "083f3cca12982cca089f8b8f504e1095a38458146332f78faa2d80eeae2eb524",
@@ -987,11 +1032,11 @@ def test_step_kernels_bitwise_pinned(name, method):
 # report, next to the states they lead to.
 SOLVER_DIGESTS = {
     "banana": (
-        "53d4ff6f81236366ca33779e6eabf0f29bf88e6900dd90e931b4ed3a69f0ec00",
-        "afa51380ec10eccbc75482416e836eda51b18a3606520e947614b684dfeb2c57"),
+        "2176e26e2025005182f838862b3538d0cce342a0ca99976da54581e9c0857b18",
+        "c53697e433ae032d7a51e73f0762943cb0c5c916044d63a9291ece2e8b677009"),
     "drift2d": (
-        "f62a41bb045c517203dfa456c2bd7d0adbe1babc29c853d57ef25d3201571a9d",
-        "3701c1b1d6a731e5fa509bebedf9e66fcf600374ca2e4cf1158f52757fa25628"),
+        "d2dcfe48cb08593a1f0d880885276b4b69255a720b3c19e2137c3fd2cb5e755f",
+        "9ec632ed7be6616a36b319fe756a8fe98fb8cac53527c84d49ed856100768025"),
 }
 
 
@@ -1007,7 +1052,7 @@ def test_solver_iterations_and_residuals_bitwise_pinned(name):
 
 def test_bdli_banana_iteration_count():
     # the exact rotation leaves only the drift of B along the segment to the
-    # iteration: ~2.7 iterations per step (3.0 from the quadratic start; with
+    # iteration: ~2.0 iterations per step (3.0 from the quadratic start; with
     # the strict stopping test alone, 3.6 from it and 3.9 from v0), against
     # 13 for a Picard iteration that treats v x B explicitly
     assert _mean_iterations("banana", None, 500) <= 5.0

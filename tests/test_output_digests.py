@@ -20,16 +20,16 @@ from bdli.cli import main
 PINNED = {
     "banana": (
         ["banana"],
-        "a5b0fd9b7703b7a531bb13b805b909a2a7155bbe9eb1338e681b7125a7a31ad3",
-        "a8cc426598e57685220c8fe059b59efc787af6010db337002a7de8e43f77d9c7"),
+        "cc9e43295d0bcd64e016f598e50466d189b649c1a9c0461ed08bfdab5b5210bb",
+        "c87172445e25a37db8223110317630a4bdc93fe97f8c267c96df851a29cfdd82"),
     "transit": (
         ["transit"],
-        "7ac680e9cb2285be3808f69f54df5703f9d5e6fabf5605ce3e2aefc384f9083f",
-        "458ce58f2548de17c9e673dfe0f632ff2f9eb514b9b857cb658aa1d3e05e2f5e"),
+        "5f8500a0fffcf4aeb8d212160ba84f62780d0189af22163406ae797f14db8bdb",
+        "25f9f3983eb61edf99e947e68bd72f55e4660081bb5704fb138107503238ea81"),
     "drift2d": (
         ["drift2d"],
-        "da4c57012c3024dbca7d354ad42759dbf3f1727c8ee0187b7986b9e2724c2667",
-        "031e89a17c02da955b707696e1c7118a5161719f63cd7205875f378d1f06f27d"),
+        "5e156d3d0aab799163c813840ab661580886eeaa0c79e647110c8cb04a809c8d",
+        "eb6a779a8221d31cadd85e8b6c748dda02012fd11636f051d47d684cee0301bb"),
     "banana-boris": (
         ["banana", "--method", "boris"],
         "312c0c43228e8a492fa058cfa3512436a8a84ccd1e2eb255c6c2edda451ca0f0",
@@ -41,14 +41,14 @@ PINNED = {
     # the summary errors stay absolute: the same summary as "banana"
     "banana-relative-errors": (
         ["banana", "--relative-errors"],
-        "910554c5dfaeaeed30dbc10ac81413fac902a4f7f31e5376f3ac70f3d9fb59d3",
-        "a8cc426598e57685220c8fe059b59efc787af6010db337002a7de8e43f77d9c7"),
+        "b359d53ca919da4d5b45436deeee89448b3aec73833b32a9f8ada34a2709e7a6",
+        "c87172445e25a37db8223110317630a4bdc93fe97f8c267c96df851a29cfdd82"),
     # a config with stride 7, which does not divide 2000: the summary's
     # final_abs_err_* come from the last emitted row, not the last state
     "banana-stride-7": (
         None,
-        "fa177a879c7f01f1f9bf44ab1066a342d84b331d97b3efd2ec96c373cb89fc95",
-        "86c3e32423e7890ee77105026ce5a63029bdc6ebed6e9510de996141e4782d6d"),
+        "d2daa62f67e15858847692d4b84a02b230cd4421a2bdfb35fed4a44f83c4b31c",
+        "64e40739aa76924d12047832d5c04fafde3b31316b046180d9378f0e9f213fbf"),
 }
 
 
