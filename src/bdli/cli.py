@@ -12,8 +12,11 @@ the config's own), boris or rk4.
 Exit codes: 0 success, 2 configuration error, 3 solver non-convergence or
 a non-finite state, 4 field singularity.  On 3 and 4 ``run`` still writes
 the series of the states reached before the failure and names its path.
-The library raises each error where it finds it, a bad input or output
-path before the first integration; ``main`` alone maps errors to codes.
+``--out`` is the series file of ``run``, the table file of ``convergence``
+and the directory of ``compare``; the driver each command calls checks that
+path and writes to it.  The library raises each error where it finds it, a
+bad input or output path before the first integration; ``main`` alone maps
+errors to codes.
 """
 
 from __future__ import annotations
@@ -30,8 +33,6 @@ from .experiments import (
     load_run,
     run_scenario,
     _BUILTIN_DOCS,
-    _output_path,
-    _write_text,
 )
 from .fields import FieldSingularityError
 from .integrators import NonConvergenceError, SingularityError
@@ -67,11 +68,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_convergence(args) -> int:
     scn, hs, href, _ = _load_run(args)
-    out = _output_path("out", args.out) if args.out else None
-    result = convergence_study(scn, hs, href)
-    sys.stdout.write(result.as_text())
-    if out:
-        _write_text("out", out, result.as_text())
+    sys.stdout.write(convergence_study(scn, hs, href, args.out).as_text())
     return EXIT_OK
 
 

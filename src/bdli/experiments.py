@@ -22,6 +22,10 @@ config or builtin name and the command-line flags into a ``Scenario``.
 
 Output: a comma-separated series file (one row per recorded state) plus a
 key-value summary file; both are deterministic for identical scenarios.
+Each driver checks its own output paths before the first integration and
+writes its own files: ``run_scenario`` the series and summary at
+``Scenario.output``, ``convergence_study`` its table at ``out`` and
+``compare_methods`` every file in ``out_dir``.
 """
 
 from __future__ import annotations
@@ -246,14 +250,21 @@ def _count(key: str, value) -> int:
     return _coerce(key, int, value)
 
 
+def _object(key: str, value, keys) -> dict:
+    """``value`` if it is an object (a dict) whose keys are all in ``keys``;
+    otherwise a ConfigError naming ``key``: the one shape check of the
+    document and of its ``field``, ``solver``, ``rule`` and ``study``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key}: expected an object, got {value!r}")
+    unknown = set(value) - keys
+    if unknown:
+        raise ConfigError(f"{key}: unknown key(s) {', '.join(sorted(unknown))}")
+    return value
+
+
 def _inline_rule(spec) -> QuadratureRule:
     """A config's own rule from ``{name, pairs, degree}``."""
-    if not isinstance(spec, dict):
-        raise ConfigError(f"rule: expected an object {{name, pairs, degree}}, "
-                          f"got {spec!r}")
-    extra = set(spec) - {"name", "pairs", "degree"}
-    if extra:
-        raise ConfigError(f"rule: unknown key(s) {sorted(extra)}")
+    spec = _object("rule", spec, {"name", "pairs", "degree"})
     name = spec.get("name")
     if not isinstance(name, str):
         raise ConfigError(f"rule: name must be a string, got {name!r}")
@@ -269,11 +280,7 @@ def _inline_rule(spec) -> QuadratureRule:
 def _scenario_from_dict(doc: dict, source: str) -> Scenario:
     """The scenario of a config document, which ``"builtin": <name>`` lays
     over that builtin's document.  Only maps keys: Scenario checks values."""
-    unknown = set(doc) - _SCENARIO_KEYS - _RESERVED_KEYS
-    if unknown:
-        raise ConfigError(
-            f"{source}: unknown key(s) {', '.join(sorted(unknown))!s}"
-        )
+    _object(source, doc, _SCENARIO_KEYS | _RESERVED_KEYS)
     if "builtin" in doc:
         if doc["builtin"] not in BUILTIN_SCENARIOS:  # a tuple: [1] is no TypeError
             raise ConfigError(
@@ -284,14 +291,9 @@ def _scenario_from_dict(doc: dict, source: str) -> Scenario:
         if key not in doc:
             raise ConfigError(f"{key}: required unless 'builtin' is given")
 
-    fspec = doc["field"]
-    if isinstance(fspec, str):
-        fspec = {"name": fspec}
-    elif not isinstance(fspec, dict):
-        raise ConfigError("field: expected a name or {name, params}")
-    extra = set(fspec) - {"name", "params"}
-    if extra:
-        raise ConfigError(f"field: unknown key(s) {sorted(extra)}")
+    fspec = doc["field"]  # a string is the field's name
+    fspec = _object("field", {"name": fspec} if isinstance(fspec, str) else fspec,
+                    {"name", "params"})
     updates = {"field_name": fspec.get("name"), "field_params": fspec.get("params", {})}
     for key in ("name", "mass", "charge", "x0", "v0", "h", "n_steps", "method",
                 "stride", "output"):
@@ -302,13 +304,7 @@ def _scenario_from_dict(doc: dict, source: str) -> Scenario:
         if "method" not in doc:  # which runs unless the document names a method
             updates["method"] = f"dli:{updates['rule'].name}"
     if "solver" in doc:
-        sspec = doc["solver"]
-        if not isinstance(sspec, dict):
-            raise ConfigError("solver: expected an object")
-        extra = set(sspec) - _SOLVER_KEYS
-        if extra:
-            raise ConfigError(f"solver: unknown key(s) {sorted(extra)}")
-        sspec = dict(sspec)
+        sspec = dict(_object("solver", doc["solver"], _SOLVER_KEYS))
         if "tolerance" in sspec:
             sspec["tolerance"] = _coerce("solver: tolerance", float, sspec["tolerance"])
         if "max_iterations" in sspec:
@@ -325,12 +321,7 @@ def _study_and_methods(doc: dict) -> tuple[list | None, float | None, list]:
     ``reference_h`` (None where not given) and its ``methods`` list.  Only
     their shapes are checked: convergence_study and compare_methods check
     them against the run."""
-    study = doc.get("study", {})
-    if not isinstance(study, dict):
-        raise ConfigError(f"study: expected an object, got {study!r}")
-    unknown = set(study) - {"h_list", "reference_h"}
-    if unknown:
-        raise ConfigError(f"study: unknown key(s) {sorted(unknown)}")
+    study = _object("study", doc.get("study", {}), {"h_list", "reference_h"})
     hs = href = None
     if "h_list" in study:
         hs = study["h_list"]
@@ -602,7 +593,7 @@ def _loglog_slope(rows) -> float:
 
 
 def convergence_study(
-    scn: Scenario, h_list=None, reference_h: float | None = None
+    scn: Scenario, h_list=None, reference_h: float | None = None, out=None
 ) -> ConvergenceStudy:
     """Self-convergence of the scenario's method over its total time.
 
@@ -612,7 +603,9 @@ def convergence_study(
     be the finest.  The slope is the least-squares fit of log(error) against
     log(h).  A ConfigError starts with ``study:`` and names ``h_list``,
     ``reference_h``, ``h`` (the default ladder's) or the total time.  Every
-    rung's scenario is built, and so checked, before the first one runs.
+    rung's scenario is built, and so checked, before the first one runs, and
+    so is the path ``out`` (if given), to which the study's table is written;
+    a bad or unwritable ``out`` is a ConfigError starting with ``out:``.
     """
     T = scn.total_time
     if not math.isfinite(T):
@@ -637,11 +630,15 @@ def convergence_study(
                 f"{key}: step {h!r} does not divide the total time {T!r}")
         with _named(f"{key}: step {h!r}"):
             rungs.append(replace(scn, h=h, n_steps=n))
+    table_path = _output_path("out", out) if out else None
     *coarse, fine = rungs
     ref = fine.run_trajectory().states[-1]
     rows = tuple((h, math.dist(r.run_trajectory().states[-1], ref))
                  for h, r in zip(hs, coarse))
-    return ConvergenceStudy(scn.method, reference_h, rows, _loglog_slope(rows))
+    study = ConvergenceStudy(scn.method, reference_h, rows, _loglog_slope(rows))
+    if table_path:
+        _write_text("out", table_path, study.as_text())
+    return study
 
 
 @dataclass(frozen=True)

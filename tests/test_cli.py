@@ -118,6 +118,45 @@ def test_top_level_list_exit_2(tmp_path, capsys):
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,doc", [
+    (None, {"builtin": "banana", "bogus": 1}),
+    ("field", {"builtin": "banana", "field": {"name": "tokamak", "bogus": 1}}),
+    ("solver", {"builtin": "banana", "solver": {"tolerance": 1e-14, "bogus": 1}}),
+    ("rule", {"builtin": "banana", "rule": {"name": "w2", "pairs": [[0, 0.5], [1, 0.5]],
+                                            "degree": 1, "bogus": 1}}),
+    ("study", {"builtin": "banana", "study": {"h_list": ["pi/10"], "bogus": 1}}),
+], ids=["document", "field", "solver", "rule", "study"])
+def test_unknown_key_has_one_message_form(tmp_path, capsys, no_integration, key, doc):
+    # the document (named by its path) and each object in it refuse a key
+    # they do not know in the same words
+    cfg = write(tmp_path, doc)
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {key or cfg}: unknown key(s) bogus\n")
+
+
+def test_unknown_keys_are_listed_sorted(tmp_path, capsys, no_integration):
+    cfg = write(tmp_path, {"builtin": "banana",
+                           "field": {"name": "tokamak", "zeta": 1, "alpha": 2}})
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: field: unknown key(s) alpha, zeta\n"
+
+
+@pytest.mark.parametrize("key", ["field", "solver", "rule", "study"])
+def test_list_for_an_object_exit_2(tmp_path, capsys, no_integration, key):
+    cfg = write(tmp_path, {"builtin": "banana", key: [1]})
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {key}: expected an object, got [1]\n")
+
+
+def test_field_string_is_its_name(tmp_path):
+    named = bdli.load_run(write(tmp_path, {"builtin": "banana", "field": "uniform"}))[0]
+    assert named == bdli.load_run(
+        write(tmp_path, {"builtin": "banana", "field": {"name": "uniform"}}))[0]
+    assert (named.field_name, named.field_params) == ("uniform", {})
+
+
 @pytest.mark.parametrize("doc,key", [
     ({"builtin": "banana", "n_steps": 0}, "n_steps"),
     ({"builtin": "banana", "solver": 3}, "solver"),
@@ -493,6 +532,15 @@ def test_out_directory_refused_before_integrating(tmp_path, capsys, no_integrati
     assert main([command, "banana", "--steps", "16", "--out", str(tmp_path)]) == 2
     assert f"config error: {key}:" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_convergence_reports_a_bad_study_before_a_bad_out(tmp_path, capsys,
+                                                          no_integration):
+    # convergence_study checks its ladder first, then the table path
+    cfg = write(tmp_path, {"builtin": "banana", "n_steps": 16,
+                           "study": {"h_list": [0]}})
+    assert main(["convergence", cfg, "--out", str(tmp_path)]) == 2
+    assert "config error: study: h_list:" in capsys.readouterr().err
 
 
 def test_compare_out_file_refused(tmp_path, capsys):

@@ -567,6 +567,35 @@ def test_convergence_study_defaults():
         scn, [h, h / 2, h / 4, h / 8], h / 128)
 
 
+@pytest.fixture
+def integrate_calls(monkeypatch):
+    """The list of integrate calls a run makes, one None per call."""
+    calls, real = [], bdli.experiments.integrate
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bdli.experiments, "integrate", counting)
+    return calls
+
+
+def test_convergence_study_refuses_out_before_the_first_rung(tmp_path,
+                                                             integrate_calls):
+    scn = replace(builtin_scenario("banana"), n_steps=4)
+    with pytest.raises(ConfigError, match="^out: "):
+        convergence_study(scn, out=tmp_path)
+    assert integrate_calls == []
+
+
+def test_convergence_study_writes_its_table_to_out(tmp_path, integrate_calls):
+    scn = replace(builtin_scenario("banana"), n_steps=4)
+    out = tmp_path / "new" / "study.txt"  # the missing parent is created
+    study = convergence_study(scn, out=str(out))
+    assert out.read_text() == study.as_text()
+    assert len(integrate_calls) == 5  # the four rungs and the reference
+
+
 def test_loglog_slope_is_nan_when_an_error_is_zero():
     assert math.isnan(_loglog_slope(((0.1, 1e-3), (0.05, 0.0))))
     assert _loglog_slope(((0.1, 1e-2), (0.05, 2.5e-3))) == pytest.approx(2.0)

@@ -509,8 +509,10 @@ def test_degree6_start_is_accepted_on_the_first_iterate():
     # the round-off in the accepted velocities, amplified by the
     # extrapolation's coefficients (their absolute sum is 2^(p+1) for degree
     # p), is near these tolerances.  Over these 2000 steps degree 6 takes
-    # 1.43 and 1.98 iterations; the quadratic start 2.03 and 2.09, degree 7
-    # 1.73 and 2.00, degree 8 1.90 and 2.01.  At 1e-16 the contraction
+    # 1.304 and 1.9785 iterations; the quadratic start 2.0325 and 2.0895,
+    # degree 7 1.843 and 2.001 (its coefficients paired as in the degree-6
+    # form; 1.7255 at 1e-15 summed in order), and degree 8, run below
+    # DEGREE8_TOLERANCE, 1.8285 and 2.004.  At 1e-16 the contraction
     # estimate caps every degree near 2, so 1e-15 is where a start of too
     # high a degree shows.
     (1e-15, 1.55),

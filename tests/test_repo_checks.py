@@ -169,3 +169,16 @@ def test_experiments_names_config_errors_in_one_place():
              and getattr(node.exc.func, "id", None) == "ConfigError"
              and owner.get(handler) not in allowed]
     assert not found, found
+
+
+def test_cli_imports_no_private_experiments_name():
+    """The drivers check and write their own output paths, so ``cli.py``
+    needs no private helper of ``experiments``; ``_BUILTIN_DOCS`` is the
+    one exception, since ``list-builtins`` prints a builtin's step as its
+    document writes it (``h=pi/10``)."""
+    tree = ast.parse((ROOT / "src" / "bdli" / "cli.py").read_text())
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level
+               and node.module == "experiments"
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == ["_BUILTIN_DOCS"]
