@@ -8,7 +8,6 @@ tolerance).  Boris and RK4 steppers are included as references, along
 with conserved-quantity diagnostics and reproducible experiment drivers.
 """
 
-from .diagnostics import QUANTITIES, quantity_series, series_errors
 from .experiments import (
     BUILTIN_SCENARIOS,
     ComparisonReport,
@@ -36,7 +35,8 @@ from .fields import (
     UniformField,
     make_field,
 )
-from .hamiltonian import ChargedParticleSystem, PhaseState
+from .hamiltonian import (QUANTITIES, ChargedParticleSystem, PhaseState,
+                          quantity_series, series_errors)
 from .integrators import (
     DLIKernel,
     IntegrationError,

@@ -40,10 +40,10 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from sys import maxsize
 
-from .diagnostics import QUANTITIES, quantity_series, series_errors
 from .fields import (FieldSingularityError, PotentialUnavailableError, as_vec3,
                      make_field)
-from .hamiltonian import ChargedParticleSystem, PhaseState
+from .hamiltonian import (QUANTITIES, ChargedParticleSystem, PhaseState,
+                          quantity_series, series_errors)
 from .integrators import (
     IntegrationError,
     SolverOptions,

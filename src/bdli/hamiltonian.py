@@ -1,4 +1,5 @@
-"""Non-canonical Hamiltonian structure of the Lorentz force system.
+"""Non-canonical Hamiltonian structure of the Lorentz force system and its
+invariants.
 
 A charged particle of mass m and charge q in static fields obeys
 
@@ -12,14 +13,26 @@ skew-symmetric structure matrix
            (   -I/m   (q/m^2) B^(x) )
 
 where B^ is the hat map of B, the skew matrix with B^ v = v x B.  The
-steppers apply K through its blocks and never build it.  Everything here
-is a pure function over immutable inputs; a state is a row
-``(x, y, z, vx, vy, vz)`` of floats, and ``PhaseState`` holds one as two
-3-tuples.
+steppers apply K through its blocks and never build it.  For an
+axisymmetric field the toroidal component of the conjugate momentum
+p = m v + q A is also a constant of the exact motion,
+
+    p_xi = m (x v_y - y v_x) + q R A_xi = m (x v_y - y v_x) + q (x A_y - y A_x),
+
+and the magnetic moment mu = |v_perp|^2 / (2 |B|) is the adiabatic
+invariant of the gyro-motion (v_perp^2 / 2R for a field with |B| = R).
+Errors are absolute differences Q(z_n) - Q(z_0), or relative on request.
+
+Everything here is a pure function over immutable inputs.  A state is a
+row ``(x, y, z, vx, vy, vz)`` of floats, which ``PhaseState`` holds as two
+3-tuples.  The invariants are computed as series: from rows such as
+``Trajectory.states``, one float per row in a list; a single state is the
+one-row case.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .fields import FieldModel, as_vec3
@@ -66,3 +79,61 @@ def energies(sys: ChargedParticleSystem, states) -> list[float]:
     half_m, q = 0.5 * sys.mass, sys.charge
     return [half_m * (vx * vx + vy * vy + vz * vz) + q * phi_at(x, y, z)
             for x, y, z, vx, vy, vz in states]
+
+
+def toroidal_momenta(sys: ChargedParticleSystem, states) -> list[float]:
+    """m (x v_y - y v_x) + q R A_xi of every row (x, y, z, vx, vy, vz)."""
+    a_at = sys.field.a_at
+    m, q = sys.mass, sys.charge
+    out = []
+    for x, y, z, vx, vy, _ in states:
+        ax, ay, _ = a_at(x, y, z)
+        out.append(m * (x * vy - y * vx) + q * (x * ay - y * ax))
+    return out
+
+
+def magnetic_moments(sys: ChargedParticleSystem, states) -> list[float]:
+    """|v_perp|^2 / (2 |B|), v_perp orthogonal to B, of every row; NaN at
+    rows where B = 0, where mu is undefined."""
+    b_at = sys.field.b_at
+    out = []
+    for x, y, z, vx, vy, vz in states:
+        bx, by, bz = b_at(x, y, z)
+        b2 = bx * bx + by * by + bz * bz
+        if b2 == 0.0:
+            out.append(math.nan)
+            continue
+        bnorm = math.sqrt(b2)
+        vpar = (vx * bx + vy * by + vz * bz) / bnorm
+        vperp2 = vx * vx + vy * vy + vz * vz - vpar * vpar
+        out.append(vperp2 / (2.0 * bnorm))
+    return out
+
+
+_SERIES = {"H": energies, "p_xi": toroidal_momenta, "mu": magnetic_moments}
+QUANTITIES = tuple(_SERIES)
+
+
+def quantity_series(sys: ChargedParticleSystem, traj, quantity: str) -> list[float]:
+    """Value of a conserved quantity at every state of ``traj.states``."""
+    try:
+        values = _SERIES[quantity]
+    except KeyError:
+        raise ValueError(
+            f"unknown quantity {quantity!r} (expected one of {QUANTITIES})"
+        ) from None
+    return values(sys, traj.states)
+
+
+def series_errors(values, relative: bool = False) -> list[float]:
+    """Q(z_n) - Q(z_0) of a quantity series.
+
+    With ``relative=True`` errors are divided by |Q(z_0)| (left absolute
+    when the reference value is exactly zero).
+    """
+    q0 = values[0]
+    err = [q - q0 for q in values]
+    if relative and q0 != 0.0:
+        scale = abs(q0)
+        err = [e / scale for e in err]
+    return err

@@ -85,7 +85,7 @@ Both run once per step and call no builtin reduction: ``|z0|_inf`` and
 a strictly greater item replaces the running value, so a tie keeps the
 first item and a NaN counts only in first place), and ``integrate`` tests
 each row with six chained ``isfinite`` calls; ``max(map(abs, z0))`` alone
-cost ~0.9 us of a ~14 us step.
+costs ~0.45 us of a ~5-9 us step (CPython 3.11 on a 2-vCPU Xeon).
 """
 
 from __future__ import annotations
@@ -449,6 +449,18 @@ def resolve_method(method: str, own: QuadratureRule | None = None):
         raise
 
 
+def _round_off_note(z0, tol: float) -> str:
+    """The end of a failed step's message: a note when its stop scale
+    ``tol (1 + |z0|_inf)`` is within 8 ulp of ``|z0|_inf``, so that the
+    rounding of the update alone can keep it from converging; else ''."""
+    m = max(map(abs, z0))
+    scale = tol * (1.0 + m)
+    ulps = scale / math.ulp(m)
+    return (f"; tolerance {tol:.3g} is below the round-off of the update: its "
+            f"stop scale {scale:.3e} is {ulps:.1f} ulp of |z0|_inf = {m:.3g}"
+            if ulps <= 8.0 else "")
+
+
 def integrate(sys: ChargedParticleSystem, stepper, z0: PhaseState, h: float,
               n_steps: int, opts: SolverOptions | None = None) -> Trajectory:
     """Apply a stepper n_steps times from z0.
@@ -511,7 +523,8 @@ def integrate(sys: ChargedParticleSystem, stepper, z0: PhaseState, h: float,
                 if not converged:
                     raise NonConvergenceError(
                         f"{label}: fixed-point solver did not converge at step "
-                        f"{k} (residual {residual:.3e} after {n} iterations)", traj)
+                        f"{k} (residual {residual:.3e} after {n} iterations)"
+                        + _round_off_note(states[-1], kernel.tolerance), traj)
             else:
                 z, n, residual = stepper(sys, z, h), 0, 0.0
         except FieldSingularityError as exc:

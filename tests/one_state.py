@@ -7,8 +7,8 @@ value is the one-row case, with the series' policies: ``a_at`` raises
 B = 0.
 """
 
-from bdli.diagnostics import magnetic_moments, toroidal_momenta
-from bdli.hamiltonian import PhaseState, energies
+from bdli.hamiltonian import (PhaseState, energies, magnetic_moments,
+                              toroidal_momenta)
 
 
 def from_vector(z) -> PhaseState:

@@ -17,7 +17,7 @@ from bdli import (
     rk4_step,
     series_errors,
 )
-from bdli.diagnostics import magnetic_moments
+from bdli.hamiltonian import magnetic_moments
 from one_state import energy, from_vector, magnetic_moment, toroidal_momentum
 
 

@@ -295,3 +295,14 @@ def test_registry():
     with pytest.raises(ValueError, match="unknown field model"):
         make_field("nope")
 
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_MODELS))
+def test_each_registered_model_defines_every_evaluator_itself(name):
+    """Each registered class holds ``b_at``, ``e_at``, ``phi_at`` and
+    ``a_at`` in its own ``__dict__`` (an alias such as
+    ``QuarticWellField.b_at = UniformField.b_at`` counts), so a per-class
+    hook on an evaluator sees every call on that class's fields."""
+    cls = FIELD_MODELS[name]
+    assert [a for a in ("b_at", "e_at", "phi_at", "a_at")
+            if not callable(cls.__dict__.get(a))] == []

@@ -930,11 +930,35 @@ def test_integrate_nonconvergence_abort_with_partial():
     z0 = PhaseState((2.0, 0.0, 0.0), (0.0, 0.0, 0.0))
     with pytest.raises(NonConvergenceError) as info:
         integrate(sys, BOOLE, z0, 1.0, 5, SolverOptions(max_iterations=8))
-    # the message names the stepper, here the DLI step with Boole's rule
-    assert str(info.value).startswith("dli:boole: fixed-point solver did not "
-                                      "converge at step 0")
+    # the message names the stepper, here the DLI step with Boole's rule; at
+    # the default tolerance the stop scale (3e-14) is far above the
+    # round-off of |z0|_inf = 2, so it carries no round-off note
+    assert str(info.value) == ("dli:boole: fixed-point solver did not converge "
+                               "at step 0 (residual inf after 6 iterations)")
     assert len(info.value.trajectory) == 1
     assert info.value.step_index == len(info.value.trajectory.iterations)
+
+
+def test_failure_below_the_round_off_of_the_update_says_so():
+    # at tolerance 1e-16 the builtin drift2d's stop scale tol (1 + |z0|_inf)
+    # is 4.1 ulp of |z0|_inf = 0.144 at step 70, where the rounding of the
+    # update keeps every iterate difference above it
+    scn = bdli.builtin_scenario("drift2d")
+    with pytest.raises(NonConvergenceError) as info:
+        integrate(scn.system(), BOOLE, scn.initial_state(), scn.h, 2000,
+                  SolverOptions(1e-16))
+    assert info.value.step_index == 70
+    assert str(info.value) == (
+        "dli:boole: fixed-point solver did not converge at step 70 (residual "
+        "1.665e-16 after 400 iterations); tolerance 1e-16 is below the "
+        "round-off of the update: its stop scale 1.144e-16 is 4.1 ulp of "
+        "|z0|_inf = 0.144")
+
+
+def test_tolerance_just_above_the_round_off_of_the_update_converges():
+    # at 2e-16 the same scale is 8.2 ulp of |z0|_inf, and all 2000 steps pass
+    traj = _trajectory("drift2d", None, 2000, SolverOptions(2e-16))
+    assert len(traj.iterations) == 2000
 
 
 def test_integrate_partial_trajectory_keeps_the_accepted_residuals(monkeypatch):

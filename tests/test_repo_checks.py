@@ -83,8 +83,18 @@ def test_method_text_is_read_in_one_place():
     assert sites == ["experiments.__post_init__"]
 
 
-LAYERS = ("fields", "quadrature", "hamiltonian", "integrators", "diagnostics",
-          "experiments", "cli")
+def test_readme_module_table_names_every_library_module():
+    """README's layout table has one ``bdli.<module>`` row for each module
+    under ``src/bdli``, and no row for a module that is gone."""
+    rows = re.findall(r"^\| `bdli\.(\w+)`", (ROOT / "README.md").read_text(),
+                      flags=re.M)
+    modules = [p.stem for p in (ROOT / "src" / "bdli").glob("*.py")
+               if p.name != "__init__.py"]
+    assert sorted(rows) == sorted(modules)
+
+
+LAYERS = ("fields", "quadrature", "hamiltonian", "integrators", "experiments",
+          "cli")
 
 
 def test_src_modules_import_only_earlier_layers():
@@ -130,8 +140,9 @@ def test_cli_commands_leave_errors_to_main():
 def test_step_path_calls_no_builtin_reduction():
     """The step kernels ``dli_step``, ``boris_step`` and ``rk4_step`` and the
     step loop of ``integrate`` run once per step, so each builtin reduction
-    there costs ~0.3-0.9 us a step (the stop scale's ``max(map(abs, z0))``
-    alone ~0.9 us, on steps of ~14 us).  They use compare chains, inlined
+    there costs a measurable share of a step (the stop scale's
+    ``max(map(abs, z0))`` alone ~0.45 us, on steps of ~5-9 us with CPython
+    3.11 on a 2-vCPU Xeon).  They use compare chains, inlined
     stages and chained ``isfinite`` tests instead; these keep the same
     results, so the state and solver digests cannot see a reduction that
     comes back, and this check does."""
