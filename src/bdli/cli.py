@@ -1,8 +1,8 @@
 """Command-line interface.
 
     bdli run <config-or-builtin> [--method M] [--steps N] [--h H]
-             [--tol T] [--out PATH] [--relative-errors]
-    bdli convergence <config-or-builtin> [flags except --relative-errors]
+             [--tol T] [--out PATH]
+    bdli convergence <config-or-builtin> [same flags]
     bdli compare <config-or-builtin> [flags except --method]
     bdli list-builtins
 
@@ -60,7 +60,7 @@ def _load_run(args, output=None):
 
 def _cmd_run(args) -> int:
     scn = _load_run(args, output=args.out)[0]
-    summary = run_scenario(scn, relative_errors=args.relative_errors)
+    summary = run_scenario(scn)
     sys.stdout.write(summary.as_text())
     sys.stdout.write(f"series written to {summary.series_path}\n")
     return EXIT_OK
@@ -74,9 +74,7 @@ def _cmd_convergence(args) -> int:
 
 def _cmd_compare(args) -> int:
     scn, _, _, methods = _load_run(args)
-    report = compare_methods(scn, methods, out_dir=args.out,
-                             relative_errors=args.relative_errors)
-    sys.stdout.write(report.as_text())
+    sys.stdout.write(compare_methods(scn, methods, out_dir=args.out).as_text())
     return EXIT_OK
 
 
@@ -113,10 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="run several methods side by side")
     _add_common_flags(p_cmp)
     p_cmp.set_defaults(func=_cmd_compare, method=None)
-
-    for p in (p_run, p_cmp):  # convergence writes no series
-        p.add_argument("--relative-errors", action="store_true",
-                       help="emit relative instead of absolute error columns")
 
     p_list = sub.add_parser("list-builtins", help="list builtin scenarios")
     p_list.set_defaults(func=_cmd_list_builtins)

@@ -53,9 +53,7 @@ from .integrators import (
 )
 from .quadrature import BUILTIN_RULES, QuadratureRule
 
-SERIES_COLUMNS = (
-    "t,x,y,z,vx,vy,vz,H,p_xi,mu,err_H,err_p_xi,err_mu,iters"
-)
+SERIES_COLUMNS = "t,x,y,z,vx,vy,vz,H,p_xi,mu,iters"
 _BANANA = {
     "name": "banana", "h": "pi/10", "n_steps": 50_000,
     "field": {"name": "tokamak",
@@ -142,6 +140,7 @@ class Scenario:
     stride: int = 1
     stepper: QuadratureRule | Callable = field(init=False, repr=False,
                                                compare=False)
+    particle: ChargedParticleSystem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # every check of a value, from a config or not: a ConfigError names its key
@@ -171,7 +170,8 @@ class Scenario:
                     and not math.isfinite(_coerce(f"field: {name}", float, value))):
                 raise ConfigError(f"field: {name}: must be finite, got {value!r}")
         with _named("field"):  # unknown model names and bad parameters alike
-            make_field(self.field_name, **params)
+            object.__setattr__(self, "particle", ChargedParticleSystem(
+                self.mass, self.charge, make_field(self.field_name, **params)))
         for key in ("x0", "v0"):
             with _named(key):
                 object.__setattr__(self, key, as_vec3(getattr(self, key)))
@@ -201,9 +201,8 @@ class Scenario:
         return self.h * self.n_steps
 
     def system(self) -> ChargedParticleSystem:
-        return ChargedParticleSystem(
-            self.mass, self.charge, make_field(self.field_name, **self.field_params)
-        )
+        """The particle in its field, built once when the scenario is."""
+        return self.particle
 
     def initial_state(self) -> PhaseState:
         return PhaseState(self.x0, self.v0)
@@ -482,11 +481,11 @@ def _run_paths(scn: Scenario, key: str) -> tuple[Path, Path]:
 
 
 def _write_series(scn: Scenario, traj: Trajectory, series_path: Path,
-                  relative_errors: bool, key: str) -> list[list[float]]:
+                  key: str) -> list[list[float]]:
     """Write the series file of ``traj``, a failed write a ConfigError
-    naming ``key``; returns the errors Q - Q0 of H, p_xi and mu, absolute
-    whatever ``relative_errors`` is.  p_xi is NaN for a field without a
-    vector potential, and mu is NaN at rows where B = 0."""
+    naming ``key``; returns the errors Q - Q0 of H, p_xi and mu.  p_xi is
+    NaN for a field without a vector potential, and mu is NaN at rows
+    where B = 0."""
     sys = scn.system()
     values = []
     for q in QUANTITIES:
@@ -494,22 +493,17 @@ def _write_series(scn: Scenario, traj: Trajectory, series_path: Path,
             values.append(quantity_series(sys, traj, q))
         except PotentialUnavailableError:  # only p_xi needs A
             values.append([math.nan] * len(traj))
-    errors = [series_errors(v) for v in values]
     H, p, mu = values
-    eH, ep, emu = (
-        [series_errors(v, relative=True) for v in values] if relative_errors
-        else errors)
 
     h, states, iters = traj.h, traj.states, [0, *traj.iterations]
-    row = ",".join(["%.17g"] * 13) + ",%d\n"
+    row = ",".join(["%.17g"] * 10) + ",%d\n"
     # row by row, so no text copy of the whole series is held in memory
     with _named(f"{key}: cannot write {str(series_path)!r}"), \
             series_path.open("w") as f:
         f.write(SERIES_COLUMNS + "\n")
         for i in range(0, len(traj), scn.stride):
-            f.write(row % (h * i, *states[i], H[i], p[i], mu[i],
-                           eH[i], ep[i], emu[i], iters[i]))
-    return errors
+            f.write(row % (h * i, *states[i], H[i], p[i], mu[i], iters[i]))
+    return [series_errors(v) for v in values]
 
 
 def _max_or_nan(values) -> float:
@@ -518,8 +512,7 @@ def _max_or_nan(values) -> float:
     return math.nan if any(map(math.isnan, values)) else max(values)
 
 
-def run_scenario(scn: Scenario, relative_errors: bool = False,
-                 key: str = "output") -> RunSummary:
+def run_scenario(scn: Scenario, key: str = "output") -> RunSummary:
     """Integrate a scenario, write its series and summary files.
 
     The series goes to ``scn.output``, by default ``<name>_series.csv`` in
@@ -539,10 +532,10 @@ def run_scenario(scn: Scenario, relative_errors: bool = False,
         # keep the states reached before the failure, in the same format;
         # none if a diagnostic is undefined at a reached state or the write fails
         with suppress(FieldSingularityError, ConfigError):
-            _write_series(scn, exc.trajectory, series_path, relative_errors, key)
+            _write_series(scn, exc.trajectory, series_path, key)
             exc.series_path = str(series_path)
         raise
-    errors = _write_series(scn, traj, series_path, relative_errors, key)
+    errors = _write_series(scn, traj, series_path, key)
 
     # over the emitted rows, so "final" is the file's last row
     aH, ap, amu = ([abs(e) for e in err[::scn.stride]] for err in errors)
@@ -572,10 +565,21 @@ class ConvergenceStudy:
     rows: tuple[tuple[float, float], ...]  # (h, endpoint error)
     slope: float
 
+    @property
+    def orders(self) -> tuple[float, ...]:
+        """Observed order log(e_i / e_(i+1)) / log(h_i / h_(i+1)) of each
+        adjacent pair of rungs; NaN where it is undefined (an error of 0)."""
+        return tuple(
+            math.log(e0 / e1) / math.log(h0 / h1)
+            if e0 > 0.0 and e1 > 0.0 and h0 != h1 else math.nan
+            for (h0, e0), (h1, e1) in zip(self.rows, self.rows[1:]))
+
     def as_text(self) -> str:
         lines = [f"method = {self.method}", f"reference_h = {self.reference_h:.17g}"]
         lines += [f"{h:.17g} {e:.17g}" for h, e in self.rows]
         lines.append(f"slope = {self.slope:.6f}")
+        lines += [f"order {h0:.17g} {h1:.17g} = {p:.6f}" for (h0, _), (h1, _), p
+                  in zip(self.rows, self.rows[1:], self.orders)]
         return "\n".join(lines) + "\n"
 
 
@@ -663,9 +667,7 @@ class ComparisonReport:
         return "\n".join(lines) + "\n"
 
 
-def compare_methods(
-    scn: Scenario, methods, out_dir=None, relative_errors: bool = False
-) -> ComparisonReport:
+def compare_methods(scn: Scenario, methods, out_dir=None) -> ComparisonReport:
     """Run several methods on one scenario and collect their summaries.
 
     Each method writes its own series file (method name mangled into the
@@ -688,8 +690,7 @@ def compare_methods(
     for sub in runs:
         _run_paths(sub, "out_dir")
     table_path = _output_path("out_dir", base / f"{scn.name}_compare.txt")
-    summaries = tuple(run_scenario(sub, relative_errors, "out_dir")
-                      for sub in runs)
+    summaries = tuple(run_scenario(sub, "out_dir") for sub in runs)
     report = ComparisonReport(scn.name, summaries)
     _write_text("out_dir", table_path, report.as_text())
     return report

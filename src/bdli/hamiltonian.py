@@ -21,7 +21,7 @@ p = m v + q A is also a constant of the exact motion,
 
 and the magnetic moment mu = |v_perp|^2 / (2 |B|) is the adiabatic
 invariant of the gyro-motion (v_perp^2 / 2R for a field with |B| = R).
-Errors are absolute differences Q(z_n) - Q(z_0), or relative on request.
+Errors are absolute differences Q(z_n) - Q(z_0).
 
 Everything here is a pure function over immutable inputs.  A state is a
 row ``(x, y, z, vx, vy, vz)`` of floats, which ``PhaseState`` holds as two
@@ -125,15 +125,7 @@ def quantity_series(sys: ChargedParticleSystem, traj, quantity: str) -> list[flo
     return values(sys, traj.states)
 
 
-def series_errors(values, relative: bool = False) -> list[float]:
-    """Q(z_n) - Q(z_0) of a quantity series.
-
-    With ``relative=True`` errors are divided by |Q(z_0)| (left absolute
-    when the reference value is exactly zero).
-    """
+def series_errors(values) -> list[float]:
+    """Q(z_n) - Q(z_0) of a quantity series."""
     q0 = values[0]
-    err = [q - q0 for q in values]
-    if relative and q0 != 0.0:
-        scale = abs(q0)
-        err = [e / scale for e in err]
-    return err
+    return [q - q0 for q in values]

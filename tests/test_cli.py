@@ -302,14 +302,16 @@ def test_run_refuses_the_rule_flag(tmp_path, capsys):
     assert not (tmp_path / "s.csv").exists()
 
 
-def test_convergence_refuses_relative_errors(tmp_path, capsys):
-    # convergence writes no series; the flag used to be accepted and ignored
+@pytest.mark.parametrize("command", ["run", "convergence", "compare"])
+def test_relative_errors_flag_is_refused(tmp_path, capsys, command):
+    # the series holds H, p_xi and mu; a reader derives their errors
+    out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        main(["convergence", "drift2d", "--steps", "8", "--relative-errors",
-              "--out", str(tmp_path / "study.txt")])
+        main([command, "drift2d", "--steps", "8", "--relative-errors",
+              "--out", str(out)])
     assert exc.value.code == 2
     assert "unrecognized arguments: --relative-errors" in capsys.readouterr().err
-    assert not (tmp_path / "study.txt").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag,key", [
@@ -420,7 +422,7 @@ def test_zero_field_run_writes_nan_mu(tmp_path):
     assert len(rows) == 4
     for row in rows:
         fields = dict(zip(cols, row.split(",")))
-        assert fields["mu"] == fields["err_mu"] == "nan"
+        assert fields["mu"] == "nan"
         assert fields["H"] == "0.005000000000000001"
     summary = out.with_suffix(".summary.txt").read_text()
     assert "max_abs_err_mu = nan" in summary
@@ -436,7 +438,9 @@ def test_convergence_subcommand(tmp_path, capsys):
     assert main(["convergence", cfg, "--out", str(out)]) == 0
     text = capsys.readouterr().out
     assert "slope" in text
-    assert out.is_file()
+    assert out.read_text() == text
+    (order,) = [line for line in text.splitlines() if line.startswith("order ")]
+    assert order.startswith(f"order {math.pi / 10:.17g} {math.pi / 20:.17g} = ")
 
 
 def test_convergence_out_creates_parent_directory(tmp_path, capsys):
@@ -662,18 +666,6 @@ def test_commands_agree_on_exit_codes(tmp_path, capsys, doc, method, code):
     assert "config error" not in capsys.readouterr().err
 
 
-def test_relative_errors_flag(tmp_path):
-    rc = main(["run", "banana", "--steps", "30", "--relative-errors",
-               "--out", str(tmp_path / "rel.csv")])
-    assert rc == 0
-    assert main(["run", "banana", "--steps", "30",
-                 "--out", str(tmp_path / "abs.csv")]) == 0
-    # the flag changes the error columns only; summary errors stay absolute
-    assert (tmp_path / "rel.summary.txt").read_bytes() == (
-        tmp_path / "abs.summary.txt").read_bytes()
-    assert (tmp_path / "rel.csv").read_bytes() != (tmp_path / "abs.csv").read_bytes()
-
-
 _METHODS = ["bdli", "boris", "rk4", "dli:simpson", "dli:trapezoid", "dli:w2"]
 _BAD = st.sampled_from([None, True, "x", "pi/0", "gauss", [1], {"a": 1}, math.nan,
                         math.inf, -1, 0])
@@ -724,8 +716,6 @@ def _cli_cases(draw):
             "reference_h": st.integers(32, 64).map(lambda k: h / k) | _BAD}))
     offered = [["--steps", "3"], ["--steps", "0"], ["--tol", "1e-13"], ["--tol", "0"],
                ["--tol", "1e-300"]]
-    if command != "convergence":  # convergence refuses --relative-errors
-        offered.append(["--relative-errors"])
     flags = draw(st.lists(st.sampled_from(offered), max_size=2))
     if command != "compare":
         flags += draw(st.lists(st.sampled_from(

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bdli
-from bdli import fields
+from bdli import experiments, fields
 from bdli import (
     ConfigError,
+    ConvergenceStudy,
     Scenario,
     boris_step,
     builtin_rule,
@@ -453,7 +454,7 @@ def test_run_scenario_writes_series_and_summary(small_banana, tmp_path):
     series = tmp_path / "run.csv"
     assert series.is_file()
     lines = series.read_text().strip().split("\n")
-    assert lines[0] == "t,x,y,z,vx,vy,vz,H,p_xi,mu,err_H,err_p_xi,err_mu,iters"
+    assert lines[0] == "t,x,y,z,vx,vy,vz,H,p_xi,mu,iters"
     assert len(lines) == 202  # header + 201 states
     assert summary.max_abs_err_H <= 1e-13
     assert summary.mean_iters > 1
@@ -464,12 +465,14 @@ def test_run_scenario_writes_series_and_summary(small_banana, tmp_path):
 
 
 def test_run_scenario_summary_matches_series(small_banana, tmp_path):
+    # %.17g round-trips a double, so a reader of the file recomputes the
+    # summary's errors Q - Q[0] bit for bit
     summary = run_scenario(small_banana)
     rows = np.genfromtxt(tmp_path / "run.csv", delimiter=",", names=True)
-    assert summary.max_abs_err_H == np.abs(rows["err_H"]).max()
-    assert summary.max_abs_err_p_xi == np.abs(rows["err_p_xi"]).max()
-    assert summary.max_abs_err_mu == np.abs(rows["err_mu"]).max()
-    assert summary.final_abs_err_H == abs(rows["err_H"][-1])
+    for q in ("H", "p_xi", "mu"):
+        err = np.abs(rows[q] - rows[q][0])
+        assert getattr(summary, f"max_abs_err_{q}") == err.max(), q
+        assert getattr(summary, f"final_abs_err_{q}") == err[-1], q
 
 
 def test_run_scenario_deterministic(small_banana, tmp_path):
@@ -498,7 +501,7 @@ def test_run_scenario_p_xi_nan_without_vector_potential(monkeypatch, tmp_path):
                    output=str(tmp_path / "no_a.csv"))
     summary = run_scenario(scn)
     rows = np.genfromtxt(tmp_path / "no_a.csv", delimiter=",", names=True)
-    assert np.isnan(rows["p_xi"]).all() and np.isnan(rows["err_p_xi"]).all()
+    assert np.isnan(rows["p_xi"]).all()
     assert math.isnan(summary.max_abs_err_p_xi)
     assert np.isfinite(rows["H"]).all()
 
@@ -523,13 +526,19 @@ def test_run_scenario_max_is_nan_when_b_vanishes_late(monkeypatch, tmp_path):
     assert math.isnan(summary.max_abs_err_mu)
 
 
-def test_run_scenario_relative_errors(small_banana, tmp_path):
-    run_scenario(small_banana, relative_errors=True)
-    rel = np.genfromtxt(tmp_path / "run.csv", delimiter=",", names=True)
-    run_scenario(small_banana)
-    ab = np.genfromtxt(tmp_path / "run.csv", delimiter=",", names=True)
-    H0 = ab["H"][0]
-    assert rel["err_H"][-1] == pytest.approx(ab["err_H"][-1] / abs(H0), rel=1e-12)
+def test_field_is_built_once_per_scenario(monkeypatch, tmp_path):
+    banana = builtin_scenario("banana")
+    calls = []
+
+    def counting(name, **params):
+        calls.append(name)
+        return fields.make_field(name, **params)
+
+    monkeypatch.setattr(experiments, "make_field", counting)
+    scn = replace(banana, n_steps=5, output=str(tmp_path / "once.csv"))
+    assert calls == ["tokamak"]
+    run_scenario(scn)
+    assert calls == ["tokamak"]
 
 
 # --- convergence study ------------------------------------------------------------
@@ -610,6 +619,16 @@ def test_convergence_study_second_order_on_tokamak():
     assert errs[0] > errs[1] > errs[2]
     assert 1.8 <= study.slope <= 2.2
     assert "slope" in study.as_text()
+    (h0, e0), (h1, e1), (h2, e2) = study.rows
+    assert study.orders == (math.log(e0 / e1) / math.log(h0 / h1),
+                            math.log(e1 / e2) / math.log(h1 / h2))
+    assert f"order {h1:.17g} {h2:.17g} = {study.orders[1]:.6f}\n" in study.as_text()
+
+
+def test_convergence_orders_are_nan_when_an_error_is_zero():
+    study = ConvergenceStudy("bdli", 0.01, ((0.1, 1e-3), (0.05, 0.0), (0.025, 0.0)),
+                             math.nan)
+    assert all(map(math.isnan, study.orders)) and len(study.orders) == 2
 
 
 # --- compare_methods ------------------------------------------------------------

@@ -14,6 +14,7 @@ from bdli.fields import (
     QuarticWellField,
     TokamakField,
     UniformField,
+    as_vec3,
     make_field,
 )
 from oracles import tokamak_a_reference, tokamak_b_reference
@@ -306,3 +307,11 @@ def test_each_registered_model_defines_every_evaluator_itself(name):
     cls = FIELD_MODELS[name]
     assert [a for a in ("b_at", "e_at", "phi_at", "a_at")
             if not callable(cls.__dict__.get(a))] == []
+
+
+@pytest.mark.parametrize("bad", [(1, 2), (1, 2, 3, 4), np.array([1.0, np.nan, 0.0]),
+                                 np.array([1.0, np.inf, 0.0]), "105", (True, 0, 0),
+                                 (1, "0", 0), (10**400, 0, 0)])
+def test_as_vec3_rejects_bad_input(bad):
+    with pytest.raises(ValueError):
+        as_vec3(bad)

@@ -93,6 +93,19 @@ def test_readme_module_table_names_every_library_module():
     assert sorted(rows) == sorted(modules)
 
 
+SUITES = ("acceptance", "oracles", "output_digests", "repo_checks")
+
+
+def test_test_files_name_a_library_module_or_a_suite():
+    """Each ``tests/test_<m>.py`` tests the module ``bdli.<m>`` or is one of
+    the listed suites, so a test file cannot outlive the module it names."""
+    modules = {p.stem for p in (ROOT / "src" / "bdli").glob("*.py")
+               if p.name != "__init__.py"}
+    stray = [p.name for p in (ROOT / "tests").glob("test_*.py")
+             if p.stem.removeprefix("test_") not in modules | set(SUITES)]
+    assert stray == []
+
+
 LAYERS = ("fields", "quadrature", "hamiltonian", "integrators", "experiments",
           "cli")
 
