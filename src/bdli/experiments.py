@@ -15,9 +15,10 @@ Built-in scenarios, each itself a config document (``_BUILTIN_DOCS``):
     transit   passing orbit in the tokamak field (doubled toroidal kick)
 
 A config document with ``"builtin": <name>`` lays its keys over that
-document.  The parser only maps keys to :class:`Scenario` fields, and
-``Scenario`` checks every value, so a scenario read from a config and one
-built directly pass the same checks.  :func:`load_run` alone turns a
+document.  The parser only maps keys to the arguments of ``Scenario``
+and the objects it holds; each object checks its own values once, with the
+rules of :mod:`bdli.fields` (a ``ConfigError`` names the key), so a config
+and a direct call pass the same checks.  :func:`load_run` alone turns a
 config or builtin name and the command-line flags into a ``Scenario``.
 
 Output: a comma-separated series file (one row per recorded state) plus a
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import re
 from collections.abc import Callable
 from contextlib import contextmanager, suppress
@@ -40,8 +40,8 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from sys import maxsize
 
-from .fields import (FieldSingularityError, PotentialUnavailableError, as_vec3,
-                     make_field)
+from .fields import (ConfigError, FieldSingularityError, PotentialUnavailableError,
+                     as_count, as_real, as_vec3, make_field)
 from .hamiltonian import (QUANTITIES, ChargedParticleSystem, PhaseState,
                           quantity_series, series_errors)
 from .integrators import (
@@ -72,10 +72,6 @@ _BUILTIN_DOCS = {
 BUILTIN_SCENARIOS = tuple(_BUILTIN_DOCS)
 
 
-class ConfigError(ValueError):
-    """Invalid configuration; names the offending field where possible."""
-
-
 @contextmanager
 def _named(key: str):
     """The one place where a caught error becomes a config error naming its
@@ -98,7 +94,7 @@ def parse_step_size(value, key: str = "h") -> float:
     """Expand a step size that may be a number or text such as "0.1" or
     "pi/10".  Errors name the config entry ``key``."""
     if not isinstance(value, str):
-        return _coerce(key, float, value)
+        return as_real(key, value)
     s = value.strip().lower().replace(" ", "")
     m = _PI_EXPR.fullmatch(s)
     if m:
@@ -143,35 +139,27 @@ class Scenario:
     particle: ChargedParticleSystem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # every check of a value, from a config or not: a ConfigError names its key
-        for key in ("mass", "charge"):
-            object.__setattr__(self, key, _coerce(key, float, getattr(self, key)))
+        # a ConfigError names its key; the objects built here check their own
         object.__setattr__(self, "h", parse_step_size(self.h))
         for key in ("n_steps", "stride"):
-            object.__setattr__(self, key, _count(key, getattr(self, key)))
+            object.__setattr__(self, key, as_count(key, getattr(self, key)))
         if self.n_steps < 1:
             raise ConfigError(f"n_steps: must be >= 1, got {self.n_steps}")
         if self.n_steps > maxsize:  # the record's n_steps + 1 rows fit a list
             raise ConfigError(f"n_steps: must be <= sys.maxsize = {maxsize}")
         if self.h == 0.0 or not math.isfinite(self.h):
             raise ConfigError(f"h: must be finite and nonzero, got {self.h}")
-        if not 0 < self.mass < math.inf:
-            raise ConfigError(f"mass: must be positive and finite, got {self.mass}")
-        if not math.isfinite(self.charge):
-            raise ConfigError(f"charge: must be finite, got {self.charge}")
         if self.stride < 1:
             raise ConfigError(f"stride: must be >= 1, got {self.stride}")
         params = self.field_params
         if not isinstance(params, dict):
             raise ConfigError(f"field: params must be an object, got {params!r}")
         object.__setattr__(self, "field_params", dict(params))  # not the caller's
-        for name, value in params.items():  # scalars; make_field checks the rest
-            if (isinstance(value, (str, numbers.Real))
-                    and not math.isfinite(_coerce(f"field: {name}", float, value))):
-                raise ConfigError(f"field: {name}: must be finite, got {value!r}")
         with _named("field"):  # unknown model names and bad parameters alike
-            object.__setattr__(self, "particle", ChargedParticleSystem(
-                self.mass, self.charge, make_field(self.field_name, **params)))
+            fld = make_field(self.field_name, **params)
+        p = ChargedParticleSystem(self.mass, self.charge, fld)  # the floats it holds
+        for key, value in (("particle", p), ("mass", p.mass), ("charge", p.charge)):
+            object.__setattr__(self, key, value)
         for key in ("x0", "v0"):
             with _named(key):
                 object.__setattr__(self, key, as_vec3(getattr(self, key)))
@@ -229,26 +217,6 @@ _RESERVED_KEYS = {"builtin", "study", "methods"}
 _SOLVER_KEYS = {"tolerance", "max_iterations"}
 
 
-def _coerce(key: str, kind, value):
-    """``kind(value)`` for a config entry, as a ConfigError naming the key;
-    a boolean or a string is not a number."""
-    what = "an integer" if kind is int else "a number"
-    if isinstance(value, (bool, str)):
-        raise ConfigError(f"{key}: expected {what}, got {value!r}")
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key}: expected {what}, got {value!r}") from None
-
-
-def _count(key: str, value) -> int:
-    """An integer config entry: integral floats such as JSON ``1e4`` pass;
-    booleans, strings and fractions such as 1.5 are refused."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"{key}: expected an integer, got {value!r}")
-    return _coerce(key, int, value)
-
-
 def _object(key: str, value, keys) -> dict:
     """``value`` if it is an object (a dict) whose keys are all in ``keys``;
     otherwise a ConfigError naming ``key``: the one shape check of the
@@ -264,16 +232,11 @@ def _object(key: str, value, keys) -> dict:
 def _inline_rule(spec) -> QuadratureRule:
     """A config's own rule from ``{name, pairs, degree}``."""
     spec = _object("rule", spec, {"name", "pairs", "degree"})
-    name = spec.get("name")
-    if not isinstance(name, str):
-        raise ConfigError(f"rule: name must be a string, got {name!r}")
-    degree = _count("rule: degree", spec.get("degree", 0))
     if "pairs" not in spec:
         raise ConfigError("rule: missing key 'pairs'")
-    with _named("rule"):  # a ConfigError is a ValueError too: "rule: pairs: ..."
-        nodes, weights = zip(*((_coerce("pairs", float, c), _coerce("pairs", float, w))
-                               for c, w in spec["pairs"]))
-        return QuadratureRule(name, nodes, weights, degree)
+    with _named("rule"):  # a ConfigError is a ValueError too: "rule: nodes: ..."
+        nodes, weights = zip(*spec["pairs"], strict=True)  # each pair (c, w)
+        return QuadratureRule(spec.get("name"), nodes, weights, spec.get("degree", 0))
 
 
 def _scenario_from_dict(doc: dict, source: str) -> Scenario:
@@ -303,13 +266,7 @@ def _scenario_from_dict(doc: dict, source: str) -> Scenario:
         if "method" not in doc:  # which runs unless the document names a method
             updates["method"] = f"dli:{updates['rule'].name}"
     if "solver" in doc:
-        sspec = dict(_object("solver", doc["solver"], _SOLVER_KEYS))
-        if "tolerance" in sspec:
-            sspec["tolerance"] = _coerce("solver: tolerance", float, sspec["tolerance"])
-        if "max_iterations" in sspec:
-            sspec["max_iterations"] = _count(
-                "solver: max_iterations", sspec["max_iterations"]
-            )
+        sspec = _object("solver", doc["solver"], _SOLVER_KEYS)
         with _named("solver"):
             updates["solver"] = SolverOptions(**sspec)
     return Scenario(**updates)
@@ -318,18 +275,14 @@ def _scenario_from_dict(doc: dict, source: str) -> Scenario:
 def _study_and_methods(doc: dict) -> tuple[list | None, float | None, list]:
     """A config document's ``study`` step sizes ``h_list`` and
     ``reference_h`` (None where not given) and its ``methods`` list.  Only
-    their shapes are checked: convergence_study and compare_methods check
-    them against the run."""
+    their shapes are checked: convergence_study and compare_methods read
+    and check their values."""
     study = _object("study", doc.get("study", {}), {"h_list", "reference_h"})
-    hs = href = None
-    if "h_list" in study:
-        hs = study["h_list"]
-        if not isinstance(hs, list) or not hs:
-            raise ConfigError(
-                f"study: h_list: expected a nonempty list, got {hs!r}")
-        hs = [parse_step_size(h, "study: h_list") for h in hs]
-    if "reference_h" in study:
-        href = parse_step_size(study["reference_h"], "study: reference_h")
+    hs, href = study.get("h_list"), study.get("reference_h")
+    if "h_list" in study and (not isinstance(hs, list) or not hs):
+        raise ConfigError(f"study: h_list: expected a nonempty list, got {hs!r}")
+    if "reference_h" in study and href is None:  # null is no step, not the default
+        raise ConfigError("study: reference_h: expected a number, got None")
     methods = doc.get("methods", ["bdli", "boris"])
     if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
         raise ConfigError(f"methods: expected a list of method names, got {methods!r}")
@@ -616,13 +569,14 @@ def convergence_study(
         raise ConfigError(f"study: total time h * n_steps = {scn.h!r} * "
                           f"{scn.n_steps} is not finite")
     hs_key, hs = (("study: h", [scn.h / 2**k for k in range(4)]) if h_list is None
-                  else ("study: h_list", [float(h) for h in h_list]))
+                  else ("study: h_list",
+                        [parse_step_size(h, "study: h_list") for h in h_list]))
     if not hs:
         raise ConfigError(f"{hs_key}: must be nonempty")
     if not all(h and math.isfinite(h) for h in hs):
         raise ConfigError(f"{hs_key}: steps must be finite and nonzero, got {hs}")
-    if reference_h is None:
-        reference_h = min(hs, key=abs) / 16
+    reference_h = (min(hs, key=abs) / 16 if reference_h is None
+                   else parse_step_size(reference_h, "study: reference_h"))
     if not 0.0 < abs(reference_h) < min(abs(h) for h in hs):
         raise ConfigError(f"study: reference_h: {reference_h!r} must be nonzero "
                           "and finer than every step of the ladder")

@@ -13,13 +13,17 @@ the diagnostics, the structure matrix) goes through them.  ``a_at`` raises
 :class:`PotentialUnavailableError` on models without a vector potential.
 Models whose electric field vanishes identically advertise it through
 ``zero_electric`` so the implicit solver can skip the segment quadrature
-entirely.
+entirely.  The value rules ``as_real``, ``as_count`` and ``as_vec3`` live
+here too: each object checks the values it holds with them, once.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from abc import ABC, abstractmethod
+from contextlib import suppress
+from numbers import Real
 
 # Evaluation this close to a model's singular axis is refused outright;
 # the reference scenarios never come near it, and silent garbage from a
@@ -33,6 +37,35 @@ class FieldSingularityError(ValueError):
 
 class PotentialUnavailableError(ValueError):
     """Raised when a model is asked for a potential it does not provide."""
+
+
+class ConfigError(ValueError):
+    """A bad value or configuration; the message starts with its key."""
+
+
+def as_real(key: str, value, finite: bool = False) -> float:
+    """``value`` as a float if it is a ``numbers.Real`` but not a bool, and
+    if ``finite``, finite; otherwise a ConfigError naming ``key``."""
+    x = None
+    if isinstance(value, Real) and not isinstance(value, bool):
+        with suppress(OverflowError):  # an integer beyond the float range
+            x = float(value)
+    if x is None:
+        raise ConfigError(f"{key}: expected a number, got {value!r}")
+    if finite and not math.isfinite(x):
+        raise ConfigError(f"{key}: must be finite, got {x!r}")
+    return x
+
+
+def as_count(key: str, value) -> int:
+    """``value`` as an int if it has ``__index__`` but is not a bool, or is a
+    float that ``is_integer`` (JSON's 1e4); otherwise a ConfigError."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, bool):
+        with suppress(TypeError):  # no __index__, or one that refuses
+            return operator.index(value)
+    raise ConfigError(f"{key}: expected an integer, got {value!r}")
 
 
 def as_vec3(a) -> tuple[float, float, float]:
@@ -108,7 +141,7 @@ class CylindricalDriftField(FieldModel):
     name = "cylindrical_drift"
 
     def __init__(self, epsilon: float = 1e-2):
-        self.epsilon = float(epsilon)
+        self.epsilon = as_real("epsilon", epsilon, finite=True)
 
     def b_at(self, x, y, z):
         R = math.sqrt(x * x + y * y)
@@ -167,11 +200,11 @@ class TokamakField(FieldModel):
     zero_electric = True
 
     def __init__(self, B0: float = 1.0, R0: float = 1.0, safety_factor: float = 2.0):
-        if safety_factor == 0:
-            raise ValueError("safety_factor must be nonzero")
-        self.B0 = float(B0)
-        self.R0 = float(R0)
-        self.safety_factor = q = float(safety_factor)
+        self.B0 = as_real("B0", B0, finite=True)
+        self.R0 = as_real("R0", R0, finite=True)
+        self.safety_factor = q = as_real("safety_factor", safety_factor, finite=True)
+        if q == 0.0:
+            raise ConfigError(f"safety_factor: must be nonzero, got {q!r}")
         self._qR0 = q * self.R0
         self._2q = 2.0 * q
         self._a_z = -self.B0 * (self._qR0 - 1.0)
@@ -248,7 +281,7 @@ class QuarticWellField(FieldModel):
 
     def __init__(self, B=(0.0, 0.0, 1.0), strength: float = 1.0):
         self.B = as_vec3(B)
-        self.strength = float(strength)
+        self.strength = as_real("strength", strength, finite=True)
         self.zero_electric = self.strength == 0.0
 
     # a constant B and its symmetric-gauge A, as in UniformField

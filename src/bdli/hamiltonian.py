@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .fields import FieldModel, as_vec3
+from .fields import ConfigError, FieldModel, as_real, as_vec3
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class ChargedParticleSystem:
     """A particle (mass, charge) moving in a static field model.
 
     ``charge`` is the electric charge, not to be confused with a tokamak
-    safety factor; both are dimensionless in normalized units.
+    safety factor; both are dimensionless in normalized units, held as floats.
     """
 
     mass: float = 1.0
@@ -67,10 +67,12 @@ class ChargedParticleSystem:
     field: FieldModel = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if not self.mass > 0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
-        if self.field is None:
-            raise ValueError("a field model is required")
+        object.__setattr__(self, "mass", as_real("mass", self.mass))
+        if not 0 < self.mass < math.inf:
+            raise ConfigError(f"mass: must be positive and finite, got {self.mass}")
+        object.__setattr__(self, "charge", as_real("charge", self.charge, finite=True))
+        if not isinstance(self.field, FieldModel):
+            raise ConfigError(f"field: expected a FieldModel, got {self.field!r}")
 
 
 def energies(sys: ChargedParticleSystem, states) -> list[float]:

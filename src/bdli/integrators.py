@@ -53,8 +53,8 @@ reaches the tolerance (at 1e-15, 2000 fine drift2d steps take 1.83
 iterations each from degree 8 against 1.30 from degree 6).  Only the
 iterate path changes, not the fixed point.
 
-The iteration stops in one of two ways.  The strict test accepts the n-th
-iterate once the successive-iterate difference
+An iterate is accepted in one of two ways.  The strict test accepts the
+n-th iterate once the successive-iterate difference
 ``delta_n = |z_n - z_{n-1}|_inf`` is at most ``tol (1 + |z0|_inf)``.  From
 the second iterate on, the contraction estimate (the stopping rule of the
 simplified Newton iteration, Hairer and Wanner, Solving ODEs II, Sec. IV.8)
@@ -63,7 +63,10 @@ also accepts it when ``theta = delta_n / delta_{n-1} < 1`` and
 distance to the fixed point is then at most a hundredth of the strict bound,
 and the confirming iterate the strict test would need is saved.  A step
 whose start is not within the tolerance then usually takes two iterates.
-The fixed point and the tolerance do not depend on the stop.
+The fixed point and the tolerance do not depend on the stop.  An attempt
+ends unconverged once ``theta >= 1`` (the same source's divergence test):
+it diverges, stagnates at the round-off of the update or contracts
+unevenly.  No reference-scenario step comes near it (theta <= ~0.46).
 
 The step kernels ``dli_step``, ``boris_step`` and ``rk4_step`` map a row
 ``(x, y, z, vx, vy, vz)`` to the next row as a 6-tuple of floats, which
@@ -93,9 +96,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from numbers import Real
 
-from .fields import FieldSingularityError
+from .fields import ConfigError, FieldSingularityError, as_count, as_real
 from .hamiltonian import ChargedParticleSystem, PhaseState
 from .quadrature import QuadratureRule, builtin_rule
 
@@ -116,25 +118,22 @@ class SolverOptions:
     ``tolerance`` (a float) scales the stopping tests of the module
     docstring, ``tol (1 + |z0|_inf)``: states in the reference scenarios
     span magnitudes from 1e-4 to 1, so the mixed absolute/relative scaling
-    matters.
+    matters.  ``max_iterations`` is an int (8.0 is 8); a bad value of either
+    is a ConfigError naming its key.
     """
 
     tolerance: float = 1e-14
     max_iterations: int = 200
 
     def __post_init__(self):
-        tol = self.tolerance  # a real number of any type; a bool is refused
-        if isinstance(tol, bool) or not isinstance(tol, Real):
-            raise ValueError(f"tolerance must be a real number, got {tol!r}")
+        tol = as_real("tolerance", self.tolerance)
         if not 0 < tol < math.inf:
-            raise ValueError("tolerance must be positive and finite")
-        object.__setattr__(self, "tolerance", float(tol))
-        n = self.max_iterations
-        # an int of any integer type; a float, even 8.0, or a bool is refused
-        if isinstance(n, bool) or not hasattr(n, "__index__"):
-            raise ValueError(f"max_iterations must be an integer, got {n!r}")
+            raise ConfigError("tolerance must be positive and finite")
+        n = as_count("max_iterations", self.max_iterations)
         if n < 1:
-            raise ValueError("max_iterations must be >= 1")
+            raise ConfigError(f"max_iterations: must be >= 1, got {n}")
+        object.__setattr__(self, "tolerance", tol)
+        object.__setattr__(self, "max_iterations", n)
 
 
 # The outcome of one implicit step: ``state`` is the next row (6-tuple) and
@@ -318,6 +317,8 @@ def dli_step(kernel: DLIKernel, z0, v_start: tuple | None = None) -> StepReport:
                         residual = estimate
                         converged = True
                         break
+                elif prev:  # theta >= 1: no longer contracting
+                    break
                 prev = delta
         except FieldSingularityError:
             if v_start is None:

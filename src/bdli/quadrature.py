@@ -17,13 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .fields import ConfigError, as_count, as_real
+
 _WEIGHT_SUM_TOL = 1e-15
 _EXACTNESS_TOL = 1e-14
 
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes/weights on [0, 1] with a verified degree of exactness."""
+    """Nodes/weights on [0, 1] with a verified degree of exactness, held as
+    floats and an int; a value of the wrong type is a ConfigError."""
 
     name: str
     nodes: tuple[float, ...]
@@ -31,8 +34,13 @@ class QuadratureRule:
     degree_of_exactness: int
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(float(c) for c in self.nodes))
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        if not isinstance(self.name, str):
+            raise ConfigError(f"name: expected a string, got {self.name!r}")
+        for key in ("nodes", "weights"):
+            object.__setattr__(self, key, tuple(as_real(key, c)
+                                                for c in getattr(self, key)))
+        object.__setattr__(self, "degree_of_exactness",
+                           as_count("degree_of_exactness", self.degree_of_exactness))
         if len(self.nodes) != len(self.weights) or not self.nodes:
             raise ValueError("nodes and weights must be nonempty and equally long")
         if any(not 0.0 <= c <= 1.0 for c in self.nodes):

@@ -221,6 +221,8 @@ def dli_step_reference(kernel, z0, v_start, kappa: float) -> tuple:
                         residual = estimate
                         converged = True
                         break
+                elif prev:
+                    break
                 prev = delta
         except FieldSingularityError:
             if v_start is None:

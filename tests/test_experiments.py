@@ -1,6 +1,8 @@
 import json
 import math
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 from sys import maxsize
 
 import numpy as np
@@ -11,9 +13,13 @@ from hypothesis import strategies as st
 import bdli
 from bdli import experiments, fields
 from bdli import (
+    ChargedParticleSystem,
     ConfigError,
     ConvergenceStudy,
+    QuadratureRule,
     Scenario,
+    SolverOptions,
+    TokamakField,
     boris_step,
     builtin_rule,
     builtin_scenario,
@@ -122,6 +128,29 @@ def test_scenario_start_vector_is_a_config_error(key, bad):
 def test_scenario_value_of_the_wrong_type_is_a_config_error(key, bad):
     with pytest.raises(ConfigError, match=f"^{key}: expected "):
         replace(builtin_scenario("banana"), **{key: bad})
+
+
+@pytest.mark.parametrize("key,bad", [
+    ("n_steps", Fraction(3, 2)), ("stride", Decimal("2.7")),
+    ("n_steps", Fraction(4, 1)), ("stride", Decimal("2")),
+], ids=repr)
+def test_scenario_count_of_a_non_integer_type_is_refused(key, bad):
+    # these used to be truncated: Fraction(3, 2) steps ran 1 step
+    with pytest.raises(ConfigError, match=f"^{key}: expected an integer, got "):
+        replace(builtin_scenario("banana"), **{key: bad})
+
+
+def test_scenario_refuses_a_decimal_mass():
+    with pytest.raises(ConfigError,
+                       match=r"^mass: expected a number, got Decimal\('1'\)$"):
+        replace(builtin_scenario("banana"), mass=Decimal("1"))
+
+
+def test_scenario_holds_the_floats_its_particle_holds():
+    scn = replace(builtin_scenario("banana"), mass=Fraction(1, 2), charge=2)
+    assert (scn.mass, scn.charge) == (scn.system().mass, scn.system().charge)
+    assert (type(scn.mass), type(scn.charge)) == (float, float)
+    assert scn == replace(builtin_scenario("banana"), mass=0.5, charge=2.0)
 
 
 def test_scenario_reads_step_size_text():
@@ -409,6 +438,55 @@ def _config_documents():
     )
 
 
+# a value of each kind that a config or a caller may pass, good or bad
+VALUES = (True, False, "1", "8.0", math.nan, math.inf, -math.inf, -1.0, 0, 1, 1.5,
+          8.0, Fraction(3, 2), Fraction(1, 1), Decimal("8"), Decimal("1.5"), None)
+_W2 = {"name": "w2", "pairs": [[0, 0.5], [1, 0.5]]}
+# key: (direct construction, the config document, the value the object holds)
+HOLDERS = {
+    "mass": (lambda v: ChargedParticleSystem(v, 1.0, TokamakField()),
+             lambda v: {"mass": v}, lambda o: o.mass),
+    "charge": (lambda v: ChargedParticleSystem(1.0, v, TokamakField()),
+               lambda v: {"charge": v}, lambda o: o.charge),
+    "tolerance": (lambda v: SolverOptions(tolerance=v),
+                  lambda v: {"solver": {"tolerance": v}}, lambda o: o.tolerance),
+    "max_iterations": (lambda v: SolverOptions(max_iterations=v),
+                       lambda v: {"solver": {"max_iterations": v}},
+                       lambda o: o.max_iterations),
+    "degree": (lambda v: QuadratureRule("w2", (0, 1), (0.5, 0.5), v),
+               lambda v: {"rule": {**_W2, "degree": v}},
+               lambda o: o.degree_of_exactness),
+    "B0": (lambda v: TokamakField(B0=v),
+           lambda v: {"field": {"name": "tokamak", "params": {"B0": v}}},
+           lambda o: o.B0),
+}
+
+
+def _held(key, scn):
+    """The object of ``scn`` that holds ``key``."""
+    return {"mass": scn.particle, "charge": scn.particle, "tolerance": scn.solver,
+            "max_iterations": scn.solver, "degree": scn.rule,
+            "B0": scn.particle.field}[key]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(HOLDERS)), st.sampled_from(VALUES))
+def test_direct_construction_and_a_config_refuse_the_same_values(key, value):
+    direct, document, held = HOLDERS[key]
+    try:
+        obj = direct(value)
+    except ValueError:
+        obj = None
+    try:
+        scn = _scenario_from_dict({"builtin": "banana", **document(value)}, "doc")
+    except ConfigError:
+        scn = None
+    assert (obj is None) == (scn is None)
+    if obj is not None:
+        assert held(obj) == held(_held(key, scn))
+        assert type(held(obj)) is type(held(_held(key, scn)))
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(_config_documents())
 def test_config_parser_raises_only_config_error(doc):
@@ -629,6 +707,28 @@ def test_convergence_orders_are_nan_when_an_error_is_zero():
     study = ConvergenceStudy("bdli", 0.01, ((0.1, 1e-3), (0.05, 0.0), (0.025, 0.0)),
                              math.nan)
     assert all(map(math.isnan, study.orders)) and len(study.orders) == 2
+
+
+@pytest.mark.parametrize("h_list,reference_h,message", [
+    ([True], None, "study: h_list: expected a number, got True"),
+    ([math.pi / 10, None], None, "study: h_list: expected a number, got None"),
+    (["pi/10"], True, "study: reference_h: expected a number, got True"),
+    (["pi/10"], "pi/0", "study: reference_h: division by zero in 'pi/0'"),
+], ids=["h-true", "h-none", "reference-true", "reference-pi/0"])
+def test_convergence_study_reads_steps_as_a_config_does(h_list, reference_h,
+                                                        message, integrate_calls):
+    scn = replace(builtin_scenario("banana"), n_steps=4)
+    with pytest.raises(ConfigError) as info:
+        convergence_study(scn, h_list, reference_h)
+    assert str(info.value) == message
+    assert integrate_calls == []
+
+
+def test_convergence_study_takes_step_size_text():
+    scn = replace(builtin_scenario("banana"), n_steps=4)
+    h = scn.h
+    assert convergence_study(scn, ["pi/10", "pi/20"], "pi/320") == convergence_study(
+        scn, [h, h / 2], h / 32)
 
 
 # --- compare_methods ------------------------------------------------------------

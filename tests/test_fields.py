@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from bdli.fields import (
     FIELD_MODELS,
+    ConfigError,
     CylindricalDriftField,
     FieldModel,
     FieldSingularityError,
@@ -14,6 +17,8 @@ from bdli.fields import (
     QuarticWellField,
     TokamakField,
     UniformField,
+    as_count,
+    as_real,
     as_vec3,
     make_field,
 )
@@ -315,3 +320,64 @@ def test_each_registered_model_defines_every_evaluator_itself(name):
 def test_as_vec3_rejects_bad_input(bad):
     with pytest.raises(ValueError):
         as_vec3(bad)
+
+
+@pytest.mark.parametrize("value,expected", [
+    (2, 2.0), (-1.5, -1.5), (math.inf, math.inf), (Fraction(1, 4), 0.25),
+    (np.float32(0.5), 0.5), (np.int64(3), 3.0)])
+def test_as_real_takes_a_real_number_as_a_float(value, expected):
+    x = as_real("k", value)
+    assert type(x) is float and x == expected
+
+
+@pytest.mark.parametrize("bad", [True, False, "1", None, Decimal("1"), 1j, [1.0],
+                                 10**400], ids=repr)
+def test_as_real_refuses_what_is_not_a_real_number(bad):
+    with pytest.raises(ConfigError, match="^k: expected a number, got "):
+        as_real("k", bad)
+
+
+@pytest.mark.parametrize("value", [3, 3.0, 1e4, np.int64(3), 10**400])
+def test_as_count_takes_an_integer_or_an_integral_float(value):
+    n = as_count("k", value)
+    assert type(n) is int and n == value
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, math.inf, math.nan, "3", None,
+                                 Fraction(3, 2), Fraction(3, 1), Decimal("2.7"),
+                                 Decimal("3"), np.array([1.0, 2.0])], ids=repr)
+def test_as_count_refuses_what_is_not_an_integer(bad):
+    with pytest.raises(ConfigError, match="^k: expected an integer, got "):
+        as_count("k", bad)
+
+
+@pytest.mark.parametrize("model,key,bad", [
+    (CylindricalDriftField, "epsilon", math.nan),
+    (TokamakField, "B0", math.inf),
+    (TokamakField, "R0", -math.inf),
+    (TokamakField, "safety_factor", math.nan),
+    (QuarticWellField, "strength", math.nan),
+])
+def test_field_model_refuses_a_non_finite_scalar(model, key, bad):
+    with pytest.raises(ConfigError, match=f"^{key}: must be finite, got "):
+        model(**{key: bad})
+
+
+@pytest.mark.parametrize("model,key", [
+    (CylindricalDriftField, "epsilon"), (TokamakField, "B0"),
+    (TokamakField, "safety_factor"), (QuarticWellField, "strength")])
+@pytest.mark.parametrize("bad", [True, "1", Decimal("1"), [1.0]], ids=repr)
+def test_field_model_refuses_a_scalar_that_is_not_a_number(model, key, bad):
+    with pytest.raises(ConfigError, match=f"^{key}: expected a number, got "):
+        model(**{key: bad})
+
+
+def test_tokamak_field_refuses_a_zero_safety_factor():
+    with pytest.raises(ConfigError, match="^safety_factor: must be nonzero, got 0.0"):
+        TokamakField(safety_factor=0)
+
+
+def test_field_model_holds_its_scalars_as_floats():
+    f = TokamakField(B0=Fraction(1, 2), R0=1, safety_factor=np.float32(2.0))
+    assert all(type(v) is float for v in (f.B0, f.R0, f.safety_factor))
+    assert (f.B0, f.R0, f.safety_factor) == (0.5, 1.0, 2.0)

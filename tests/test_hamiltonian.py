@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 import bdli
 from bdli import (
     ChargedParticleSystem,
+    ConfigError,
     CylindricalDriftField,
     PhaseState,
     PotentialUnavailableError,
@@ -37,6 +40,31 @@ def test_system_validation():
         ChargedParticleSystem(0.0, 1.0, UniformField())
     with pytest.raises(ValueError, match="field"):
         ChargedParticleSystem(1.0, 1.0, None)
+
+
+@pytest.mark.parametrize("mass,charge,fld,message", [
+    (math.inf, math.nan, TokamakField(), "mass: must be positive and finite, got inf"),
+    (-1, 1.0, TokamakField(), "mass: must be positive and finite, got -1.0"),
+    (1.0, math.nan, TokamakField(), "charge: must be finite, got nan"),
+    (1.0, -math.inf, TokamakField(), "charge: must be finite, got -inf"),
+    (True, 1.0, TokamakField(), "mass: expected a number, got True"),
+    (Decimal("1"), 1.0, TokamakField(), "mass: expected a number, got Decimal('1')"),
+    (1.0, "1", TokamakField(), "charge: expected a number, got '1'"),
+    (1.0, 1.0, "tokamak", "field: expected a FieldModel, got 'tokamak'"),
+], ids=["inf-nan", "negative-mass", "nan-charge", "inf-charge", "bool-mass",
+        "decimal-mass", "string-charge", "field-name"])
+def test_system_refuses_a_bad_value_naming_its_key(mass, charge, fld, message):
+    # such a system used to be built, and its run then failed as a solver
+    # failure at step 0 (inf, nan) or an AttributeError (a field name)
+    with pytest.raises(ConfigError) as info:
+        ChargedParticleSystem(mass, charge, fld)
+    assert str(info.value) == message
+
+
+def test_system_holds_mass_and_charge_as_floats():
+    sys = ChargedParticleSystem(Fraction(1, 2), 2, TokamakField())
+    assert (type(sys.mass), type(sys.charge)) == (float, float)
+    assert (sys.mass, sys.charge) == (0.5, 2.0)
 
 
 def test_phase_state_roundtrip_and_validation():

@@ -14,6 +14,7 @@ import bdli
 from bdli import (
     FIELD_MODELS,
     ChargedParticleSystem,
+    ConfigError,
     CylindricalDriftField,
     NonConvergenceError,
     PhaseState,
@@ -62,16 +63,23 @@ def test_solver_options_validation():
         SolverOptions(max_iterations=0)
 
 
-@pytest.mark.parametrize("value", [2.5, math.inf, math.nan, 8.0, True, False, "8"])
+@pytest.mark.parametrize("value", [2.5, math.inf, math.nan, True, False, "8"])
 def test_solver_options_max_iterations_must_be_an_integer(value):
-    with pytest.raises(ValueError, match="max_iterations must be an integer"):
+    with pytest.raises(ConfigError, match="^max_iterations: expected an integer"):
         SolverOptions(max_iterations=value)
+
+
+@pytest.mark.parametrize("value", [8.0])
+def test_solver_options_max_iterations_takes_an_integral_float(value):
+    # as a config's 8.0 (JSON writes 1e4 as a float) always was
+    n = SolverOptions(max_iterations=value).max_iterations
+    assert type(n) is int and n == 8
 
 
 @pytest.mark.parametrize("value", [True, False, "1e-14", Decimal("1e-14"), 1e-14j,
                                    None], ids=repr)
 def test_solver_options_tolerance_must_be_a_real_number(value):
-    with pytest.raises(ValueError, match="tolerance must be a real number"):
+    with pytest.raises(ConfigError, match="^tolerance: expected a number"):
         SolverOptions(tolerance=value)
 
 
@@ -571,7 +579,9 @@ def test_nonconvergence_is_reported():
     kernel = dli_kernel(sys, BOOLE, 1.0, SolverOptions(max_iterations=10))
     rep = dli_step(kernel, z0.as_vector())
     assert not rep.converged
-    assert rep.iterations == 10 or rep.residual_norm == math.inf
+    # the second iterate difference is not below the first, so the attempt
+    # ends there, far from the fixed point
+    assert rep.iterations == 2 and f"{rep.residual_norm:.3e}" == "1.299e+10"
 
 
 def test_fixed_point_independent_of_solver_tolerance():
@@ -934,7 +944,7 @@ def test_integrate_nonconvergence_abort_with_partial():
     # the default tolerance the stop scale (3e-14) is far above the
     # round-off of |z0|_inf = 2, so it carries no round-off note
     assert str(info.value) == ("dli:boole: fixed-point solver did not converge "
-                               "at step 0 (residual inf after 6 iterations)")
+                               "at step 0 (residual 1.299e+10 after 2 iterations)")
     assert len(info.value.trajectory) == 1
     assert info.value.step_index == len(info.value.trajectory.iterations)
 
@@ -950,9 +960,55 @@ def test_failure_below_the_round_off_of_the_update_says_so():
     assert info.value.step_index == 70
     assert str(info.value) == (
         "dli:boole: fixed-point solver did not converge at step 70 (residual "
-        "1.665e-16 after 400 iterations); tolerance 1e-16 is below the "
+        "1.665e-16 after 75 iterations); tolerance 1e-16 is below the "
         "round-off of the update: its stop scale 1.144e-16 is 4.1 ulp of "
         "|z0|_inf = 0.144")
+
+
+def _attempt_deltas(kernel, z0):
+    """``dli_step(kernel, z0)`` from v0 and the iterate differences
+    |v_n - v_(n-1)|_inf of that attempt, read off runs capped at 1, 2, ...
+    iterations, each of which returns its last iterate."""
+    vs = [z0[3:]]
+    for n in kernel.iterates:
+        rep = dli_step(kernel._replace(iterates=range(1, n + 1)), z0)
+        if rep.iterations < n or rep.converged:
+            break
+        vs.append(rep.state[3:])
+    return rep, [max(map(abs, map(float.__sub__, a, b))) for a, b in zip(vs[1:], vs)]
+
+
+def _ends_at_its_first_non_contraction(rep, deltas):
+    *contracting, last = deltas
+    return (not rep.converged and rep.iterations == len(deltas)
+            and all(b < a for a, b in zip(contracting, contracting[1:]))
+            and last >= contracting[-1])
+
+
+def test_stagnating_failure_ends_once_the_iteration_stops_contracting():
+    # at tolerance 1e-16, drift2d step 70 from v0 contracts at theta ~0.37 down
+    # to 1.665e-16, the round-off of the update, which then repeats (theta = 1);
+    # the attempt ends there, not at max_iterations
+    scn = bdli.builtin_scenario("drift2d")
+    opts = SolverOptions(1e-16)
+    with pytest.raises(NonConvergenceError) as info:
+        integrate(scn.system(), BOOLE, scn.initial_state(), scn.h, 100, opts)
+    z70 = info.value.trajectory.states[-1]
+    rep, deltas = _attempt_deltas(dli_kernel(scn.system(), BOOLE, scn.h, opts), z70)
+    assert _ends_at_its_first_non_contraction(rep, deltas)
+    assert rep.iterations == 38 < opts.max_iterations
+    assert deltas[-1] == deltas[-2] and f"{deltas[-1]:.3e}" == "1.665e-16"
+
+
+def test_diverging_failure_ends_once_the_iteration_stops_contracting():
+    # in the quartic well at h = 1 the iterate differences shrink twice
+    # (5.675, 5.617, 5.294), then grow (theta > 1); left to run, the
+    # iterates reach a non-finite value at the twelfth
+    sys = ChargedParticleSystem(1.0, 1.0, QuarticWellField(strength=0.5))
+    kernel = dli_kernel(sys, BOOLE, 1.0)
+    rep, deltas = _attempt_deltas(kernel, (1.5, 0.0, 0.0, 0.0, 0.5, 0.0))
+    assert _ends_at_its_first_non_contraction(rep, deltas)
+    assert rep.iterations == 4 and f"{rep.residual_norm:.3e}" == "8.104e+00"
 
 
 def test_tolerance_just_above_the_round_off_of_the_update_converges():

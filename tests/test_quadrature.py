@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -78,6 +79,31 @@ def test_rule_validation():
         QuadratureRule("e", (), (), 0)
     with pytest.raises(ValueError, match="degree_of_exactness must be >= 0"):
         QuadratureRule("bad", (0.0, 1.0), (0.5, 0.5), -1)
+
+
+def test_rule_takes_an_integral_float_degree():
+    # a float degree used to raise a TypeError from range()
+    rule = QuadratureRule("w2", (0.0, 1.0), (0.5, 0.5), 1.0)
+    assert type(rule.degree_of_exactness) is int and rule.degree_of_exactness == 1
+    assert rule == QuadratureRule("w2", (0, 1), (0.5, 0.5), 1)
+
+
+@pytest.mark.parametrize("args,message", [
+    ((5, (0.0, 1.0), (0.5, 0.5), 1), "name: expected a string, got 5"),
+    (("w2", ("0", "1"), (0.5, 0.5), 1), "nodes: expected a number, got '0'"),
+    (("w2", (0.0, True), (0.5, 0.5), 1), "nodes: expected a number, got True"),
+    (("w2", (0.0, 1.0), (0.5, Decimal("0.5")), 1),
+     "weights: expected a number, got Decimal('0.5')"),
+    (("w2", (0.0, 1.0), (0.5, 0.5), 1.5), "degree_of_exactness: expected an integer, "
+                                          "got 1.5"),
+    (("w2", (0.0, 1.0), (0.5, 0.5), True), "degree_of_exactness: expected an "
+                                           "integer, got True"),
+], ids=["name-int", "nodes-strings", "node-bool", "weight-decimal", "degree-1.5",
+        "degree-bool"])
+def test_rule_refuses_a_value_of_the_wrong_type_naming_its_key(args, message):
+    with pytest.raises(ConfigError) as info:
+        QuadratureRule(*args)
+    assert str(info.value) == message
 
 
 def test_palindromic():

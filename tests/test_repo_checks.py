@@ -178,8 +178,8 @@ def test_experiments_names_config_errors_in_one_place():
     """In ``experiments.py`` a caught error becomes a ``ConfigError`` only in
     ``_named`` (which names the key of any bad value or failed file
     operation) and in the handlers that write their own message:
-    ``_coerce``, ``parse_step_size`` and ``_load_document``'s JSON errors."""
-    allowed = {"_named", "_coerce", "parse_step_size", "_load_document"}
+    ``parse_step_size`` and ``_load_document``'s JSON errors."""
+    allowed = {"_named", "parse_step_size", "_load_document"}
     tree = ast.parse((ROOT / "src" / "bdli" / "experiments.py").read_text())
     owner = {}
     for func in ast.walk(tree):
@@ -192,6 +192,20 @@ def test_experiments_names_config_errors_in_one_place():
              if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
              and getattr(node.exc.func, "id", None) == "ConfigError"
              and owner.get(handler) not in allowed]
+    assert not found, found
+
+
+def test_only_the_value_rules_test_for_a_bool():
+    """What counts as a number or a count is decided once, by ``as_real``,
+    ``as_count`` and ``as_vec3`` in ``fields.py``: no other library module
+    names ``bool`` inside an ``isinstance`` call."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "bdli").glob("*.py"))
+             if path.name != "fields.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None)
+             == "isinstance" and any(getattr(n, "id", None) == "bool"
+                                     for arg in node.args[1:] for n in ast.walk(arg))]
     assert not found, found
 
 
