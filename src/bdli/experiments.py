@@ -91,24 +91,27 @@ _PI_EXPR = re.compile(
 
 
 def parse_step_size(value, key: str = "h") -> float:
-    """Expand a step size that may be a number or text such as "0.1" or
-    "pi/10".  Errors name the config entry ``key``."""
+    """The step size ``value``, a number (by ``as_real``) or text such as "0.1"
+    or "pi/10", as a float: the one step-size rule.  A value that does not
+    read, or reads as zero or not finite, is a ConfigError naming ``key``."""
     if not isinstance(value, str):
-        return as_real(key, value)
-    s = value.strip().lower().replace(" ", "")
-    m = _PI_EXPR.fullmatch(s)
-    if m:
+        h = as_real(key, value)
+    elif m := _PI_EXPR.fullmatch(s := value.strip().lower().replace(" ", "")):
         sign = -1.0 if m.group(1) else 1.0
         num = float(m.group(2)) if m.group(2) else 1.0
         den = float(m.group(3)) if m.group(3) else 1.0
         if den == 0.0:
             raise ConfigError(f"{key}: division by zero in {value!r}")
-        return sign * num * math.pi / den
-    try:
-        return float(s)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number or an expression like "
-                          f"'pi/10', got {value!r}") from None
+        h = sign * num * math.pi / den
+    else:
+        try:
+            h = float(s)
+        except ValueError:
+            raise ConfigError(f"{key}: expected a number or an expression like "
+                              f"'pi/10', got {value!r}") from None
+    if h == 0.0 or not math.isfinite(h):
+        raise ConfigError(f"{key}: must be finite and nonzero, got {h!r}")
+    return h
 
 
 @dataclass(frozen=True)
@@ -147,8 +150,6 @@ class Scenario:
             raise ConfigError(f"n_steps: must be >= 1, got {self.n_steps}")
         if self.n_steps > maxsize:  # the record's n_steps + 1 rows fit a list
             raise ConfigError(f"n_steps: must be <= sys.maxsize = {maxsize}")
-        if self.h == 0.0 or not math.isfinite(self.h):
-            raise ConfigError(f"h: must be finite and nonzero, got {self.h}")
         if self.stride < 1:
             raise ConfigError(f"stride: must be >= 1, got {self.stride}")
         params = self.field_params
@@ -161,8 +162,7 @@ class Scenario:
         for key, value in (("particle", p), ("mass", p.mass), ("charge", p.charge)):
             object.__setattr__(self, key, value)
         for key in ("x0", "v0"):
-            with _named(key):
-                object.__setattr__(self, key, as_vec3(getattr(self, key)))
+            object.__setattr__(self, key, as_vec3(key, getattr(self, key)))
         own = self.rule
         if own is not None and not isinstance(own, QuadratureRule):
             raise ConfigError(f"rule: expected a QuadratureRule, got {own!r}")
@@ -516,7 +516,19 @@ class ConvergenceStudy:
     method: str
     reference_h: float
     rows: tuple[tuple[float, float], ...]  # (h, endpoint error)
-    slope: float
+
+    @property
+    def slope(self) -> float:
+        """Least-squares slope of log(error) against log|h| over the rows;
+        NaN where it is undefined (an error of 0, or a single step size)."""
+        if not all(e > 0.0 for _, e in self.rows):
+            return math.nan
+        xs = [math.log(abs(h)) for h, _ in self.rows]
+        ys = [math.log(e) for _, e in self.rows]
+        mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+        sxx = sum((x - mx) ** 2 for x in xs)
+        sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+        return sxy / sxx if sxx > 0.0 else math.nan
 
     @property
     def orders(self) -> tuple[float, ...]:
@@ -536,50 +548,37 @@ class ConvergenceStudy:
         return "\n".join(lines) + "\n"
 
 
-def _loglog_slope(rows) -> float:
-    """Least-squares slope of log(error) against log|h| over ``(h, error)``
-    rows; NaN where it is undefined (an error of 0, or a single step size)."""
-    if not all(e > 0.0 for _, e in rows):
-        return math.nan
-    xs = [math.log(abs(h)) for h, _ in rows]
-    ys = [math.log(e) for _, e in rows]
-    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
-    sxx = sum((x - mx) ** 2 for x in xs)
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    return sxy / sxx if sxx > 0.0 else math.nan
-
-
 def convergence_study(
     scn: Scenario, h_list=None, reference_h: float | None = None, out=None
 ) -> ConvergenceStudy:
     """Self-convergence of the scenario's method over its total time.
 
     ``h_list`` defaults to h, h/2, h/4, h/8 of the scenario's h, and
-    ``reference_h`` to the finest step over 16.  Every h (and the reference)
-    must divide the total time to within round-off; the reference step must
-    be the finest.  The slope is the least-squares fit of log(error) against
-    log(h).  A ConfigError starts with ``study:`` and names ``h_list``,
-    ``reference_h``, ``h`` (the default ladder's) or the total time.  Every
-    rung's scenario is built, and so checked, before the first one runs, and
-    so is the path ``out`` (if given), to which the study's table is written;
-    a bad or unwritable ``out`` is a ConfigError starting with ``out:``.
+    ``reference_h`` to the finest step over 16.  Every h and the reference,
+    given or default, is read by :func:`parse_step_size` (finite and
+    nonzero), must divide the total time to within round-off, and the
+    reference must be the finest.  The slope is the least-squares fit of
+    log(error) against log(h).  A ConfigError starts with ``study:`` and
+    names ``h_list``, ``reference_h``, ``h`` (the default ladder's) or the
+    total time.  Every rung's scenario is built, and so checked, before the
+    first one runs, and so is the path ``out`` (if given), to which the
+    study's table is written; a bad or unwritable ``out`` is a ConfigError
+    starting with ``out:``.
     """
     T = scn.total_time
     if not math.isfinite(T):
         raise ConfigError(f"study: total time h * n_steps = {scn.h!r} * "
                           f"{scn.n_steps} is not finite")
     hs_key, hs = (("study: h", [scn.h / 2**k for k in range(4)]) if h_list is None
-                  else ("study: h_list",
-                        [parse_step_size(h, "study: h_list") for h in h_list]))
+                  else ("study: h_list", h_list))
+    hs = [parse_step_size(h, hs_key) for h in hs]
     if not hs:
         raise ConfigError(f"{hs_key}: must be nonempty")
-    if not all(h and math.isfinite(h) for h in hs):
-        raise ConfigError(f"{hs_key}: steps must be finite and nonzero, got {hs}")
-    reference_h = (min(hs, key=abs) / 16 if reference_h is None
-                   else parse_step_size(reference_h, "study: reference_h"))
-    if not 0.0 < abs(reference_h) < min(abs(h) for h in hs):
-        raise ConfigError(f"study: reference_h: {reference_h!r} must be nonzero "
-                          "and finer than every step of the ladder")
+    reference_h = parse_step_size(min(hs, key=abs) / 16 if reference_h is None
+                                  else reference_h, "study: reference_h")
+    if not abs(reference_h) < min(abs(h) for h in hs):
+        raise ConfigError(f"study: reference_h: {reference_h!r} must be finer "
+                          "than every step of the ladder")
     rungs = []
     for key, h in [*((hs_key, h) for h in hs), ("study: reference_h", reference_h)]:
         n = round(T / h) if math.isfinite(T / h) else 0  # 0 is refused next
@@ -593,7 +592,7 @@ def convergence_study(
     ref = fine.run_trajectory().states[-1]
     rows = tuple((h, math.dist(r.run_trajectory().states[-1], ref))
                  for h, r in zip(hs, coarse))
-    study = ConvergenceStudy(scn.method, reference_h, rows, _loglog_slope(rows))
+    study = ConvergenceStudy(scn.method, reference_h, rows)
     if table_path:
         _write_text("out", table_path, study.as_text())
     return study

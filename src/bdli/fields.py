@@ -13,8 +13,9 @@ the diagnostics, the structure matrix) goes through them.  ``a_at`` raises
 :class:`PotentialUnavailableError` on models without a vector potential.
 Models whose electric field vanishes identically advertise it through
 ``zero_electric`` so the implicit solver can skip the segment quadrature
-entirely.  The value rules ``as_real``, ``as_count`` and ``as_vec3`` live
-here too: each object checks the values it holds with them, once.
+entirely.  The value rules ``as_real``, ``as_count`` and ``as_vec3`` (three
+components, each by ``as_real``) live here too: each object checks the
+values it holds with them, once.
 """
 
 from __future__ import annotations
@@ -68,29 +69,16 @@ def as_count(key: str, value) -> int:
     raise ConfigError(f"{key}: expected an integer, got {value!r}")
 
 
-def as_vec3(a) -> tuple[float, float, float]:
-    """Coerce to a 3-tuple of finite floats.
-
-    Raises ValueError on a wrong length, a bool or string component (which
-    ``float`` would read), an integer beyond the float range or non-finite
-    entries; this is the gate through
-    which external values enter the numeric kernels.
-    """
+def as_vec3(key: str, value) -> tuple[float, float, float]:
+    """``value`` as three floats, each read by ``as_real(key, c, finite=True)``;
+    anything that does not unpack into three components is a ConfigError
+    naming ``key`` too."""
     try:
-        v = tuple(a)
-        for c in v:
-            if isinstance(c, (bool, str)):
-                raise ValueError(f"expected a number, got {c!r} in {a!r}")
-        v = tuple(map(float, v))
-    except TypeError:
-        raise ValueError(f"expected a 3-vector, got {a!r}") from None
-    except OverflowError:  # an integer beyond the float range
-        raise ValueError(f"expected a number, got {a!r}") from None
-    if len(v) != 3:
-        raise ValueError(f"expected a 3-vector, got {len(v)} components")
-    if not all(map(math.isfinite, v)):
-        raise ValueError(f"non-finite components in 3-vector: {v}")
-    return v
+        x, y, z = value
+    except (TypeError, ValueError):  # not iterable, or not three long
+        raise ConfigError(f"{key}: expected a 3-vector, got {value!r}") from None
+    return (as_real(key, x, finite=True), as_real(key, y, finite=True),
+            as_real(key, z, finite=True))
 
 
 class FieldModel(ABC):
@@ -246,8 +234,8 @@ class UniformField(FieldModel):
     name = "uniform"
 
     def __init__(self, B=(0.0, 0.0, 1.0), E=(0.0, 0.0, 0.0)):
-        self.B = as_vec3(B)
-        self.E = as_vec3(E)
+        self.B = as_vec3("B", B)
+        self.E = as_vec3("E", E)
         self.zero_electric = self.E == (0.0, 0.0, 0.0)
 
     def b_at(self, x, y, z):
@@ -280,7 +268,7 @@ class QuarticWellField(FieldModel):
     name = "quartic_well"
 
     def __init__(self, B=(0.0, 0.0, 1.0), strength: float = 1.0):
-        self.B = as_vec3(B)
+        self.B = as_vec3("B", B)
         self.strength = as_real("strength", strength, finite=True)
         self.zero_electric = self.strength == 0.0
 

@@ -46,8 +46,8 @@ class PhaseState:
     v: tuple[float, float, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "x", as_vec3(self.x))
-        object.__setattr__(self, "v", as_vec3(self.v))
+        object.__setattr__(self, "x", as_vec3("x", self.x))
+        object.__setattr__(self, "v", as_vec3("v", self.v))
 
     def as_vector(self) -> tuple:
         """The row (x, y, z, vx, vy, vz)."""

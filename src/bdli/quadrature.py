@@ -26,7 +26,10 @@ _EXACTNESS_TOL = 1e-14
 @dataclass(frozen=True)
 class QuadratureRule:
     """Nodes/weights on [0, 1] with a verified degree of exactness, held as
-    floats and an int; a value of the wrong type is a ConfigError."""
+    floats and an int.  A bad value is a ConfigError naming its key: ``name``,
+    ``nodes`` (nonempty, as many as the weights, ascending in [0, 1]),
+    ``weights`` (summing to 1) or ``degree_of_exactness`` (which the rule
+    must reach)."""
 
     name: str
     nodes: tuple[float, ...]
@@ -39,27 +42,25 @@ class QuadratureRule:
         for key in ("nodes", "weights"):
             object.__setattr__(self, key, tuple(as_real(key, c)
                                                 for c in getattr(self, key)))
-        object.__setattr__(self, "degree_of_exactness",
-                           as_count("degree_of_exactness", self.degree_of_exactness))
-        if len(self.nodes) != len(self.weights) or not self.nodes:
-            raise ValueError("nodes and weights must be nonempty and equally long")
-        if any(not 0.0 <= c <= 1.0 for c in self.nodes):
-            raise ValueError(f"rule {self.name!r}: nodes must lie in [0, 1]")
-        if any(b <= a for a, b in zip(self.nodes, self.nodes[1:])):
-            raise ValueError(f"rule {self.name!r}: nodes must be strictly ascending")
-        if not abs(sum(self.weights) - 1.0) <= _WEIGHT_SUM_TOL:  # NaN fails too
-            raise ValueError(
-                f"rule {self.name!r}: weights sum to {sum(self.weights)!r}, not 1"
-            )
-        if self.degree_of_exactness < 0:
-            raise ValueError("degree_of_exactness must be >= 0")
-        for k in range(self.degree_of_exactness + 1):
+        d = as_count("degree_of_exactness", self.degree_of_exactness)
+        object.__setattr__(self, "degree_of_exactness", d)
+        c, w = self.nodes, self.weights
+        if len(c) != len(w) or not c:
+            raise ConfigError(f"nodes: must be nonempty and as many as the "
+                              f"weights, got {len(c)} and {len(w)}")
+        if any(not 0.0 <= x <= 1.0 for x in c):
+            raise ConfigError(f"nodes: must lie in [0, 1], got {c}")
+        if any(b <= a for a, b in zip(c, c[1:])):
+            raise ConfigError(f"nodes: must be strictly ascending, got {c}")
+        if not abs(sum(w) - 1.0) <= _WEIGHT_SUM_TOL:  # NaN fails too
+            raise ConfigError(f"weights: must sum to 1, got a sum of {sum(w)!r}")
+        if d < 0:
+            raise ConfigError(f"degree_of_exactness: must be >= 0, got {d}")
+        for k in range(d + 1):
             err = abs(self.integrate_monomial(k) - 1.0 / (k + 1))
             if not err <= _EXACTNESS_TOL:
-                raise ValueError(
-                    f"rule {self.name!r} misses monomial c^{k} by {err:.2e}; "
-                    f"declared degree of exactness {self.degree_of_exactness} is wrong"
-                )
+                raise ConfigError(f"degree_of_exactness: {d} is wrong: the rule "
+                                  f"misses monomial c^{k} by {err:.2e}")
 
     @property
     def palindromic(self) -> bool:
@@ -71,7 +72,7 @@ class QuadratureRule:
 
     def integrate_monomial(self, k: int) -> float:
         """Apply the rule to f(c) = c^k."""
-        return float(sum(w * c**k for c, w in zip(self.nodes, self.weights)))
+        return sum(w * c**k for c, w in zip(self.nodes, self.weights))
 
 
 BUILTIN_RULES = {

@@ -73,7 +73,7 @@ def k_matrix(sys: ChargedParticleSystem, x) -> np.ndarray:
     Exposed for verification; the integrators apply the sparse blocks
     directly instead of materializing this matrix.
     """
-    x = np.asarray(as_vec3(x))
+    x = np.asarray(as_vec3("x", x))
     m = sys.mass
     K = np.zeros((6, 6))
     K[:3, 3:] = np.eye(3) / m

@@ -1,5 +1,6 @@
 import json
 import math
+from collections.abc import Sized
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -7,7 +8,7 @@ from sys import maxsize
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bdli
@@ -16,10 +17,13 @@ from bdli import (
     ChargedParticleSystem,
     ConfigError,
     ConvergenceStudy,
+    PhaseState,
     QuadratureRule,
+    QuarticWellField,
     Scenario,
     SolverOptions,
     TokamakField,
+    UniformField,
     boris_step,
     builtin_rule,
     builtin_scenario,
@@ -30,7 +34,8 @@ from bdli import (
     run_scenario,
     scenario_to_config,
 )
-from bdli.experiments import _SCENARIO_KEYS, _loglog_slope, _scenario_from_dict
+from bdli.experiments import _SCENARIO_KEYS, _scenario_from_dict
+from bdli.fields import as_real
 
 
 # --- builtins ---------------------------------------------------------------
@@ -487,6 +492,72 @@ def test_direct_construction_and_a_config_refuse_the_same_values(key, value):
         assert type(held(obj)) is type(held(_held(key, scn)))
 
 
+# 3-vector components of each kind, good ones first, and vectors of them
+COMPONENTS = (0, -2, 1.5, Fraction(1, 2), np.float64(0.25), np.int64(3), True, "1",
+              math.nan, math.inf, -math.inf, Decimal("1.05"), 10**400, None)
+_VECTORS = st.one_of(
+    st.lists(st.sampled_from(COMPONENTS[:6]), min_size=3, max_size=3),
+    st.lists(st.sampled_from(COMPONENTS), min_size=2, max_size=4),
+    st.sampled_from(["001", "1.05", 5, None, np.array([0.0, 1.0, 0.0])]))
+_ZERO = (0.0, 0.0, 0.0)
+# holder: (the key a direct construction names, the construction, the key a
+# config names, the config document, the object of a scenario holding the
+# vector, the attribute that holds it)
+VECTOR_HOLDERS = {
+    "x0": ("x0", lambda v: Scenario(name="u", field_name="uniform", x0=v),
+           "x0", lambda v: {"x0": v}, lambda scn: scn, "x0"),
+    "v0": ("v0", lambda v: Scenario(name="u", field_name="uniform", v0=v),
+           "v0", lambda v: {"v0": v}, lambda scn: scn, "v0"),
+    "uniform B": ("B", lambda v: UniformField(B=v), "field: B",
+                  lambda v: {"field": {"name": "uniform", "params": {"B": v}}},
+                  lambda scn: scn.particle.field, "B"),
+    "uniform E": ("E", lambda v: UniformField(E=v), "field: E",
+                  lambda v: {"field": {"name": "uniform", "params": {"E": v}}},
+                  lambda scn: scn.particle.field, "E"),
+    "quartic B": ("B", lambda v: QuarticWellField(B=v), "field: B",
+                  lambda v: {"field": {"name": "quartic_well", "params": {"B": v}}},
+                  lambda scn: scn.particle.field, "B"),
+    "PhaseState x": ("x", lambda v: PhaseState(v, _ZERO), "x0", lambda v: {"x0": v},
+                     Scenario.initial_state, "x"),
+    "PhaseState v": ("v", lambda v: PhaseState(_ZERO, v), "v0", lambda v: {"v0": v},
+                     Scenario.initial_state, "v"),
+}
+
+
+def _finite_real(c) -> bool:
+    try:
+        as_real("c", c, finite=True)
+    except ConfigError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example("x0", [Decimal("1.05"), 0, 0])
+@given(st.sampled_from(sorted(VECTOR_HOLDERS)), _VECTORS)
+def test_a_3vector_is_three_components_that_as_real_takes(holder, vec):
+    """Direct construction and a config accept the same vectors: exactly
+    those of three components that ``as_real(..., finite=True)`` takes.
+    Each refusal names its key, a config's with the config path."""
+    key, direct, config_key, document, of_scenario, attr = VECTOR_HOLDERS[holder]
+    ok = isinstance(vec, Sized) and len(vec) == 3 and all(map(_finite_real, vec))
+    try:
+        obj = direct(vec)
+    except ConfigError as exc:
+        assert str(exc).startswith(f"{key}: "), str(exc)
+        obj = None
+    try:
+        scn = _scenario_from_dict({"builtin": "banana", **document(vec)}, "doc")
+    except ConfigError as exc:
+        assert str(exc).startswith(f"{config_key}: "), str(exc)
+        scn = None
+    assert (obj is not None) == (scn is not None) == ok
+    if ok:
+        held = getattr(obj, attr)
+        assert held == getattr(of_scenario(scn), attr) == tuple(map(float, vec))
+        assert all(type(c) is float for c in held)
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(_config_documents())
 def test_config_parser_raises_only_config_error(doc):
@@ -629,7 +700,8 @@ def test_convergence_study_validation():
         convergence_study(scn, [scn.h, scn.h / 2], scn.h)
     with pytest.raises(ConfigError, match="nonempty"):
         convergence_study(scn, [], scn.h / 64)
-    with pytest.raises(ConfigError, match="^study: h_list: steps must be finite"):
+    with pytest.raises(ConfigError,
+                       match="^study: h_list: must be finite and nonzero, got nan$"):
         convergence_study(scn, [math.nan, scn.h], scn.h / 64)
     with pytest.raises(ConfigError,
                        match="^study: total time h \\* n_steps = 1e\\+308"):
@@ -643,7 +715,8 @@ def test_convergence_study_validation():
                        match="^study: reference_h: step 5e-324 does not divide"):
         convergence_study(scn, [scn.h], 5e-324)
     # the default ladder h, h/2, h/4, h/8 names h, which it is made of
-    with pytest.raises(ConfigError, match="^study: h: steps must be finite"):
+    with pytest.raises(ConfigError,
+                       match="^study: h: must be finite and nonzero, got 0.0$"):
         convergence_study(replace(scn, h=5e-324, n_steps=4))
 
 
@@ -684,8 +757,9 @@ def test_convergence_study_writes_its_table_to_out(tmp_path, integrate_calls):
 
 
 def test_loglog_slope_is_nan_when_an_error_is_zero():
-    assert math.isnan(_loglog_slope(((0.1, 1e-3), (0.05, 0.0))))
-    assert _loglog_slope(((0.1, 1e-2), (0.05, 2.5e-3))) == pytest.approx(2.0)
+    assert math.isnan(ConvergenceStudy("bdli", 0.01, ((0.1, 1e-3), (0.05, 0.0))).slope)
+    study = ConvergenceStudy("bdli", 0.01, ((0.1, 1e-2), (0.05, 2.5e-3)))
+    assert study.slope == pytest.approx(2.0)
 
 
 def test_convergence_study_second_order_on_tokamak():
@@ -704,8 +778,7 @@ def test_convergence_study_second_order_on_tokamak():
 
 
 def test_convergence_orders_are_nan_when_an_error_is_zero():
-    study = ConvergenceStudy("bdli", 0.01, ((0.1, 1e-3), (0.05, 0.0), (0.025, 0.0)),
-                             math.nan)
+    study = ConvergenceStudy("bdli", 0.01, ((0.1, 1e-3), (0.05, 0.0), (0.025, 0.0)))
     assert all(map(math.isnan, study.orders)) and len(study.orders) == 2
 
 

@@ -316,10 +316,11 @@ def test_each_registered_model_defines_every_evaluator_itself(name):
 
 @pytest.mark.parametrize("bad", [(1, 2), (1, 2, 3, 4), np.array([1.0, np.nan, 0.0]),
                                  np.array([1.0, np.inf, 0.0]), "105", (True, 0, 0),
-                                 (1, "0", 0), (10**400, 0, 0)])
+                                 (1, "0", 0), (10**400, 0, 0),
+                                 (Decimal("1.05"), 0, 0), 5])
 def test_as_vec3_rejects_bad_input(bad):
-    with pytest.raises(ValueError):
-        as_vec3(bad)
+    with pytest.raises(ConfigError, match="^k: "):
+        as_vec3("k", bad)
 
 
 @pytest.mark.parametrize("value,expected", [

@@ -67,18 +67,24 @@ def test_weights_sum_and_symmetry(name):
 
 
 def test_rule_validation():
-    with pytest.raises(ValueError, match="weights sum"):
-        QuadratureRule("bad", (0.0, 1.0), (0.5, 0.6), 1)
-    with pytest.raises(ValueError, match="ascending"):
-        QuadratureRule("bad", (0.5, 0.5), (0.5, 0.5), 0)
-    with pytest.raises(ValueError, match="misses monomial"):
-        QuadratureRule("bad", (0.0, 1.0), (0.5, 0.5), 3)
-    with pytest.raises(ValueError, match="lie in"):
-        QuadratureRule("bad", (0.0, 1.5), (0.5, 0.5), 1)
-    with pytest.raises(ValueError, match="nonempty"):
-        QuadratureRule("e", (), (), 0)
-    with pytest.raises(ValueError, match="degree_of_exactness must be >= 0"):
-        QuadratureRule("bad", (0.0, 1.0), (0.5, 0.5), -1)
+    # each shape check names its key, and only that: no rule name before it
+    for args, message in [
+        (("bad", (0.0, 1.0), (0.5, 0.6), 1),
+         "weights: must sum to 1, got a sum of 1.1"),
+        (("bad", (0.5, 0.5), (0.5, 0.5), 0),
+         "nodes: must be strictly ascending, got (0.5, 0.5)"),
+        (("bad", (0.0, 1.0), (0.5, 0.5), 3), "degree_of_exactness: 3 is wrong: the "
+                                             "rule misses monomial c^2 by 1.67e-01"),
+        (("bad", (0.0, 1.5), (0.5, 0.5), 1),
+         "nodes: must lie in [0, 1], got (0.0, 1.5)"),
+        (("e", (), (), 0), "nodes: must be nonempty and as many as the weights, "
+                           "got 0 and 0"),
+        (("bad", (0.0, 1.0), (0.5, 0.5), -1),
+         "degree_of_exactness: must be >= 0, got -1"),
+    ]:
+        with pytest.raises(ConfigError) as info:
+            QuadratureRule(*args)
+        assert str(info.value) == message
 
 
 def test_rule_takes_an_integral_float_degree():
@@ -132,7 +138,8 @@ def test_inline_custom_rule_refusals():
         _inline("boole", [(0.0, 0.5), (1.0, 0.5)], 1)
     with pytest.raises(ConfigError, match="rule: .*misses monomial"):
         _inline("too_bold", [(0.0, 0.5), (1.0, 0.5)], 2)
-    with pytest.raises(ConfigError, match="rule: .*weights sum"):
+    with pytest.raises(ConfigError,
+                       match="^rule: weights: must sum to 1, got a sum of nan$"):
         _inline("nan", [(0.0, math.nan), (1.0, math.nan)], 0)
 
 

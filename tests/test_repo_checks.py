@@ -174,6 +174,16 @@ def test_step_path_calls_no_builtin_reduction():
     assert not found, found
 
 
+def _owners(tree) -> dict:
+    """The name of the innermost ``def`` around each node of ``tree``."""
+    owner = {}
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                owner[node] = func.name  # walked after it, an inner def wins
+    return owner
+
+
 def test_experiments_names_config_errors_in_one_place():
     """In ``experiments.py`` a caught error becomes a ``ConfigError`` only in
     ``_named`` (which names the key of any bad value or failed file
@@ -181,11 +191,7 @@ def test_experiments_names_config_errors_in_one_place():
     ``parse_step_size`` and ``_load_document``'s JSON errors."""
     allowed = {"_named", "parse_step_size", "_load_document"}
     tree = ast.parse((ROOT / "src" / "bdli" / "experiments.py").read_text())
-    owner = {}
-    for func in ast.walk(tree):
-        if isinstance(func, ast.FunctionDef):
-            for node in ast.walk(func):
-                owner[node] = func.name  # walked after it, an inner def wins
+    owner = _owners(tree)
     found = [f"{owner.get(handler, '<module>')}:{handler.lineno}"
              for handler in ast.walk(tree) if isinstance(handler, ast.ExceptHandler)
              for node in ast.walk(handler)
@@ -195,18 +201,44 @@ def test_experiments_names_config_errors_in_one_place():
     assert not found, found
 
 
+def _src_calls(accepts) -> list[tuple[str, str, int]]:
+    """``(module, function, line)`` of every ``ast.Call`` in ``src/bdli`` that
+    ``accepts``; the function is the innermost ``def`` around the call, or
+    ``<module>``."""
+    found = []
+    for path in sorted((ROOT / "src" / "bdli").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = _owners(tree)
+        found += [(path.name, owner.get(node, "<module>"), node.lineno)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and accepts(node)]
+    return found
+
+
 def test_only_the_value_rules_test_for_a_bool():
-    """What counts as a number or a count is decided once, by ``as_real``,
-    ``as_count`` and ``as_vec3`` in ``fields.py``: no other library module
-    names ``bool`` inside an ``isinstance`` call."""
-    found = [f"{path.name}:{node.lineno}"
-             for path in sorted((ROOT / "src" / "bdli").glob("*.py"))
-             if path.name != "fields.py"
-             for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, ast.Call) and getattr(node.func, "id", None)
-             == "isinstance" and any(getattr(n, "id", None) == "bool"
-                                     for arg in node.args[1:] for n in ast.walk(arg))]
-    assert not found, found
+    """What counts as a number or a count is decided once, by ``as_real``
+    and ``as_count`` in ``fields.py`` (``as_vec3`` reads its components with
+    ``as_real``): no other function names ``bool`` inside an ``isinstance``
+    call."""
+    found = _src_calls(lambda call: getattr(call.func, "id", None) == "isinstance"
+                       and any(getattr(n, "id", None) == "bool"
+                               for arg in call.args[1:] for n in ast.walk(arg)))
+    allowed = {("fields.py", "as_real"), ("fields.py", "as_count")}
+    assert [f for f in found if f[:2] not in allowed] == []
+
+
+def test_only_the_number_rules_call_float():
+    """A value becomes a float in ``as_real`` (a number) and in
+    ``parse_step_size`` (a step size, which may be text) and nowhere else in
+    the library, so no other function has a number rule of its own;
+    ``map(float, v)`` counts as a call."""
+    def converts(call):
+        f = getattr(call.func, "id", None)
+        first = [getattr(arg, "id", None) for arg in call.args[:1]]
+        return f == "float" or f == "map" and first == ["float"]
+
+    allowed = {("fields.py", "as_real"), ("experiments.py", "parse_step_size")}
+    assert [f for f in _src_calls(converts) if f[:2] not in allowed] == []
 
 
 def test_cli_imports_no_private_experiments_name():
