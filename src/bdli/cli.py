@@ -45,9 +45,9 @@ EXIT_SINGULARITY = 4
 
 def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("scenario", help="config file path or builtin scenario name")
-    p.add_argument("--steps", type=int, help="number of time steps")
+    p.add_argument("--steps", help="number of time steps")
     p.add_argument("--h", dest="h", help="step size (number or e.g. 'pi/20')")
-    p.add_argument("--tol", type=float, help="fixed-point solver tolerance")
+    p.add_argument("--tol", help="fixed-point solver tolerance")
     p.add_argument("--out", help="output path (series file / study table)")
 
 
@@ -82,7 +82,7 @@ def _cmd_list_builtins(_args) -> int:
     for name in BUILTIN_SCENARIOS:
         scn = builtin_scenario(name)
         print(
-            f"{name:<10} field={scn.field_name:<18} h={_BUILTIN_DOCS[name]['h']} "
+            f"{name:<10} field={scn.field['name']:<18} h={_BUILTIN_DOCS[name]['h']} "
             f"n_steps={scn.n_steps} x0={scn.x0} v0={scn.v0}"
         )
     return EXIT_OK

@@ -15,11 +15,12 @@ Built-in scenarios, each itself a config document (``_BUILTIN_DOCS``):
     transit   passing orbit in the tokamak field (doubled toroidal kick)
 
 A config document with ``"builtin": <name>`` lays its keys over that
-document.  The parser only maps keys to the arguments of ``Scenario``
-and the objects it holds; each object checks its own values once, with the
+document.  Its scenario keys are the arguments of ``Scenario``, in the
+same forms; each object it builds checks its own values once, with the
 rules of :mod:`bdli.fields` (a ``ConfigError`` names the key), so a config
-and a direct call pass the same checks.  :func:`load_run` alone turns a
-config or builtin name and the command-line flags into a ``Scenario``.
+and a direct call with the same settings give equal scenarios.
+:func:`load_run` alone turns a config or builtin name and the command-line
+flags into a ``Scenario``.
 
 Output: a comma-separated series file (one row per recorded state) plus a
 key-value summary file; both are deterministic for identical scenarios.
@@ -36,7 +37,8 @@ import math
 import re
 from collections.abc import Callable
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import field as dc_field
 from pathlib import Path
 from sys import maxsize
 
@@ -116,30 +118,31 @@ def parse_step_size(value, key: str = "h") -> float:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A fully pinned-down run.  ``method`` alone picks the stepper, which
-    ``stepper`` holds (see :func:`resolve_method`); ``rule`` is the
-    scenario's own palindromic quadrature rule, which runs when ``method`` is
-    "dli:<its name>" and may not take a built-in rule's name.  ``h`` may be
-    given as text such as "pi/10" and is held as a float; ``name``, the stem
-    of the default series path, has no path separator and no NUL."""
+    """A fully pinned-down run.  Its arguments are a config document's
+    scenario keys, in the same forms, each read once into the form it holds:
+    ``field`` (a name or ``{name, params}``, held as the latter), ``rule``
+    (its own palindromic rule, not named as a built-in one: a
+    ``QuadratureRule`` or ``{name, pairs, degree}``), ``solver`` (a
+    ``SolverOptions`` or its object), ``h`` (text such as "pi/10" too).
+    ``method`` alone picks the stepper that ``stepper`` holds; None is
+    "dli:<rule name>" with a rule, else "bdli".  ``name``, the stem of the
+    default series path, has no path separator and no NUL."""
 
     name: str
-    field_name: str
-    field_params: dict = field(default_factory=dict)
+    field: str | dict
     mass: float = 1.0
     charge: float = 1.0
     x0: tuple[float, float, float] = (0.0, 0.0, 0.0)
     v0: tuple[float, float, float] = (0.0, 0.0, 0.0)
     h: float = 0.1
     n_steps: int = 1
-    method: str = "bdli"
-    rule: QuadratureRule | None = None
-    solver: SolverOptions = field(default_factory=SolverOptions)
+    method: str | None = None
+    rule: QuadratureRule | dict | None = None
+    solver: SolverOptions | dict = dc_field(default_factory=dict)
     output: str | None = None
     stride: int = 1
-    stepper: QuadratureRule | Callable = field(init=False, repr=False,
-                                               compare=False)
-    particle: ChargedParticleSystem = field(init=False, repr=False, compare=False)
+    stepper: QuadratureRule | Callable = dc_field(init=False, repr=False, compare=False)
+    particle: ChargedParticleSystem = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # a ConfigError names its key; the objects built here check their own
@@ -152,20 +155,23 @@ class Scenario:
             raise ConfigError(f"n_steps: must be <= sys.maxsize = {maxsize}")
         if self.stride < 1:
             raise ConfigError(f"stride: must be >= 1, got {self.stride}")
-        params = self.field_params
+        spec = self.field  # a string is the field's name
+        spec = _object("field", {"name": spec} if isinstance(spec, str) else spec,
+                       {"name", "params"})
+        params = spec.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError(f"field: params must be an object, got {params!r}")
-        object.__setattr__(self, "field_params", dict(params))  # not the caller's
         with _named("field"):  # unknown model names and bad parameters alike
-            fld = make_field(self.field_name, **params)
+            fld = make_field(spec.get("name"), **params)
         p = ChargedParticleSystem(self.mass, self.charge, fld)  # the floats it holds
-        for key, value in (("particle", p), ("mass", p.mass), ("charge", p.charge)):
+        for key, value in (("field", {"name": spec["name"], "params": dict(params)}),
+                           ("particle", p), ("mass", p.mass), ("charge", p.charge)):
             object.__setattr__(self, key, value)
         for key in ("x0", "v0"):
             object.__setattr__(self, key, as_vec3(key, getattr(self, key)))
         own = self.rule
         if own is not None and not isinstance(own, QuadratureRule):
-            raise ConfigError(f"rule: expected a QuadratureRule, got {own!r}")
+            object.__setattr__(self, "rule", own := _inline_rule(own))
         if own is not None and own.name in BUILTIN_RULES:
             raise ConfigError(f"rule: cannot shadow built-in rule {own.name!r}")
         if own is not None and not own.palindromic:
@@ -174,10 +180,14 @@ class Scenario:
         if not isinstance(self.name, str) or any(c in self.name for c in "/\\\0"):
             raise ConfigError(f"name: expected a string without '/', '\\' or NUL, "
                               f"got {self.name!r}")
+        if self.method is None:  # the scenario's own rule runs unless named
+            object.__setattr__(self, "method", f"dli:{own.name}" if own else "bdli")
         if not isinstance(self.method, str):
             raise ConfigError(f"method: expected a string, got {self.method!r}")
         if not isinstance(self.solver, SolverOptions):
-            raise ConfigError(f"solver: expected a SolverOptions, got {self.solver!r}")
+            spec = _object("solver", self.solver, _SOLVER_KEYS)
+            with _named("solver"):
+                object.__setattr__(self, "solver", SolverOptions(**spec))
         if not isinstance(self.output, (str, type(None))):
             raise ConfigError(f"output: expected a path string or None, "
                               f"got {self.output!r}")
@@ -209,12 +219,9 @@ def builtin_scenario(name: str) -> Scenario:
 # config documents
 # ---------------------------------------------------------------------------
 
-_SCENARIO_KEYS = {
-    "name", "field", "mass", "charge", "x0", "v0", "h", "n_steps",
-    "method", "rule", "solver", "output", "stride",
-}
+_SCENARIO_KEYS = {f.name for f in fields(Scenario) if f.init}
 _RESERVED_KEYS = {"builtin", "study", "methods"}
-_SOLVER_KEYS = {"tolerance", "max_iterations"}
+_SOLVER_KEYS = {f.name for f in fields(SolverOptions)}
 
 
 def _object(key: str, value, keys) -> dict:
@@ -230,7 +237,7 @@ def _object(key: str, value, keys) -> dict:
 
 
 def _inline_rule(spec) -> QuadratureRule:
-    """A config's own rule from ``{name, pairs, degree}``."""
+    """A scenario's own rule from its document form ``{name, pairs, degree}``."""
     spec = _object("rule", spec, {"name", "pairs", "degree"})
     if "pairs" not in spec:
         raise ConfigError("rule: missing key 'pairs'")
@@ -241,7 +248,8 @@ def _inline_rule(spec) -> QuadratureRule:
 
 def _scenario_from_dict(doc: dict, source: str) -> Scenario:
     """The scenario of a config document, which ``"builtin": <name>`` lays
-    over that builtin's document.  Only maps keys: Scenario checks values."""
+    over that builtin's document: its scenario keys are the arguments of
+    ``Scenario``, which reads and checks their values."""
     _object(source, doc, _SCENARIO_KEYS | _RESERVED_KEYS)
     if "builtin" in doc:
         if doc["builtin"] not in BUILTIN_SCENARIOS:  # a tuple: [1] is no TypeError
@@ -252,24 +260,7 @@ def _scenario_from_dict(doc: dict, source: str) -> Scenario:
     for key in ("name", "field", "x0", "v0", "h", "n_steps"):
         if key not in doc:
             raise ConfigError(f"{key}: required unless 'builtin' is given")
-
-    fspec = doc["field"]  # a string is the field's name
-    fspec = _object("field", {"name": fspec} if isinstance(fspec, str) else fspec,
-                    {"name", "params"})
-    updates = {"field_name": fspec.get("name"), "field_params": fspec.get("params", {})}
-    for key in ("name", "mass", "charge", "x0", "v0", "h", "n_steps", "method",
-                "stride", "output"):
-        if key in doc:
-            updates[key] = doc[key]
-    if doc.get("rule") is not None:  # the definition of the scenario's own rule
-        updates["rule"] = _inline_rule(doc["rule"])
-        if "method" not in doc:  # which runs unless the document names a method
-            updates["method"] = f"dli:{updates['rule'].name}"
-    if "solver" in doc:
-        sspec = _object("solver", doc["solver"], _SOLVER_KEYS)
-        with _named("solver"):
-            updates["solver"] = SolverOptions(**sspec)
-    return Scenario(**updates)
+    return Scenario(**{k: v for k, v in doc.items() if k in _SCENARIO_KEYS})
 
 
 def _study_and_methods(doc: dict) -> tuple[list | None, float | None, list]:
@@ -299,7 +290,7 @@ def _load_document(path) -> dict:
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from None
-    except RecursionError as exc:  # nested too deep
+    except (ValueError, RecursionError) as exc:  # an int too long, nested too deep
         raise ConfigError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top-level value must be an object")
@@ -311,13 +302,24 @@ def load_config(path) -> Scenario:
     return _scenario_from_dict(_load_document(path), str(path))
 
 
+def _flag_value(value):
+    """A number flag's text read as the JSON value its key would hold in a
+    config (``"1e2"`` is 100.0); anything else, ``null`` included (an unset
+    flag is None), stays as it is."""
+    with suppress(TypeError, ValueError, RecursionError):  # not JSON text
+        if (read := json.loads(value)) is not None:
+            return read
+    return value
+
+
 def load_run(source, *, method=None, n_steps=None, h=None, tolerance=None,
              output=None) -> tuple:
     """``(scenario, h_list, reference_h, methods)`` of a config file or
     builtin name ``source`` (see ``_study_and_methods``).  The document's
     own scenario is checked first; then the flags of the ``bdli`` command
     apply in one ``replace`` as the keys they stand for (``tolerance`` is
-    the solver's).  An empty ``method`` or ``output`` is unset."""
+    the solver's), ``n_steps`` and ``tolerance`` given as text read by
+    ``_flag_value``.  An empty ``method`` or ``output`` is unset."""
     with _named(source):  # a name the OS refuses, too long say
         is_file = Path(source).is_file()
     if is_file:
@@ -329,52 +331,28 @@ def load_run(source, *, method=None, n_steps=None, h=None, tolerance=None,
                           f"scenario (builtins: {', '.join(BUILTIN_SCENARIOS)})")
     scn = _scenario_from_dict(doc, str(source))
     study = _study_and_methods(doc)
-    updates = {}
-    if method:
-        updates["method"] = method
-    if n_steps is not None:
-        updates["n_steps"] = n_steps
-    if h is not None:
-        updates["h"] = h
+    updates = {"method": method or None, "n_steps": _flag_value(n_steps), "h": h,
+               "output": output or None}
     if tolerance is not None:
-        with _named("solver"):
-            updates["solver"] = replace(scn.solver, tolerance=tolerance)
-    if output:
-        updates["output"] = output
+        updates["solver"] = {**asdict(scn.solver), "tolerance": _flag_value(tolerance)}
+    updates = {key: value for key, value in updates.items() if value is not None}
     return (replace(scn, **updates) if updates else scn, *study)
 
 
 def scenario_to_config(scn: Scenario) -> dict:
-    """Serializable dict that :func:`load_config` maps back to ``scn``.
+    """The config document of ``scn``'s held values, which
+    :func:`load_config` and ``Scenario(**doc)`` map back to ``scn``.
 
     The scenario's own rule, if it has one, is written inline next to the
     method, whether or not the method runs it.
     """
-    cfg = {
-        "name": scn.name,
-        "field": {"name": scn.field_name, "params": dict(scn.field_params)},
-        "mass": scn.mass,
-        "charge": scn.charge,
-        "x0": list(scn.x0),
-        "v0": list(scn.v0),
-        "h": scn.h,
-        "n_steps": scn.n_steps,
-        "method": scn.method,
-        "solver": {
-            "tolerance": scn.solver.tolerance,
-            "max_iterations": scn.solver.max_iterations,
-        },
-        "output": scn.output,
-        "stride": scn.stride,
-    }
     own = scn.rule
-    if own is not None:
-        cfg["rule"] = {
-            "name": own.name,
-            "pairs": [list(p) for p in zip(own.nodes, own.weights)],
-            "degree": own.degree_of_exactness,
-        }
-    return cfg
+    return {**{f.name: getattr(scn, f.name) for f in fields(scn) if f.init},
+            "field": {**scn.field, "params": dict(scn.field["params"])},
+            "x0": list(scn.x0), "v0": list(scn.v0), "solver": asdict(scn.solver),
+            "rule": None if own is None else {
+                "name": own.name, "degree": own.degree_of_exactness,
+                "pairs": [list(p) for p in zip(own.nodes, own.weights)]}}
 
 
 # ---------------------------------------------------------------------------

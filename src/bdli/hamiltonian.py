@@ -33,7 +33,7 @@ one-row case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .fields import ConfigError, FieldModel, as_real, as_vec3
 
@@ -62,9 +62,9 @@ class ChargedParticleSystem:
     safety factor; both are dimensionless in normalized units, held as floats.
     """
 
-    mass: float = 1.0
-    charge: float = 1.0
-    field: FieldModel = field(default=None)  # type: ignore[assignment]
+    mass: float
+    charge: float
+    field: FieldModel
 
     def __post_init__(self):
         object.__setattr__(self, "mass", as_real("mass", self.mass))

@@ -128,7 +128,7 @@ class SolverOptions:
     def __post_init__(self):
         tol = as_real("tolerance", self.tolerance)
         if not 0 < tol < math.inf:
-            raise ConfigError("tolerance must be positive and finite")
+            raise ConfigError(f"tolerance: must be positive and finite, got {tol!r}")
         n = as_count("max_iterations", self.max_iterations)
         if n < 1:
             raise ConfigError(f"max_iterations: must be >= 1, got {n}")

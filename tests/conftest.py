@@ -55,8 +55,8 @@ def quartic_scenario():
     """Degree-4 polynomial energy: uniform B plus the (x.x)^2 well."""
     return bdli.Scenario(
         name="quartic",
-        field_name="quartic_well",
-        field_params={"B": [0.0, 0.0, 1.0], "strength": 1.0},
+        field={"name": "quartic_well",
+               "params": {"B": [0.0, 0.0, 1.0], "strength": 1.0}},
         x0=(1.0, 0.0, 0.0),
         v0=(0.2, 0.2, 0.1),
         h=0.05,

@@ -90,14 +90,31 @@ def test_run_h_and_tol_flags(tmp_path, capsys):
     assert rc == 0
 
 
-@pytest.mark.parametrize("tol", ["-1", "0", "inf", "nan"])
-def test_tol_flag_out_of_range_exit_2(tmp_path, capsys, tol):
+def test_steps_flag_text_reads_as_the_n_steps_value(tmp_path, capsys):
+    # "n_steps": 1e2 runs 100 steps, and so does --steps 1e2
+    out = tmp_path / "s.csv"
+    assert main(["run", "banana", "--steps", "1e2", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 101
+    # null would read as an unset flag, so it stays text
+    assert main(["run", "banana", "--steps", "null", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.endswith(
+        "config error: n_steps: expected an integer, got 'null'\n")
+
+
+@pytest.mark.parametrize("tol,error", [
+    ("-1", "must be positive and finite, got -1.0"),
+    ("0", "must be positive and finite, got 0.0"),
+    # the flag's text is read as JSON, which spells these Infinity and NaN
+    ("inf", "expected a number, got 'inf'"),
+    ("nan", "expected a number, got 'nan'"),
+    ("Infinity", "must be positive and finite, got inf"),
+], ids=["-1", "0", "inf", "nan", "Infinity"])
+def test_tol_flag_out_of_range_exit_2(tmp_path, capsys, tol, error):
     for command in ("run", "convergence", "compare"):
         rc = main([command, "banana", "--steps", "5", "--tol", tol,
                    "--out", str(tmp_path / command)])
         assert rc == 2
-        assert "config error: solver: tolerance must be positive" in (
-            capsys.readouterr().err)
+        assert capsys.readouterr().err == f"config error: solver: tolerance: {error}\n"
 
 
 def test_unknown_scenario_exit_2(capsys):
@@ -154,7 +171,7 @@ def test_field_string_is_its_name(tmp_path):
     named = bdli.load_run(write(tmp_path, {"builtin": "banana", "field": "uniform"}))[0]
     assert named == bdli.load_run(
         write(tmp_path, {"builtin": "banana", "field": {"name": "uniform"}}))[0]
-    assert (named.field_name, named.field_params) == ("uniform", {})
+    assert named.field == {"name": "uniform", "params": {}}
 
 
 @pytest.mark.parametrize("doc,key", [
@@ -223,6 +240,7 @@ def test_field_string_is_its_name(tmp_path):
     ({"builtin": "banana", "n_steps": 4, "name": "a/b"}, "name"),
     ({"builtin": "banana", "n_steps": 4, "method": 5}, "method"),
     ({"builtin": "banana", "rule": "simpson"}, "rule"),
+    (b'{"builtin": "banana", "n_steps": ' + b"1" * 5000 + b"}", None),
 ], ids=["n_steps-0", "solver-3", "solver-predictor", "n_steps-abc",
         "stride-x", "mass-x", "mass-negative", "h-pi/0", "x0-string",
         "field-unknown-param", "field-safety-factor-0", "x0-nan", "v0-inf",
@@ -236,7 +254,7 @@ def test_field_string_is_its_name(tmp_path):
         "rule-extra-key", "rule-no-pairs", "solver-tolerance-negative",
         "n_steps-1e19", "file-not-utf8", "file-nested-100000-deep",
         "output-object", "output-int", "name-object", "name-path-separator",
-        "method-int", "rule-text"])
+        "method-int", "rule-text", "file-int-5000-digits"])
 def test_invalid_scenario_exit_2(tmp_path, monkeypatch, capsys, doc, key):
     # --out keeps a wrongly accepted run's series out of the working directory;
     # a file that does not read as JSON is named by its path (key None)
@@ -329,9 +347,12 @@ def test_flag_equals_config_key(tmp_path, flag, key):
 
 @pytest.mark.parametrize("flag,key", [
     (["--steps", "0"], {"n_steps": 0}),
+    (["--steps", "1.5"], {"n_steps": 1.5}),
+    (["--steps", "abc"], {"n_steps": "abc"}),
     (["--h", "pi/0"], {"h": "pi/0"}),
     (["--tol", "-1"], {"solver": {"tolerance": -1}}),
-], ids=["n_steps", "h", "tolerance"])
+    (["--tol", "x"], {"solver": {"tolerance": "x"}}),
+], ids=["n_steps", "n_steps-1.5", "n_steps-abc", "h", "tolerance", "tolerance-x"])
 def test_bad_flag_and_config_key_give_one_error(tmp_path, capsys, flag, key):
     out = str(tmp_path / "o")
     assert main(["run", "banana", *flag, "--out", out]) == 2
@@ -714,8 +735,8 @@ def _cli_cases(draw):
                                | st.sampled_from([h * 0.37, 3 * h]) | _BAD,
                                min_size=1, max_size=3) | _BAD,
             "reference_h": st.integers(32, 64).map(lambda k: h / k) | _BAD}))
-    offered = [["--steps", "3"], ["--steps", "0"], ["--tol", "1e-13"], ["--tol", "0"],
-               ["--tol", "1e-300"]]
+    offered = [["--steps", "3"], ["--steps", "0"], ["--steps", "1.5"], ["--tol", "1e-13"],
+               ["--tol", "0"], ["--tol", "1e-300"], ["--tol", "inf"]]
     flags = draw(st.lists(st.sampled_from(offered), max_size=2))
     if command != "compare":
         flags += draw(st.lists(st.sampled_from(

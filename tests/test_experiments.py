@@ -1,9 +1,11 @@
 import json
 import math
+import tempfile
 from collections.abc import Sized
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 from sys import maxsize
 
 import numpy as np
@@ -42,8 +44,7 @@ from bdli.fields import as_real
 
 def test_builtin_drift2d():
     s = builtin_scenario("drift2d")
-    assert s.field_name == "cylindrical_drift"
-    assert s.field_params == {"epsilon": 1e-2}
+    assert s.field == {"name": "cylindrical_drift", "params": {"epsilon": 1e-2}}
     assert s.mass == 1.0 and s.charge == 1.0
     assert s.x0 == (0.0, 0.1, 0.0)
     assert s.v0 == (0.1, 0.01, 0.0)
@@ -54,7 +55,7 @@ def test_builtin_drift2d():
 
 def test_builtin_banana_and_transit():
     b = builtin_scenario("banana")
-    assert b.field_name == "tokamak"
+    assert b.field["name"] == "tokamak"
     assert b.x0 == (1.05, 0.0, 0.0)
     assert b.v0 == (0.0, 4.816e-4, 2.059e-3)
     t = builtin_scenario("transit")
@@ -64,9 +65,9 @@ def test_builtin_banana_and_transit():
 
 def test_builtin_scenarios_do_not_share_params():
     # banana and transit are one document apart; each scenario owns its dict
-    builtin_scenario("banana").field_params["B0"] = 5.0
-    assert builtin_scenario("transit").field_params["B0"] == 1.0
-    assert builtin_scenario("banana").field_params["B0"] == 1.0
+    builtin_scenario("banana").field["params"]["B0"] = 5.0
+    assert builtin_scenario("transit").field["params"]["B0"] == 1.0
+    assert builtin_scenario("banana").field["params"]["B0"] == 1.0
 
 
 def test_builtin_unknown():
@@ -110,7 +111,7 @@ def test_scenario_invariants():
     with pytest.raises(ConfigError, match="h"):
         replace(builtin_scenario("banana"), h=0.0)
     with pytest.raises(ConfigError, match="field"):
-        replace(builtin_scenario("banana"), field_name="vortex")
+        replace(builtin_scenario("banana"), field="vortex")
     with pytest.raises(ConfigError, match="rule"):
         replace(builtin_scenario("banana"), rule="simpson")
 
@@ -128,7 +129,7 @@ def test_scenario_start_vector_is_a_config_error(key, bad):
 @pytest.mark.parametrize("key,bad", [
     ("mass", None), ("charge", "x"), ("h", None), ("n_steps", "5"),
     ("stride", None), ("n_steps", 2.5), ("method", 5), ("solver", None),
-    ("solver", {"tolerance": 1e-12}), ("output", 5), ("name", 5),
+    ("solver", [1e-12]), ("output", 5), ("name", 5),
 ])
 def test_scenario_value_of_the_wrong_type_is_a_config_error(key, bad):
     with pytest.raises(ConfigError, match=f"^{key}: expected "):
@@ -160,8 +161,8 @@ def test_scenario_holds_the_floats_its_particle_holds():
 
 def test_scenario_reads_step_size_text():
     # the same text a config's "h" or the --h flag gives
-    assert Scenario(name="u", field_name="uniform", h="pi/20") == Scenario(
-        name="u", field_name="uniform", h=math.pi / 20)
+    assert Scenario(name="u", field="uniform", h="pi/20") == Scenario(
+        name="u", field="uniform", h=math.pi / 20)
     scn = builtin_scenario("banana")
     assert replace(scn, h="pi/20") == replace(scn, h=math.pi / 20)
 
@@ -169,7 +170,7 @@ def test_scenario_reads_step_size_text():
 @pytest.mark.parametrize("B", [[0.0, 0.0, 1.0], (0, 0, 1), np.array([0.0, 0.0, 1.0])],
                          ids=["list", "tuple", "array"])
 def test_field_vector_param_is_any_sequence_as_vec3_takes(B):
-    scn = Scenario(name="u", field_name="uniform", field_params={"B": B})
+    scn = Scenario(name="u", field={"name": "uniform", "params": {"B": B}})
     assert scn.system().field.B == (0.0, 0.0, 1.0)
 
 
@@ -253,7 +254,7 @@ def test_load_config_full_scenario(tmp_path):
         "solver": {"tolerance": 1e-13},
     }
     s = load_config(write_config(tmp_path, doc))
-    assert s.field_name == "quartic_well"
+    assert s.field["name"] == "quartic_well"
     assert s.solver.tolerance == 1e-13
     assert s.solver.max_iterations == 200
 
@@ -299,6 +300,75 @@ def test_custom_rule_roundtrips_through_config(tmp_path):
 
 
 W2_SPEC = {"name": "w2", "pairs": [[0, 0.5], [1, 0.5]], "degree": 1}
+
+
+def test_direct_scenario_takes_the_document_forms():
+    # with a rule and no method, the scenario runs its own rule
+    scn = Scenario(name="u", field="uniform", rule=W2)
+    assert scn.stepper is W2 and scn.method == "dli:w2"
+    assert Scenario(name="u", field="uniform").method == "bdli"
+    inline = Scenario(name="u", field={"name": "uniform"}, rule=W2_SPEC,
+                      solver={"tolerance": 1e-12}, method=None)
+    assert inline == replace(scn, solver=SolverOptions(tolerance=1e-12))
+    assert inline.stepper is inline.rule == W2
+    assert inline.field == {"name": "uniform", "params": {}}
+    assert set(scenario_to_config(inline)) == _SCENARIO_KEYS  # every key, written
+
+
+_FIELDS = (
+    "tokamak", "cylindrical_drift", "uniform", "quartic_well", {"name": "uniform"},
+    {"name": "tokamak", "params": {"B0": 1.5, "R0": 2, "safety_factor": 3.0}},
+    {"name": "cylindrical_drift", "params": {"epsilon": 0.02}},
+    {"name": "uniform", "params": {"B": [0, 0, 1], "E": [0.1, 0.0, -2]}},
+    {"name": "quartic_well", "params": {"B": [0.5, 0, 1], "strength": 2}},
+)
+
+
+@st.composite
+def _full_documents(draw):
+    """A config document without ``builtin``, of valid values in their
+    document forms: every required key and some of the others."""
+    number = st.integers(-3, 3) | st.floats(-2.0, 2.0, allow_nan=False)
+    doc = {
+        "name": draw(st.sampled_from(["u", "run_1", "", "ü x"])),
+        "field": draw(st.sampled_from(_FIELDS)),
+        "x0": draw(st.lists(number, min_size=3, max_size=3)),
+        "v0": draw(st.lists(number, min_size=3, max_size=3)),
+        "h": draw(st.sampled_from(["pi/10", "-pi/3", "0.25", "2*pi/5", 3, 1e-3])
+                  | st.floats(0.01, 1.0) | st.floats(-1.0, -0.01)),
+        "n_steps": draw(st.integers(1, 10**6) | st.just(1e4)),
+    }
+    rule = draw(st.sampled_from([None, W2_SPEC, {
+        "name": "s3", "pairs": [[0, 1 / 6], [0.5, 2 / 3], [1, 1 / 6]], "degree": 3}]))
+    if rule is not None or draw(st.booleans()):  # "rule": null, or no key
+        doc["rule"] = rule
+    methods = ["bdli", "boris", "rk4", "dli:simpson", None]
+    optional = {
+        "mass": st.floats(0.1, 10.0) | st.integers(1, 5),
+        "charge": number,
+        "stride": st.integers(1, 5) | st.just(2.0),
+        "method": st.sampled_from(methods + ([] if rule is None
+                                             else [f"dli:{rule['name']}"])),
+        "solver": st.fixed_dictionaries({}, optional={
+            "tolerance": st.floats(1e-15, 1e-6), "max_iterations": st.integers(1, 500)}),
+        "output": st.sampled_from([None, "out/s.csv"]),
+    }
+    return {**doc, **draw(st.fixed_dictionaries({}, optional=optional))}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_full_documents())
+def test_a_document_is_the_arguments_of_its_scenario(doc):
+    """A document's scenario keys, passed to ``Scenario`` as they stand,
+    give the scenario ``load_config`` reads from it, and the document
+    ``scenario_to_config`` writes reads back to that scenario."""
+    with tempfile.TemporaryDirectory() as d:
+        scn = load_config(write_config(Path(d), doc))
+        assert Scenario(**doc) == scn
+        cfg = scenario_to_config(scn)
+        assert Scenario(**cfg) == scn
+        assert load_config(write_config(Path(d), cfg, "rt.json")) == scn
+        assert scenario_to_config(Scenario(**cfg)) == cfg
 
 
 @pytest.mark.parametrize("doc,method", [
@@ -504,9 +574,9 @@ _ZERO = (0.0, 0.0, 0.0)
 # config names, the config document, the object of a scenario holding the
 # vector, the attribute that holds it)
 VECTOR_HOLDERS = {
-    "x0": ("x0", lambda v: Scenario(name="u", field_name="uniform", x0=v),
+    "x0": ("x0", lambda v: Scenario(name="u", field="uniform", x0=v),
            "x0", lambda v: {"x0": v}, lambda scn: scn, "x0"),
-    "v0": ("v0", lambda v: Scenario(name="u", field_name="uniform", v0=v),
+    "v0": ("v0", lambda v: Scenario(name="u", field="uniform", v0=v),
            "v0", lambda v: {"v0": v}, lambda scn: scn, "v0"),
     "uniform B": ("B", lambda v: UniformField(B=v), "field: B",
                   lambda v: {"field": {"name": "uniform", "params": {"B": v}}},
@@ -645,7 +715,7 @@ def test_run_scenario_p_xi_nan_without_vector_potential(monkeypatch, tmp_path):
         a_at = fields.FieldModel.a_at
 
     monkeypatch.setitem(fields.FIELD_MODELS, NoA.name, NoA)
-    scn = Scenario(name="no_a", field_name=NoA.name, x0=(0.0, 0.0, 0.0),
+    scn = Scenario(name="no_a", field=NoA.name, x0=(0.0, 0.0, 0.0),
                    v0=(0.1, 0.0, 0.0), h=0.1, n_steps=4, method="boris",
                    output=str(tmp_path / "no_a.csv"))
     summary = run_scenario(scn)
@@ -665,8 +735,9 @@ def test_run_scenario_max_is_nan_when_b_vanishes_late(monkeypatch, tmp_path):
             return self.B if x <= 0.2 else (0.0, 0.0, 0.0)
 
     monkeypatch.setitem(fields.FIELD_MODELS, Ending.name, Ending)
-    scn = Scenario(name="ending", field_name=Ending.name,
-                   field_params={"B": (1.0, 0.0, 0.0)}, x0=(0.0, 0.0, 0.0),
+    scn = Scenario(name="ending",
+                   field={"name": Ending.name, "params": {"B": (1.0, 0.0, 0.0)}},
+                   x0=(0.0, 0.0, 0.0),
                    v0=(0.1, 0.0, 0.0), h=0.1, n_steps=40, method="boris",
                    output=str(tmp_path / "ending.csv"))
     summary = run_scenario(scn)

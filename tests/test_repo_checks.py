@@ -66,21 +66,37 @@ def test_src_has_no_unused_imports():
     assert not unused, unused
 
 
-def test_method_text_is_read_in_one_place():
-    """The library calls ``resolve_method`` once, in ``Scenario``'s
-    ``__post_init__``; a run passes on the stepper the scenario holds."""
+def _call_sites(name: str, paths) -> list[str]:
+    """``<module>.<innermost scope>`` of each call of ``name`` in ``paths``."""
     sites = []
-    for path in sorted((ROOT / "src" / "bdli").glob("*.py")):
+    for path in paths:
         tree = ast.parse(path.read_text())
-        scopes = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        scopes = [n for n in ast.walk(tree)
+                  if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
         for call in ast.walk(tree):
-            if isinstance(call, ast.Call) and "resolve_method" in (
+            if isinstance(call, ast.Call) and name in (
                     getattr(call.func, "id", None), getattr(call.func, "attr", None)):
                 # ast.walk is breadth-first, so the innermost scope comes last
                 inner = [f.name for f in scopes
                          if f.lineno <= call.lineno <= f.end_lineno]
                 sites.append(f"{path.stem}.{(inner or ['<module>'])[-1]}")
-    assert sites == ["experiments.__post_init__"]
+    return sites
+
+
+def test_method_text_is_read_in_one_place():
+    """The library calls ``resolve_method`` once, in ``Scenario``'s
+    ``__post_init__``; a run passes on the stepper the scenario holds."""
+    paths = sorted((ROOT / "src" / "bdli").glob("*.py"))
+    assert _call_sites("resolve_method", paths) == ["experiments.__post_init__"]
+
+
+def test_each_scenario_spec_is_read_in_one_place():
+    """``experiments`` builds the field, an inline rule and the solver
+    options once each, in ``Scenario.__post_init__``: a config and a direct
+    call pass their ``field``, ``rule`` and ``solver`` to it as given."""
+    path = ROOT / "src" / "bdli" / "experiments.py"
+    for name in ("make_field", "_inline_rule", "SolverOptions"):
+        assert _call_sites(name, [path]) == ["experiments.__post_init__"], name
 
 
 def test_readme_module_table_names_every_library_module():
