@@ -29,7 +29,6 @@ from .fields import (
     CylindricalDriftField,
     FieldModel,
     FieldSingularityError,
-    PotentialUnavailableError,
     QuarticWellField,
     TokamakField,
     UniformField,

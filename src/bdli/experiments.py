@@ -35,17 +35,17 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, fields, replace
 from dataclasses import field as dc_field
 from pathlib import Path
 from sys import maxsize
+from types import MappingProxyType
 
-from .fields import (ConfigError, FieldSingularityError, PotentialUnavailableError,
-                     as_count, as_real, as_vec3, make_field)
-from .hamiltonian import (QUANTITIES, ChargedParticleSystem, PhaseState,
-                          quantity_series, series_errors)
+from .fields import (ConfigError, FieldSingularityError, as_count, as_real,
+                     as_vec3, make_field)
+from .hamiltonian import QUANTITIES, ChargedParticleSystem, PhaseState, quantity_series
 from .integrators import (
     IntegrationError,
     SolverOptions,
@@ -120,16 +120,17 @@ def parse_step_size(value, key: str = "h") -> float:
 class Scenario:
     """A fully pinned-down run.  Its arguments are a config document's
     scenario keys, in the same forms, each read once into the form it holds:
-    ``field`` (a name or ``{name, params}``, held as the latter), ``rule``
-    (its own palindromic rule, not named as a built-in one: a
-    ``QuadratureRule`` or ``{name, pairs, degree}``), ``solver`` (a
-    ``SolverOptions`` or its object), ``h`` (text such as "pi/10" too).
+    ``field`` (a name or ``{name, params}``, held as the latter, read-only
+    down to ``params``), ``rule`` (its own palindromic rule, not named as a
+    built-in one: a ``QuadratureRule`` or ``{name, pairs, degree}``),
+    ``solver`` (a ``SolverOptions`` or its object), ``h`` (text such as
+    "pi/10" too).
     ``method`` alone picks the stepper that ``stepper`` holds; None is
     "dli:<rule name>" with a rule, else "bdli".  ``name``, the stem of the
     default series path, has no path separator and no NUL."""
 
     name: str
-    field: str | dict
+    field: str | Mapping
     mass: float = 1.0
     charge: float = 1.0
     x0: tuple[float, float, float] = (0.0, 0.0, 0.0)
@@ -159,12 +160,13 @@ class Scenario:
         spec = _object("field", {"name": spec} if isinstance(spec, str) else spec,
                        {"name", "params"})
         params = spec.get("params", {})
-        if not isinstance(params, dict):
+        if not isinstance(params, Mapping):
             raise ConfigError(f"field: params must be an object, got {params!r}")
         with _named("field"):  # unknown model names and bad parameters alike
             fld = make_field(spec.get("name"), **params)
         p = ChargedParticleSystem(self.mass, self.charge, fld)  # the floats it holds
-        for key, value in (("field", {"name": spec["name"], "params": dict(params)}),
+        spec = {"name": spec["name"], "params": MappingProxyType(dict(params))}
+        for key, value in (("field", MappingProxyType(spec)),
                            ("particle", p), ("mass", p.mass), ("charge", p.charge)):
             object.__setattr__(self, key, value)
         for key in ("x0", "v0"):
@@ -193,6 +195,10 @@ class Scenario:
                               f"got {self.output!r}")
         with _named("method"):  # the one reading of the method text
             object.__setattr__(self, "stepper", resolve_method(self.method, own))
+
+    def __reduce__(self):
+        # a read-only field does not pickle; the scenario's document does
+        return _scenario_from_dict, (scenario_to_config(self), "scenario")
 
     @property
     def total_time(self) -> float:
@@ -224,11 +230,11 @@ _RESERVED_KEYS = {"builtin", "study", "methods"}
 _SOLVER_KEYS = {f.name for f in fields(SolverOptions)}
 
 
-def _object(key: str, value, keys) -> dict:
-    """``value`` if it is an object (a dict) whose keys are all in ``keys``;
+def _object(key: str, value, keys) -> Mapping:
+    """``value`` if it is an object (a Mapping) whose keys are all in ``keys``;
     otherwise a ConfigError naming ``key``: the one shape check of the
     document and of its ``field``, ``solver``, ``rule`` and ``study``."""
-    if not isinstance(value, dict):
+    if not isinstance(value, Mapping):
         raise ConfigError(f"{key}: expected an object, got {value!r}")
     unknown = set(value) - keys
     if unknown:
@@ -413,19 +419,11 @@ def _run_paths(scn: Scenario, key: str) -> tuple[Path, Path]:
 
 def _write_series(scn: Scenario, traj: Trajectory, series_path: Path,
                   key: str) -> list[list[float]]:
-    """Write the series file of ``traj``, a failed write a ConfigError
-    naming ``key``; returns the errors Q - Q0 of H, p_xi and mu.  p_xi is
-    NaN for a field without a vector potential, and mu is NaN at rows
-    where B = 0."""
+    """Write every ``scn.stride``-th state of ``traj`` from the first to the
+    series file, a failed write a ConfigError naming ``key``; returns H,
+    p_xi and mu at the rows written."""
     sys = scn.system()
-    values = []
-    for q in QUANTITIES:
-        try:
-            values.append(quantity_series(sys, traj, q))
-        except PotentialUnavailableError:  # only p_xi needs A
-            values.append([math.nan] * len(traj))
-    H, p, mu = values
-
+    H, p, mu = values = [quantity_series(sys, traj, q) for q in QUANTITIES]
     h, states, iters = traj.h, traj.states, [0, *traj.iterations]
     row = ",".join(["%.17g"] * 10) + ",%d\n"
     # row by row, so no text copy of the whole series is held in memory
@@ -434,7 +432,7 @@ def _write_series(scn: Scenario, traj: Trajectory, series_path: Path,
         f.write(SERIES_COLUMNS + "\n")
         for i in range(0, len(traj), scn.stride):
             f.write(row % (h * i, *states[i], H[i], p[i], mu[i], iters[i]))
-    return [series_errors(v) for v in values]
+    return [v[::scn.stride] for v in values]
 
 
 def _max_or_nan(values) -> float:
@@ -466,10 +464,9 @@ def run_scenario(scn: Scenario, key: str = "output") -> RunSummary:
             _write_series(scn, exc.trajectory, series_path, key)
             exc.series_path = str(series_path)
         raise
-    errors = _write_series(scn, traj, series_path, key)
-
-    # over the emitted rows, so "final" is the file's last row
-    aH, ap, amu = ([abs(e) for e in err[::scn.stride]] for err in errors)
+    # |Q - Q0| over the written rows, so "final" is the file's last row
+    aH, ap, amu = ([abs(q - v[0]) for q in v]
+                   for v in _write_series(scn, traj, series_path, key))
     iters = traj.iterations
     summary = RunSummary(
         scenario=scn.name,

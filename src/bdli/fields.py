@@ -9,8 +9,8 @@ so they are safe to share between concurrent callers.
 The four scalar evaluators ``b_at``/``e_at``/``phi_at``/``a_at`` are the
 whole interface: each takes the three position components as floats and
 returns a float or a 3-tuple of floats, and every caller (the steppers,
-the diagnostics, the structure matrix) goes through them.  ``a_at`` raises
-:class:`PotentialUnavailableError` on models without a vector potential.
+the diagnostics, the structure matrix) goes through them.  ``a_at`` gives
+NaN components on models without a vector potential, so p_xi is NaN there.
 Models whose electric field vanishes identically advertise it through
 ``zero_electric`` so the implicit solver can skip the segment quadrature
 entirely.  The value rules ``as_real``, ``as_count`` and ``as_vec3`` (three
@@ -34,10 +34,6 @@ SINGULAR_RADIUS = 1e-12
 
 class FieldSingularityError(ValueError):
     """Raised when a field is evaluated inside its singular set."""
-
-
-class PotentialUnavailableError(ValueError):
-    """Raised when a model is asked for a potential it does not provide."""
 
 
 class ConfigError(ValueError):
@@ -101,10 +97,8 @@ class FieldModel(ABC):
         """Scalar potential (potential energy per unit charge) at (x, y, z)."""
 
     def a_at(self, x: float, y: float, z: float) -> tuple[float, float, float]:
-        """Vector potential components at (x, y, z)."""
-        raise PotentialUnavailableError(
-            f"field model {self.name!r} does not provide a vector potential"
-        )
+        """Vector potential components at (x, y, z); NaN if the model has none."""
+        return (math.nan, math.nan, math.nan)
 
 
 def _on_axis(name: str, R: float) -> FieldSingularityError:

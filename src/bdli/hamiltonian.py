@@ -27,7 +27,9 @@ Everything here is a pure function over immutable inputs.  A state is a
 row ``(x, y, z, vx, vy, vz)`` of floats, which ``PhaseState`` holds as two
 3-tuples.  The invariants are computed as series: from rows such as
 ``Trajectory.states``, one float per row in a list; a single state is the
-one-row case.
+one-row case.  A value that is undefined is NaN where it is computed: p_xi
+in a field without a vector potential (its ``a_at`` gives NaN), mu where
+B = 0.
 """
 
 from __future__ import annotations
@@ -84,7 +86,8 @@ def energies(sys: ChargedParticleSystem, states) -> list[float]:
 
 
 def toroidal_momenta(sys: ChargedParticleSystem, states) -> list[float]:
-    """m (x v_y - y v_x) + q R A_xi of every row (x, y, z, vx, vy, vz)."""
+    """m (x v_y - y v_x) + q R A_xi of every row (x, y, z, vx, vy, vz); NaN
+    at every row in a field without a vector potential."""
     a_at = sys.field.a_at
     m, q = sys.mass, sys.charge
     out = []

@@ -2,9 +2,8 @@
 
 The library computes the conserved quantities only as row series
 (``energies``, ``toroidal_momenta``, ``magnetic_moments``); one state's
-value is the one-row case, with the series' policies: ``a_at`` raises
-``PotentialUnavailableError`` for a field without A, and mu is NaN where
-B = 0.
+value is the one-row case, with the series' policies: p_xi is NaN for a
+field without A (its ``a_at`` gives NaN), and mu is NaN where B = 0.
 """
 
 from bdli.hamiltonian import (PhaseState, energies, magnetic_moments,

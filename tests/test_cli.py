@@ -548,6 +548,17 @@ def test_malformed_study_or_methods_exit_2(tmp_path, capsys, command, doc, key):
     assert f"config error: {key}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "convergence"])
+def test_null_reference_h_exit_2(tmp_path, capsys, no_integration, command):
+    # null is no step, not the default reference, and run reads the same study
+    cfg = write(tmp_path, {"builtin": "banana", "n_steps": 16,
+                           "study": {"reference_h": None}})
+    assert main([command, cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: study: reference_h: expected a number, got None\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command,key", [("run", "output"), ("convergence", "out")],
                          ids=["run", "convergence"])
 def test_out_directory_refused_before_integrating(tmp_path, capsys, no_integration,

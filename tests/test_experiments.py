@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import tempfile
 from collections.abc import Sized
 from dataclasses import replace
@@ -64,10 +66,26 @@ def test_builtin_banana_and_transit():
 
 
 def test_builtin_scenarios_do_not_share_params():
-    # banana and transit are one document apart; each scenario owns its dict
-    builtin_scenario("banana").field["params"]["B0"] = 5.0
+    # banana and transit are one document apart; a scenario's field and its
+    # params are read-only, so neither can drift from the model it built
+    banana = builtin_scenario("banana")
+    with pytest.raises(TypeError):
+        banana.field["params"]["B0"] = 5.0
+    with pytest.raises(TypeError):
+        banana.field["name"] = "uniform"
     assert builtin_scenario("transit").field["params"]["B0"] == 1.0
-    assert builtin_scenario("banana").field["params"]["B0"] == 1.0
+    assert banana.field["params"]["B0"] == banana.system().field.B0 == 1.0
+
+
+@pytest.mark.parametrize("name", bdli.BUILTIN_SCENARIOS)
+def test_scenario_pickles_and_copies_to_an_equal_scenario(name):
+    rule = {"name": "w2", "pairs": [[0.0, 0.5], [1.0, 0.5]], "degree": 1}
+    for scn in (builtin_scenario(name), replace(builtin_scenario(name), rule=rule,
+                                                method=None, stride=3)):
+        for twin in (pickle.loads(pickle.dumps(scn)), copy.deepcopy(scn),
+                     copy.copy(scn)):
+            assert twin == scn and twin.stepper == scn.stepper
+            assert scenario_to_config(twin) == scenario_to_config(scn)
 
 
 def test_builtin_unknown():

@@ -4,6 +4,7 @@ imports."""
 
 import ast
 import contextlib
+import importlib
 import io
 import re
 import subprocess
@@ -164,6 +165,30 @@ def test_cli_commands_leave_errors_to_main():
     found = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Try) and node not in in_main]
     assert in_main and not found, found
+
+
+def test_every_library_error_has_an_exit_code():
+    """Each exception class that a module in ``src/bdli`` defines is one
+    that ``cli.main`` maps to an exit code (or a subclass of one), or their
+    base ``IntegrationError``: so every error the library raises exits 2, 3
+    or 4 under the CLI, never with a traceback."""
+    import bdli.cli as cli
+    from bdli.integrators import IntegrationError
+
+    tree = ast.parse((ROOT / "src" / "bdli" / "cli.py").read_text())
+    (main,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "main"]
+    caught = [node.type for node in ast.walk(main) if isinstance(node, ast.ExceptHandler)]
+    mapped = tuple(getattr(cli, name.id) for node in caught
+                   for name in (node.elts if isinstance(node, ast.Tuple) else [node]))
+    assert mapped
+    unmapped = []
+    for path in sorted((ROOT / "src" / "bdli").glob("[!_]*.py")):  # not __init__
+        mod = importlib.import_module(f"bdli.{path.stem}")
+        unmapped += [f"{path.name}: {obj.__name__}" for obj in vars(mod).values()
+                     if isinstance(obj, type) and issubclass(obj, BaseException)
+                     and obj.__module__ == mod.__name__
+                     and obj is not IntegrationError and not issubclass(obj, mapped)]
+    assert unmapped == []
 
 
 def test_step_path_calls_no_builtin_reduction():
