@@ -30,28 +30,22 @@ iteration of the update.
 
 ``integrate`` starts each step's iteration from a backward extrapolation
 of the last accepted velocities (a starting approximation in the sense of
-Hairer, Lubich and Wanner, Geometric Numerical Integration, Sec. VIII.6.1).
-At solver tolerances >= ``DEGREE8_TOLERANCE`` (1e-14, the default) it is
-the degree-8 extrapolation of the last nine, from the ninth step on,
+Hairer, Lubich and Wanner, Geometric Numerical Integration, Sec. VIII.6.1):
+from step k = p on (the first is k = 0), the degree-p extrapolation of the
+last p + 1,
 
-    v_start = 9 (v_k - v_{k-7}) - 36 (v_{k-1} - v_{k-6})
-              + 84 (v_{k-2} - v_{k-5}) - 126 (v_{k-3} - v_{k-4}) + v_{k-8};
+    v_start = sum_{j < p/2} (-1)^j C(p+1, j+1) (v_{k-j} - v_{k-p+1+j}) + v_{k-p},
 
-below it, the degree-6 extrapolation of the last seven, from the seventh
-step on,
-
-    v_start = 7 (v_k - v_{k-5}) - 21 (v_{k-1} - v_{k-4})
-              + 35 (v_{k-2} - v_{k-3}) + v_{k-6}.
-
-The steps before, and any ``dli_step`` call without a start, begin from
-v0.  On fine steps the start is usually within the tolerance already, and
-the strict test accepts the first iterate; on coarser ones (banana) the
-degree-8 start takes two iterates where the degree-6 one takes ~2.8.  The
-gate is round-off: the coefficients' absolute sum, 2^(p+1) for degree p,
-amplifies the rounding of the accepted velocities, and below 1e-14 that
-reaches the tolerance (at 1e-15, 2000 fine drift2d steps take 1.83
-iterations each from degree 8 against 1.30 from degree 6).  Only the
-iterate path changes, not the fixed point.
+with p = 8 at solver tolerances >= ``DEGREE8_TOLERANCE`` (1e-14, the
+default) and p = 6 below.  The steps before, and any ``dli_step`` call
+without a start, begin from v0.  On fine steps the start is usually within
+the tolerance already, and the strict test accepts the first iterate; on
+coarser ones (banana) the degree-8 start takes two iterates where the
+degree-6 one takes ~2.8.  The gate is round-off: the coefficients'
+absolute sum, 2^(p+1), amplifies the rounding of the accepted velocities,
+and below 1e-14 that reaches the tolerance (at 1e-15, 2000 fine drift2d
+steps take 1.83 iterations each from degree 8 against 1.30 from degree 6).
+Only the iterate path changes, not the fixed point.
 
 An iterate is accepted in one of two ways.  The strict test accepts the
 n-th iterate once the successive-iterate difference
@@ -105,9 +99,9 @@ from .quadrature import QuadratureRule, builtin_rule
 # to the fixed point is at most KAPPA times the strict test's bound.
 KAPPA = 0.01
 
-# integrate starts each step from the degree-8 extrapolation at solver
-# tolerances >= DEGREE8_TOLERANCE and from the degree-6 one below, where
-# round-off swamps degree 8 (see the module docstring).
+# Below this solver tolerance the degree-8 start's coefficients amplify the
+# rounding of the accepted velocities up to the tolerance, so integrate
+# starts from degree 6 there.
 DEGREE8_TOLERANCE = 1e-14
 
 
@@ -491,35 +485,31 @@ def integrate(sys: ChargedParticleSystem, stepper, z0: PhaseState, h: float,
     traj = Trajectory(h, states, iters, resid)
     isfinite = math.isfinite
 
-    # the start's degree, by the tolerance (see DEGREE8_TOLERANCE)
-    degree8 = kernel is not None and kernel.tolerance >= DEGREE8_TOLERANCE
-    first = 8 if degree8 else 6  # the steps before it start from v0
+    # the start's degree p, by the tolerance (see DEGREE8_TOLERANCE), and its
+    # coefficients C(p+1, j+1); the first p steps start from v0
+    p = 8 if kernel is not None and kernel.tolerance >= DEGREE8_TOLERANCE else 6
+    c1, c2, c3, c4 = (9.0, 36.0, 84.0, 126.0) if p == 8 else (7.0, 21.0, 35.0, 0.0)
 
     for k in range(n_steps):
         try:
             if kernel is not None:
-                if k < first:
-                    v_start = None
-                elif degree8:  # degree-8 extrapolation of v from the last
-                    # nine rows, newest q0; grouped so each pair shares a
-                    # coefficient
-                    q8, q7, q6, q5, q4, q3, q2, q1, q0 = states[-9:]
+                v_start = None
+                if k >= p:
+                    # the last p + 1 rows, oldest q, newest a0, as the pairs
+                    # (a_j, b_j) that share c_{j+1}; degree 6 has no fourth
+                    # pair, and c4 (a3 - b3) = 0.0 there changes no bit
+                    if p == 8:
+                        q, b0, b1, b2, b3, a3, a2, a1, a0 = states[-9:]
+                    else:
+                        q, b0, b1, b2, a2, a1, a0 = states[-7:]
+                        a3 = b3 = a0
                     v_start = (
-                        9.0 * (q0[3] - q7[3]) - 36.0 * (q1[3] - q6[3])
-                        + 84.0 * (q2[3] - q5[3]) - 126.0 * (q3[3] - q4[3]) + q8[3],
-                        9.0 * (q0[4] - q7[4]) - 36.0 * (q1[4] - q6[4])
-                        + 84.0 * (q2[4] - q5[4]) - 126.0 * (q3[4] - q4[4]) + q8[4],
-                        9.0 * (q0[5] - q7[5]) - 36.0 * (q1[5] - q6[5])
-                        + 84.0 * (q2[5] - q5[5]) - 126.0 * (q3[5] - q4[5]) + q8[5])
-                else:  # degree 6, from the last seven rows, grouped alike
-                    q6, q5, q4, q3, q2, q1, q0 = states[-7:]
-                    v_start = (
-                        7.0 * (q0[3] - q5[3]) - 21.0 * (q1[3] - q4[3])
-                        + 35.0 * (q2[3] - q3[3]) + q6[3],
-                        7.0 * (q0[4] - q5[4]) - 21.0 * (q1[4] - q4[4])
-                        + 35.0 * (q2[4] - q3[4]) + q6[4],
-                        7.0 * (q0[5] - q5[5]) - 21.0 * (q1[5] - q4[5])
-                        + 35.0 * (q2[5] - q3[5]) + q6[5])
+                        c1 * (a0[3] - b0[3]) - c2 * (a1[3] - b1[3])
+                        + c3 * (a2[3] - b2[3]) - c4 * (a3[3] - b3[3]) + q[3],
+                        c1 * (a0[4] - b0[4]) - c2 * (a1[4] - b1[4])
+                        + c3 * (a2[4] - b2[4]) - c4 * (a3[4] - b3[4]) + q[4],
+                        c1 * (a0[5] - b0[5]) - c2 * (a1[5] - b1[5])
+                        + c3 * (a2[5] - b2[5]) - c4 * (a3[5] - b3[5]) + q[5])
                 z, n, residual, converged = dli_step(kernel, z, v_start)
                 if not converged:
                     raise NonConvergenceError(

@@ -293,9 +293,11 @@ _h = _signed(0.02, 0.2)
 
 
 @st.composite
-def _starts(draw, electric=True):
+def _starts(draw, electric=True, unit=False):
     """(system, row): uniform or quartic_well fields (E = 0 unless
-    ``electric``), or the tokamak with the start kept off its axis."""
+    ``electric``), or the tokamak with the start kept off its axis; the
+    mass and the signed charge are drawn too, so that q/m is not 1, unless
+    ``unit`` keeps m = q = 1."""
     B, x0, v0 = draw(_vec), draw(_vec), draw(_vec)
     kind = draw(st.sampled_from(("uniform", "quartic_well", "tokamak")))
     if kind == "uniform":
@@ -306,7 +308,10 @@ def _starts(draw, electric=True):
     else:
         fld = TokamakField()
         x0 = (1.0 + 0.5 * x0[0], 0.5 * x0[1], 0.5 * x0[2])
-    return ChargedParticleSystem(1.0, 1.0, fld), x0 + v0
+    if unit:
+        return ChargedParticleSystem(1.0, 1.0, fld), x0 + v0
+    mass, charge = draw(st.floats(0.5, 3.0)), draw(_signed(0.5, 2.0))
+    return ChargedParticleSystem(mass, charge, fld), x0 + v0
 
 
 def _scale(z0):
@@ -389,11 +394,14 @@ def test_property_start_does_not_move_the_step(start, rule, h, offset):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(_starts(), st.sampled_from(RULES), _h, _offset)
+@given(_starts(unit=True), st.sampled_from(RULES), _h, _offset)
 def test_property_contraction_stop_stays_near_the_strict_state(start, rule, h, offset):
     # KAPPA = 0 leaves only the strict test; the contraction estimate may
     # stop earlier, but only on a state within a small multiple of
-    # KAPPA tol (1 + |z0|) of the strict one
+    # KAPPA tol (1 + |z0|) of the strict one.  That bound is ~7 ulp of a
+    # unit state, the round-off of one iterate: with q/m drawn, the strict
+    # run's last iterate moves a tokamak step by 8.1e-16 against 8e-16
+    # (m = 0.875, q = -0.5), where the contraction predicts ~5e-17
     sys, z0 = start
     size = 10.0 ** offset[3]
     ref = dli_step(dli_kernel(sys, rule, h, TOL), z0)
@@ -624,19 +632,20 @@ def test_boris_zero_fields_free_streaming():
     assert z1.x == pytest.approx(np.asarray(z0.x) + 0.4 * np.asarray(z0.v), rel=1e-16)
 
 
-def test_boris_rotation_angle_uniform_B():
-    # per-step planar rotation angle is exactly 2 arctan(h/2) for B = e_z
-    sys = uniform_b_system()
+@pytest.mark.parametrize("mass,charge", [(1.0, 1.0), (2.0, 3.0), (0.5, -0.8)])
+def test_boris_rotation_angle_uniform_B(mass, charge):
+    # per-step planar rotation angle is exactly 2 arctan(q B h / (2 m)) for
+    # B = e_z, clockwise for q > 0
+    sys = ChargedParticleSystem(mass, charge, UniformField(B=(0.0, 0.0, 1.0)))
     h = 0.3
     z = PhaseState((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
-    expected = 2.0 * math.atan(h / 2.0)
+    expected = 2.0 * math.atan(charge * h / (2.0 * mass))
     total = 0.0
     prev = math.atan2(z.v[1], z.v[0])
     for _ in range(20):
         z = from_vector(boris_step(sys, z.as_vector(), h))
         ang = math.atan2(z.v[1], z.v[0])
-        d = (prev - ang) % (2 * math.pi)  # clockwise for q > 0, B = +e_z
-        total += d
+        total += (prev - ang + math.pi) % (2 * math.pi) - math.pi
         prev = ang
     assert total / 20.0 == pytest.approx(expected, rel=1e-13)
 
@@ -672,6 +681,37 @@ def test_rk4_local_order_five():
     slopes = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     for s in slopes:
         assert 4.8 <= s <= 5.2
+
+
+# --- mass and charge: every stepper sees q/m only ----------------------------
+
+@pytest.mark.parametrize("method", ["bdli", "boris", "rk4"])
+@pytest.mark.parametrize("fld", [QuarticWellField(B=(0.2, -0.3, 1.0), strength=0.5),
+                                 CylindricalDriftField()], ids=lambda f: f.name)
+def test_steppers_depend_on_the_charge_to_mass_ratio_only(method, fld):
+    z0 = PhaseState((0.7, 0.2, -0.1), (0.1, -0.3, 0.2))
+    rows = [integrate(ChargedParticleSystem(m, q, fld), resolve_method(method),
+                      z0, 0.05, 20).states
+            for m, q in ((2.0, 3.0), (1.0, 1.5))]
+    np.testing.assert_allclose(rows[0], rows[1], rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("method,order", [("bdli", 2), ("boris", 2), ("rk4", 4)])
+def test_uniform_B_gyration_closes_after_one_period(method, order):
+    # v perpendicular to a uniform B = 0.8 e_z turns once in
+    # T = 2 pi m / (|q| B); after T the state is back at its start up to the
+    # scheme's phase error, O(h^2) (O(h^4) for rk4)
+    mass, charge = 1.5, -2.0
+    sys = ChargedParticleSystem(mass, charge, UniformField(B=(0.0, 0.0, 0.8)))
+    z0 = PhaseState((0.3, -0.1, 0.2), (0.4, 0.25, 0.0))
+    period = 2.0 * math.pi * mass / (abs(charge) * 0.8)
+    errs = []
+    for n in (64, 128):
+        states = integrate(sys, resolve_method(method), z0, period / n, n).states
+        errs.append(np.abs(np.subtract(states[-1], states[0])).max())
+    h = period / 128
+    assert errs[1] <= h ** 2
+    assert math.log2(errs[0] / errs[1]) == pytest.approx(order, abs=0.1)
 
 
 def _bits(row):
@@ -1009,6 +1049,28 @@ def test_diverging_failure_ends_once_the_iteration_stops_contracting():
     rep, deltas = _attempt_deltas(kernel, (1.5, 0.0, 0.0, 0.0, 0.5, 0.0))
     assert _ends_at_its_first_non_contraction(rep, deltas)
     assert rep.iterations == 4 and f"{rep.residual_norm:.3e}" == "8.104e+00"
+
+
+@pytest.mark.parametrize("h", [5.0, -5.0])
+def test_step_stops_on_the_position_iterates_when_h_s_exceeds_one(h):
+    # with |h| s = 2.5 the position iterates x_n = x0 + h (r v0 + s v_n)
+    # differ by 2.5 times the velocity iterates: each iterate's residual is
+    # |z_n - z_(n-1)|_inf, read off runs capped at n iterations, and the step
+    # stops only once that is within tol (1 + |z0|_inf), here after 40 and
+    # 46 iterates of a slow contraction (theta ~0.45 and ~0.49)
+    sys = ChargedParticleSystem(1.0, 1.0, QuarticWellField(strength=0.02))
+    z0 = (0.6, -0.2, 0.1, 0.1, 0.3, -0.05)
+    kernel = dli_kernel(sys, BOOLE, h, TOL)
+    assert kernel.dz_factor == 2.5
+    rep = dli_step(kernel, z0)
+    assert rep.converged
+    reps = [dli_step(kernel._replace(iterates=range(1, n + 1)), z0)
+            for n in range(1, rep.iterations)] + [rep]
+    dz = [max(map(abs, map(float.__sub__, a.state, b.state)))
+          for a, b in zip(reps[1:], reps)]
+    for got, diff in zip(reps[1:], dz):
+        assert got.residual_norm == pytest.approx(diff, rel=1e-2)
+    assert dz[-1] <= _scale(z0) < dz[-2]
 
 
 def test_tolerance_just_above_the_round_off_of_the_update_converges():
