@@ -422,17 +422,17 @@ def _write_series(scn: Scenario, traj: Trajectory, series_path: Path,
     """Write every ``scn.stride``-th state of ``traj`` from the first to the
     series file, a failed write a ConfigError naming ``key``; returns H,
     p_xi and mu at the rows written."""
-    sys = scn.system()
-    H, p, mu = values = [quantity_series(sys, traj, q) for q in QUANTITIES]
-    h, states, iters = traj.h, traj.states, [0, *traj.iterations]
+    sys, h, stride = scn.system(), traj.h, scn.stride
+    rows, iters = traj.states[::stride], [0, *traj.iterations][::stride]
+    values = [quantity_series(sys, rows, q) for q in QUANTITIES]
     row = ",".join(["%.17g"] * 10) + ",%d\n"
     # row by row, so no text copy of the whole series is held in memory
     with _named(f"{key}: cannot write {str(series_path)!r}"), \
             series_path.open("w") as f:
         f.write(SERIES_COLUMNS + "\n")
-        for i in range(0, len(traj), scn.stride):
-            f.write(row % (h * i, *states[i], H[i], p[i], mu[i], iters[i]))
-    return [v[::scn.stride] for v in values]
+        for i, z, H, p, mu, n in zip(range(0, len(traj), stride), rows, *values, iters):
+            f.write(row % (h * i, *z, H, p, mu, n))
+    return values
 
 
 def _max_or_nan(values) -> float:

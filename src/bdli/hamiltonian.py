@@ -119,15 +119,15 @@ _SERIES = {"H": energies, "p_xi": toroidal_momenta, "mu": magnetic_moments}
 QUANTITIES = tuple(_SERIES)
 
 
-def quantity_series(sys: ChargedParticleSystem, traj, quantity: str) -> list[float]:
-    """Value of a conserved quantity at every state of ``traj.states``."""
+def quantity_series(sys: ChargedParticleSystem, rows, quantity: str) -> list[float]:
+    """Value of a conserved quantity at every row (x, y, z, vx, vy, vz)."""
     try:
         values = _SERIES[quantity]
     except KeyError:
         raise ValueError(
             f"unknown quantity {quantity!r} (expected one of {QUANTITIES})"
         ) from None
-    return values(sys, traj.states)
+    return values(sys, rows)
 
 
 def series_errors(values) -> list[float]:

@@ -58,7 +58,7 @@ def test_criterion_1_banana_energy_exactness():
     traj = integrate(sys, BOOLE, scn.initial_state(), scn.h, scn.n_steps,
                      scn.solver)
     wall = time.perf_counter() - t0
-    e = series_errors(quantity_series(sys, traj, "H"))
+    e = series_errors(quantity_series(sys, traj.states, "H"))
     worst = float(np.abs(e).max())
     ok = worst <= 1e-12 and wall <= 30.0
     assert report(1, ok, f"banana max|dH| = {worst:.3e} (<= 1e-12), "
@@ -104,8 +104,8 @@ def test_criterion_3_drift2d_energy(drift2d_bdli, drift2d_boris):
     """
     sys_b, traj_b = drift2d_bdli
     sys_r, traj_r = drift2d_boris
-    e_b = series_errors(quantity_series(sys_b, traj_b, "H"))
-    e_r = series_errors(quantity_series(sys_r, traj_r, "H"))
+    e_b = series_errors(quantity_series(sys_b, traj_b.states, "H"))
+    e_r = series_errors(quantity_series(sys_r, traj_r.states, "H"))
     worst_b = float(np.abs(e_b).max())
     worst_r = float(np.abs(e_r).max())
     ratio_ok = worst_b * 1e3 <= worst_r
@@ -131,7 +131,7 @@ def test_criterion_4_bounded_invariants(drift2d_bdli, drift2d_boris):
     ok = True
     for label, (sys, traj) in (("bdli", drift2d_bdli), ("boris", drift2d_boris)):
         for q in ("p_xi", "mu"):
-            e = series_errors(quantity_series(sys, traj, q))
+            e = series_errors(quantity_series(sys, traj.states, q))
             n = len(e) // 2
             first = float(np.abs(e[:n]).max())
             second = float(np.abs(e[n:]).max())
@@ -409,13 +409,13 @@ def test_evidence_magnetized_regime_conservation(magnetized_scenario):
     sys = scn.system()
     traj = integrate(sys, BOOLE, scn.initial_state(), scn.h, scn.n_steps,
                      scn.solver)
-    e = series_errors(quantity_series(sys, traj, "H"))
+    e = series_errors(quantity_series(sys, traj.states, "H"))
     worst = float(np.abs(e).max())
     # measured 1.8e-12: quadrature defect at round-off scale, slow random
     # accumulation over 5e4 steps; six orders below the pinned-start run
     assert worst <= 5e-12
     for q in ("p_xi", "mu"):
-        eq = series_errors(quantity_series(sys, traj, q))
+        eq = series_errors(quantity_series(sys, traj.states, q))
         n = len(eq) // 2
         assert np.abs(eq[n:]).max() <= 2.0 * np.abs(eq[:n]).max()
 
@@ -460,7 +460,7 @@ def test_evidence_drift2d_energy_defect_falls_with_rule_degree(drift2d_scenario,
         assert rule is None or rule.palindromic
         traj = boole if rule is None else integrate(
             sys, rule, scn.initial_state(), scn.h, scn.n_steps, scn.solver)
-        e = series_errors(quantity_series(sys, traj, "H"))
+        e = series_errors(quantity_series(sys, traj.states, "H"))
         worst.append(float(np.abs(e).max()))
     # measured: Boole 2.8e-6, Lobatto-5 1.8e-7, Lobatto-9 1.0e-13
     assert worst[0] > worst[1] > worst[2], worst

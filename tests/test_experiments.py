@@ -720,11 +720,29 @@ def test_run_scenario_deterministic(small_banana, tmp_path):
     assert [f.read_bytes() for f in files] == first
 
 
-def test_run_scenario_stride(small_banana, tmp_path):
-    strided = replace(small_banana, stride=50)
+def test_run_scenario_stride(small_banana, monkeypatch, tmp_path):
+    # no stepper evaluates A or phi, so each call is one invariant at one
+    # row: a strided run computes p_xi and H at the rows it writes only
+    calls = {"a_at": 0, "phi_at": 0}
+
+    class Counting(fields.TokamakField):
+        name = "tokamak_counting"
+
+        def a_at(self, x, y, z):
+            calls["a_at"] += 1
+            return super().a_at(x, y, z)
+
+        def phi_at(self, x, y, z):
+            calls["phi_at"] += 1
+            return super().phi_at(x, y, z)
+
+    monkeypatch.setitem(fields.FIELD_MODELS, Counting.name, Counting)
+    field = {**small_banana.field, "name": Counting.name}
+    strided = replace(small_banana, field=field, stride=50)
     run_scenario(strided)
     lines = (tmp_path / "run.csv").read_text().strip().split("\n")
     assert len(lines) == 1 + 5  # header + steps 0,50,100,150,200
+    assert calls == {"a_at": 5, "phi_at": 5}
 
 
 def test_run_scenario_p_xi_nan_without_vector_potential(monkeypatch, tmp_path):

@@ -289,32 +289,32 @@ def test_error_series_constant_trajectory():
     sys = ChargedParticleSystem(1.0, 1.0, UniformField(B=(0, 0, 1), E=(0, 0, 0)))
     traj = integrate(sys, rk4_step, PhaseState((1.0, 0.0, 0.0), (0, 0, 0)), 0.1, 20)
     for q in ("H", "p_xi", "mu"):
-        e = series_errors(quantity_series(sys, traj, q))
+        e = series_errors(quantity_series(sys, traj.states, q))
         assert np.array_equal(e, np.zeros(21))
 
 
 def test_error_series_first_entry_zero(drift2d_bdli):
     sys, traj = drift2d_bdli
     for q in ("H", "p_xi", "mu"):
-        e = series_errors(quantity_series(sys, traj, q))
+        e = series_errors(quantity_series(sys, traj.states, q))
         assert e[0] == 0.0
 
 
 def test_error_series_banana_energy_roundoff(banana_bdli):
     sys, traj = banana_bdli
-    e = series_errors(quantity_series(sys, traj, "H"))
+    e = series_errors(quantity_series(sys, traj.states, "H"))
     assert np.abs(e).max() <= 1e-12
 
 
 def test_error_series_unknown_quantity(drift2d_bdli):
     sys, traj = drift2d_bdli
     with pytest.raises(ValueError, match="unknown quantity"):
-        quantity_series(sys, traj, "Lz")
+        quantity_series(sys, traj.states, "Lz")
 
 
 def test_energy_error_per_step_polynomial_field(banana_bdli):
     sys, traj = banana_bdli
-    e = series_errors(quantity_series(sys, traj, "H"))
+    e = series_errors(quantity_series(sys, traj.states, "H"))
     tol = 1e-14
     H0 = abs(energy(sys, from_vector(traj.states[0])))
     assert np.abs(np.diff(e)).max() <= 100 * tol * (1 + H0)
@@ -324,7 +324,7 @@ def test_bounded_invariant_errors_on_drift_runs(drift2d_bdli, drift2d_boris):
     # non-secular behaviour: second-half max <= 2x first-half max
     for sys, traj in (drift2d_bdli, drift2d_boris):
         for q in ("p_xi", "mu"):
-            e = series_errors(quantity_series(sys, traj, q))
+            e = series_errors(quantity_series(sys, traj.states, q))
             n = len(e) // 2
             first = np.abs(e[:n]).max()
             second = np.abs(e[n:]).max()
@@ -358,7 +358,6 @@ def test_quantity_series_matches_row_oracle_bitwise():
         R * np.cos(ang), R * np.sin(ang), rng.uniform(-0.3, 0.3, n),
         rng.normal(0, 0.3, (n, 3)),
     ])
-    traj = bdli.Trajectory(0.1, states, np.zeros(n - 1, dtype=int), np.zeros(n - 1))
     fields = (
         CylindricalDriftField(epsilon=1e-2),
         TokamakField(),
@@ -369,7 +368,7 @@ def test_quantity_series_matches_row_oracle_bitwise():
         sys = ChargedParticleSystem(1.7, -0.8, fld)
         expect = _row_oracle(sys, states)
         for q in ("H", "p_xi", "mu"):
-            assert np.array_equal(quantity_series(sys, traj, q), expect[q]), (
+            assert np.array_equal(quantity_series(sys, states, q), expect[q]), (
                 fld.name, q)
         # one state is the one-row case, to the bit
         z = PhaseState(states[7, :3], states[7, 3:])

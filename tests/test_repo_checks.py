@@ -1,11 +1,12 @@
 """Checks on what the repository ships next to the library: the README's
-library example and configs, the benchmark's self-test and the library's
-imports."""
+library example and configs, the benchmark's self-test, the mutation
+probe's record and the library's imports."""
 
 import ast
 import contextlib
-import importlib
+import importlib.util
 import io
+import json
 import re
 import subprocess
 import sys
@@ -293,3 +294,16 @@ def test_cli_imports_no_private_experiments_name():
                and node.module == "experiments"
                for alias in node.names if alias.name.startswith("_")]
     assert private == ["_BUILTIN_DOCS"]
+
+
+def test_mutants_json_records_the_probe_scope():
+    """``MUTANTS.json`` is a run of ``tools/mutants.py`` over its whole
+    scope: one entry per function in ``SCOPE``, and each mutant counted
+    once, as killed or as a survivor."""
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    record = json.loads((ROOT / "MUTANTS.json").read_text())["functions"]
+    assert set(record) == {f for names, _ in mutants.SCOPE.values() for f in names}
+    for entry in record.values():
+        assert entry["killed"] + len(entry["survivors"]) == entry["mutants"]
