@@ -298,12 +298,18 @@ def test_cli_imports_no_private_experiments_name():
 
 def test_mutants_json_records_the_probe_scope():
     """``MUTANTS.json`` is a run of ``tools/mutants.py`` over its whole
-    scope: one entry per function in ``SCOPE``, and each mutant counted
+    scope on the current source: one entry per function in ``SCOPE``, as
+    many mutants as the function has sites today, and each mutant counted
     once, as killed or as a survivor."""
     spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
     mutants = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mutants)
     record = json.loads((ROOT / "MUTANTS.json").read_text())["functions"]
     assert set(record) == {f for names, _ in mutants.SCOPE.values() for f in names}
-    for entry in record.values():
-        assert entry["killed"] + len(entry["survivors"]) == entry["mutants"]
+    for module, (names, _) in mutants.SCOPE.items():
+        source = (ROOT / module).read_text()
+        tree = ast.parse(source)
+        for name in names:
+            entry = record[name]
+            assert entry["mutants"] == len(mutants.sites(source, tree, name)), name
+            assert entry["killed"] + len(entry["survivors"]) == entry["mutants"]

@@ -9,14 +9,13 @@ directory, and the function's test files run against that copy with
 time limit: a mutant that makes a test loop, or makes hypothesis shrink
 for minutes, has changed what the code does.
 
-    python3 tools/mutants.py [--timeout SECONDS] [--out MUTANTS.json]
+    python3 tools/mutants.py [--out MUTANTS.json]
 
 The result goes to ``--out``: per function the mutant count, the killed
 count and the run time, and each survivor with its line, its text and the
-mutated text.  A survivor's ``equivalent`` reason is written by hand and
-kept when the probe runs again; a survivor of the last run that is now
-killed moves to ``killed_by_new_tests`` with the test that failed first.
-This is not a tier-1 test: a full run takes minutes.
+mutated text.  A survivor's one-line reason it is equivalent, or the test
+that now kills it, is written into the record by hand.  This is not a
+tier-1 test: a full run takes minutes.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 120.0  # s per mutant; a run past it kills the mutant
 
 # module -> (functions, the test files that exercise them)
 SCOPE = {
@@ -99,14 +99,14 @@ def mutate(source: str, site) -> tuple[str, int]:
     return (raw[:a] + span.replace(old, new, 1).encode() + raw[b:]).decode(), line
 
 
-def run_tests(src_dir: Path, tests, timeout: float) -> str | None:
+def run_tests(src_dir: Path, tests) -> str | None:
     """The first failing test id, "timeout", "error", or None if all pass."""
     env = {**os.environ, "PYTHONPATH": str(src_dir), "PYTHONDONTWRITEBYTECODE": "1"}
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-rf", "-p", "no:cacheprovider",
            *tests]
     try:
         done = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True,
-                              text=True, timeout=timeout)
+                              text=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return "timeout"
     if done.returncode == 0:
@@ -115,14 +115,14 @@ def run_tests(src_dir: Path, tests, timeout: float) -> str | None:
     return failed.group(1) if failed else "error"
 
 
-def probe(timeout: float, previous: dict) -> dict:
+def probe() -> dict:
     functions = {}
     with tempfile.TemporaryDirectory() as tmp:
         src_dir = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src_dir,
                         ignore=shutil.ignore_patterns("__pycache__"))
-        if run_tests(src_dir, sorted({t for _, ts in SCOPE.values() for t in ts}),
-                     timeout) is not None:
+        every_test = sorted({t for _, ts in SCOPE.values() for t in ts})
+        if run_tests(src_dir, every_test) is not None:
             raise SystemExit("the unmutated tests fail; nothing to measure")
         for module, (names, tests) in SCOPE.items():
             source = (ROOT / module).read_text()
@@ -131,11 +131,7 @@ def probe(timeout: float, previous: dict) -> dict:
             lines = source.splitlines()
             for name in names:
                 entry = {"module": module, "tests": list(tests), "mutants": 0,
-                         "killed": 0, "seconds": 0.0, "survivors": [],
-                         "killed_by_new_tests": []}
-                before = previous.get(name, {})
-                known = {m["id"]: m for key in ("survivors", "killed_by_new_tests")
-                         for m in before.get(key, ())}
+                         "killed": 0, "seconds": 0.0, "survivors": []}
                 for site in sites(source, tree, name):
                     mutated, line = mutate(source, site)
                     (l0, c0), _, old, new = site
@@ -144,18 +140,16 @@ def probe(timeout: float, previous: dict) -> dict:
                               "mutant": mutated.splitlines()[line - 1].strip()}
                     target.write_text(mutated)
                     t0 = time.perf_counter()
-                    killer = run_tests(src_dir, tests, timeout)
+                    killer = run_tests(src_dir, tests)
                     entry["seconds"] += time.perf_counter() - t0
                     entry["mutants"] += 1
-                    print(f"{'killed ' if killer else 'SURVIVED'} {mutant['id']}"
-                          f"  {mutant['mutant']}", flush=True)
+                    print(f"{mutant['id']}  {mutant['mutant']}\n"
+                          f"    {f'killed by {killer}' if killer else 'SURVIVED'}",
+                          flush=True)
                     if killer is None:
-                        reason = known.get(mutant["id"], {}).get("equivalent")
-                        entry["survivors"].append({**mutant, "equivalent": reason})
-                        continue
-                    entry["killed"] += 1
-                    if mutant["id"] in known:
-                        entry["killed_by_new_tests"].append({**mutant, "test": killer})
+                        entry["survivors"].append(mutant)
+                    else:
+                        entry["killed"] += 1
                 target.write_text(source)
                 entry["seconds"] = round(entry["seconds"], 1)
                 functions[name] = entry
@@ -164,17 +158,12 @@ def probe(timeout: float, previous: dict) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--timeout", type=float, default=120.0,
-                    help="seconds per mutant; a run past it kills the mutant")
     ap.add_argument("--out", default=str(ROOT / "MUTANTS.json"))
-    args = ap.parse_args(argv)
-    out = Path(args.out)
-    previous = json.loads(out.read_text())["functions"] if out.is_file() else {}
+    out = Path(ap.parse_args(argv).out)
     t0 = time.perf_counter()
-    functions = probe(args.timeout, previous)
+    functions = probe()
     record = {
         "python": sys.version.split()[0],
-        "timeout_s": args.timeout,
         "seconds": round(time.perf_counter() - t0, 1),
         "functions": functions,
     }
